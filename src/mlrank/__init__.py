@@ -47,6 +47,7 @@ from .model import (
     forward,
     init_model,
     load_checkpoint,
+    predict_batch,
     predict_with,
     save_checkpoint,
     select_front_end,
@@ -61,6 +62,7 @@ from .synthgen import (
     generate_canvas_dataset,
     generate_feature_dataset,
     generate_small_variance_dataset,
+    iter_adjust_sequences,
     read_dataset_jsonl,
     write_dataset_jsonl,
 )

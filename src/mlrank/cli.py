@@ -27,9 +27,8 @@ from .metrics import evaluate_dataset
 from .model import (
     TrainConfig,
     TrainingDiverged,
-    forward,
     load_checkpoint,
-    predict_with,
+    predict_batch,
     save_checkpoint,
     train,
 )
@@ -37,11 +36,11 @@ from .synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
     dump_images,
-    generate_adjust_sequences,
     generate_calibration_set,
     generate_canvas_dataset,
     generate_feature_dataset,
     generate_small_variance_dataset,
+    iter_adjust_sequences,
     read_dataset_jsonl,
     write_dataset_jsonl,
 )
@@ -255,7 +254,7 @@ def cmd_eval(args) -> int:
     raw = bool(cfg.get("raw", False))
     out = _out_dir(cfg)
     params, _, _, instances = _load_model_and_data(cfg)
-    preds = [predict_with(params, inst.features) for inst in instances]
+    _, preds = predict_batch(params, np.stack([inst.features for inst in instances]))
     report = evaluate_dataset(preds, [inst.ranks for inst in instances])
     scale = 1.0 if raw else 100.0
     values = [
@@ -296,13 +295,11 @@ def cmd_adjust_exp(args) -> int:
         )
     n_sequences = int(cfg.get("n_sequences", 50))
     steps = int(cfg.get("steps", 50))
-    sequences = generate_adjust_sequences(canvas, n_sequences=n_sequences, steps=steps)
     sums = np.zeros((steps, 3))
-    for seq in sequences:
-        for si, sample in enumerate(seq.samples):
-            scores = predict_with(params, sample.pixels).scores
-            for role in range(3):
-                sums[si, role] += scores[seq.digits[role]]
+    # One sequence in memory at a time, its steps predicted as one batch.
+    for seq in iter_adjust_sequences(canvas, n_sequences=n_sequences, steps=steps):
+        _, pred = predict_batch(params, np.stack([sample.pixels for sample in seq.samples]))
+        sums += pred.scores[:, list(seq.digits)]
     means = sums / n_sequences
     rows = [
         (step + 1, repr(float(means[step, 0])), repr(float(means[step, 1])), repr(float(means[step, 2])))
@@ -335,17 +332,16 @@ def cmd_calib_exp(args) -> int:
         )
     n = int(cfg.get("n", 50))
     samples = generate_calibration_set(canvas, n)
+    out_heads, pred = predict_batch(params, np.stack([sample.pixels for sample in samples]))
+    # gmlr's second head is the log-variance; other methods have no sigma.
+    sigma = np.exp(0.5 * out_heads[:, params.num_classes :]) if params.head == "gmlr" else None
     collected: dict[float, list[float]] = {lv: [] for lv in CALIBRATION_SCALES}
     sigmas: dict[float, list[float]] = {lv: [] for lv in CALIBRATION_SCALES}
-    for sample in samples:
-        pred = predict_with(params, sample.pixels)
-        sigma = None
-        if params.head == "gmlr":
-            sigma = forward(params, sample.pixels).sigma
+    for i, sample in enumerate(samples):
         for pf in sample.factors:
-            collected[pf.scale].append(float(pred.scores[pf.digit]))
+            collected[pf.scale].append(float(pred.scores[i, pf.digit]))
             if sigma is not None:
-                sigmas[pf.scale].append(float(sigma[pf.digit]))
+                sigmas[pf.scale].append(float(sigma[i, pf.digit]))
     rows = []
     for lv in CALIBRATION_SCALES:
         vals = np.asarray(collected[lv])
@@ -377,9 +373,8 @@ def cmd_extract_sig(args) -> int:
         raise ValueError(f"class index {class_index} out of range for {params.num_classes} classes")
     if n_checkpoints < 1 or n_checkpoints > len(instances):
         raise ValueError("n_checkpoints must lie in 1..n_instances")
-    scores = np.asarray(
-        [float(predict_with(params, inst.features).scores[class_index]) for inst in instances]
-    )
+    _, pred = predict_batch(params, np.stack([inst.features for inst in instances]))
+    scores = pred.scores[:, class_index]
     order = np.argsort(scores, kind="stable")
     n = len(instances)
     if n_checkpoints == 1:

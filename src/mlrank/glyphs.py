@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,11 +47,15 @@ _DIGIT_STROKES = {
 }
 
 
+@lru_cache(maxsize=1024)
 def rasterize_digit(digit: int, size: int) -> np.ndarray:
-    """Render one stroke digit as a (size, size) float array in [0, 1].
+    """Render one stroke digit as a read-only (size, size) float array in
+    [0, 1].
 
     Each stroke is drawn as a soft-edged thick line via its distance
-    field; strokes composite by per-pixel maximum.
+    field; strokes composite by per-pixel maximum.  The glyph depends on
+    (digit, size) alone, so it is rendered once and shared: copy it
+    before writing to it.
     """
     if digit not in _DIGIT_STROKES:
         raise ValueError(f"unknown digit {digit}")
@@ -70,6 +75,7 @@ def rasterize_digit(digit: int, size: int) -> np.ndarray:
         t = np.clip(((px - x0) * dx + (py - y0) * dy) / length_sq, 0.0, 1.0)
         dist = np.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
         img = np.maximum(img, np.clip((half_width - dist) / aa + 0.5, 0.0, 1.0))
+    img.flags.writeable = False
     return img
 
 

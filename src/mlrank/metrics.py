@@ -38,54 +38,94 @@ class MetricReport:
     skipped_max1: int = 0
 
 
+# Per-instance values over (n, K) arrays.  Each returns (values, defined)
+# as two (n,) arrays; an undefined value is left at 0.
+
+
 def _pair_counts(gt, pred):
-    gt = np.asarray(gt, dtype=float)
-    pred = np.asarray(pred, dtype=float)
-    i, j = np.triu_indices(gt.size, k=1)
-    dg = gt[i] - gt[j]
-    dp = pred[i] - pred[j]
-    nc = int(np.count_nonzero(dg * dp > 0))
-    nd = int(np.count_nonzero(dg * dp < 0))
-    n1 = int(np.count_nonzero(dp == 0))
-    n2 = int(np.count_nonzero(dg == 0))
-    return nc, nd, n1, n2
+    """N_c, N_d, N_1, N_2 per row, over all K(K-1)/2 unordered pairs."""
+    i, j = np.triu_indices(gt.shape[1], k=1)
+    dg = gt[:, i] - gt[:, j]
+    dp = pred[:, i] - pred[:, j]
+    prod = dg * dp
+    return (
+        np.count_nonzero(prod > 0, axis=1),
+        np.count_nonzero(prod < 0, axis=1),
+        np.count_nonzero(dp == 0, axis=1),
+        np.count_nonzero(dg == 0, axis=1),
+    )
 
 
-def _check_lengths(a, b):
+def _varies(a):
+    """Rows holding at least two distinct values."""
+    return np.any(a != a[:, :1], axis=1)
+
+
+def _tau_b_values(gt, pred):
+    nc, nd, n1, n2 = _pair_counts(gt, pred)
+    n0 = gt.shape[1] * (gt.shape[1] - 1) // 2
+    defined = _varies(gt) & _varies(pred)
+    denom = np.sqrt(np.where(defined, (n0 - n1) * (n0 - n2), 1).astype(float))
+    return np.where(defined, (nc - nd) / denom, 0.0), defined
+
+
+def fractional_ranks(values) -> np.ndarray:
+    """Ascending 1-based positions with ties averaged, along the last axis:
+    the count of smaller values plus the mean position among the equal."""
+    values = np.asarray(values, dtype=float)
+    below = np.count_nonzero(values[..., None, :] < values[..., :, None], axis=-1)
+    equal = np.count_nonzero(values[..., None, :] == values[..., :, None], axis=-1)
+    return below + (equal + 1) / 2.0
+
+
+def _spearman_values(gt, pred):
+    k = gt.shape[1]
+    defined = _varies(gt) & _varies(pred)
+    d = fractional_ranks(pred) - fractional_ranks(gt)
+    rho = 1.0 - 6.0 * np.sum(d * d, axis=1) / max(k * (k * k - 1), 1)
+    return np.where(defined, rho, 0.0), defined
+
+
+def _gamma_values(gt, pred):
+    nc, nd, _, _ = _pair_counts(gt, pred)
+    defined = nc + nd > 0
+    return np.where(defined, (nc - nd) / np.maximum(nc + nd, 1), 0.0), defined
+
+
+def _hamming_values(gt_pos, pred_pos):
+    return np.count_nonzero(gt_pos != pred_pos, axis=1) / gt_pos.shape[1], np.ones(len(gt_pos), bool)
+
+
+def _max1_values(gt_pos, pred):
+    top = np.argmax(pred, axis=1)  # ties: the lowest class index
+    hit = gt_pos[np.arange(len(gt_pos)), top]
+    return np.where(hit, 0, 1), gt_pos.any(axis=1)
+
+
+def _f1_values(gt_pos, pred_pos):
+    tp = np.count_nonzero(gt_pos & pred_pos, axis=1)
+    fp = np.count_nonzero(~gt_pos & pred_pos, axis=1)
+    fn = np.count_nonzero(gt_pos & ~pred_pos, axis=1)
+    empty = tp + fp + fn == 0
+    f1 = np.where(empty, 1.0, tp / np.where(empty, 1.0, tp + 0.5 * (fp + fn)))
+    return f1, np.ones(len(gt_pos), bool)
+
+
+def _one(values_fn, a, b, message, a_type=float, b_type=float):
+    """A per-instance metric as the n=1 case of its batched values."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("inputs must be 1-d vectors of equal length")
-    return a, b
-
-
-def _degenerate(gt, pred) -> bool:
-    return bool(np.all(gt == gt[0]) or np.all(pred == pred[0]))
+    values, defined = values_fn(a.astype(a_type)[None], b.astype(b_type)[None])
+    if not defined[0]:
+        raise ValueError(message)
+    return values[0].item()
 
 
 def kendall_tau_b(gt_ranks, pred_scores) -> float:
     """(N_c - N_d) / sqrt((N_0 - N_1)(N_0 - N_2))."""
-    gt, pred = _check_lengths(gt_ranks, pred_scores)
-    if gt.size < 2 or _degenerate(gt, pred):
-        raise ValueError("undefined correlation")
-    nc, nd, n1, n2 = _pair_counts(gt, pred)
-    n0 = gt.size * (gt.size - 1) // 2
-    return (nc - nd) / math.sqrt((n0 - n1) * (n0 - n2))
-
-
-def fractional_ranks(values) -> np.ndarray:
-    """Ascending 1-based positions with ties averaged."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    return _one(_tau_b_values, gt_ranks, pred_scores, "undefined correlation")
 
 
 def spearman_rho(gt_ranks, pred_scores) -> float:
@@ -95,27 +135,17 @@ def spearman_rho(gt_ranks, pred_scores) -> float:
     is the standard extension of the displayed no-tie formula to vectors
     with ties (ground truths always tie their rank-0 negatives).
     """
-    gt, pred = _check_lengths(gt_ranks, pred_scores)
-    if gt.size < 2 or _degenerate(gt, pred):
-        raise ValueError("undefined correlation")
-    d = fractional_ranks(pred) - fractional_ranks(gt)
-    k = gt.size
-    return 1.0 - 6.0 * float(np.sum(d * d)) / (k * (k * k - 1))
+    return _one(_spearman_values, gt_ranks, pred_scores, "undefined correlation")
 
 
 def goodman_kruskal_gamma(gt_ranks, pred_scores) -> float:
     """(N_c - N_d) / (N_c + N_d); pairs tied on either side are excluded."""
-    gt, pred = _check_lengths(gt_ranks, pred_scores)
-    nc, nd, _, _ = _pair_counts(gt, pred)
-    if nc + nd == 0:
-        raise ValueError("undefined correlation")
-    return (nc - nd) / (nc + nd)
+    return _one(_gamma_values, gt_ranks, pred_scores, "undefined correlation")
 
 
 def hamming_loss(gt_positive, pred_positive) -> float:
     """Fraction of classes whose bipartition disagrees."""
-    gt, pred = _check_lengths(gt_positive, pred_positive)
-    return float(np.count_nonzero(gt.astype(bool) != pred.astype(bool))) / gt.size
+    return _one(_hamming_values, gt_positive, pred_positive, "", bool, bool)
 
 
 def max1_error(gt_positive, pred_scores) -> int:
@@ -124,74 +154,68 @@ def max1_error(gt_positive, pred_scores) -> int:
     Argmax ties break by ascending class index.  Undefined when the
     ground truth has no positives.
     """
-    gt, pred = _check_lengths(gt_positive, pred_scores)
-    gt = gt.astype(bool)
-    if not np.any(gt):
-        raise ValueError("M-1 undefined")
-    return 0 if gt[int(np.argmax(pred))] else 1
+    return _one(_max1_values, gt_positive, pred_scores, "M-1 undefined", bool, float)
 
 
 def f1_score(gt_positive, pred_positive) -> float:
     """TP / (TP + (FP + FN) / 2); 1.0 when both masks are empty."""
-    gt, pred = _check_lengths(gt_positive, pred_positive)
-    gt = gt.astype(bool)
-    pred = pred.astype(bool)
-    tp = int(np.count_nonzero(gt & pred))
-    fp = int(np.count_nonzero(~gt & pred))
-    fn = int(np.count_nonzero(gt & ~pred))
-    if tp + fp + fn == 0:
-        return 1.0
-    return tp / (tp + 0.5 * (fp + fn))
+    return _one(_f1_values, gt_positive, pred_positive, "", bool, bool)
+
+
+def _stack_predictions(predictions):
+    """(n, K) scores and masks from a batched ``Prediction`` or from an
+    iterable of per-instance objects or (scores, mask) pairs."""
+    if hasattr(predictions, "scores") and np.ndim(predictions.scores) == 2:
+        return np.asarray(predictions.scores, dtype=float), np.asarray(predictions.positive_mask, dtype=bool)
+    rows = [(p.scores, p.positive_mask) if hasattr(p, "scores") else p for p in predictions]
+    if not rows:
+        return np.zeros((0, 0)), np.zeros((0, 0), bool)
+    scores, masks = zip(*rows)
+    return np.asarray(scores, dtype=float), np.asarray(masks, dtype=bool)
 
 
 def evaluate_dataset(predictions, ground_truth_ranks) -> MetricReport:
     """Average the six metrics over aligned predictions and rank vectors.
 
-    ``predictions`` yield (scores, positive_mask) pairs or objects with
-    those attributes.  Undefined correlations and undefined Max-1 values
-    are skipped per instance and counted; a metric undefined on every
+    ``predictions`` is a batched ``Prediction`` of (n, K) arrays, or
+    yields (scores, positive_mask) pairs or objects with those
+    attributes.  Every metric is computed over the stacked (n, K)
+    arrays.  Undefined correlations and undefined Max-1 values are
+    skipped per instance and counted; a metric undefined on every
     instance averages to NaN.  Sums are compensated (math.fsum) so the
     result does not depend on accumulation order.
     """
-    preds = list(predictions)
-    gts = list(ground_truth_ranks)
-    if not preds or len(preds) != len(gts):
+    scores, masks = _stack_predictions(predictions)
+    gt = np.asarray(list(ground_truth_ranks), dtype=int)
+    if not len(scores) or len(scores) != len(gt):
         raise ValueError("predictions and ground truths must align and be non-empty")
-    per = {name: [] for name in ("tau_b", "rho", "gamma", "hl", "m1", "f1")}
-    skipped = {"tau_b": 0, "rho": 0, "gamma": 0, "m1": 0}
-    for pred, ranks in zip(preds, gts):
-        if hasattr(pred, "scores"):
-            scores, mask = pred.scores, pred.positive_mask
-        else:
-            scores, mask = pred
-        scores = np.asarray(scores, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
-        ranks = np.asarray(ranks, dtype=int)
-        gt_pos = ranks > 0
-        for name, fn, args in (
-            ("tau_b", kendall_tau_b, (ranks, scores)),
-            ("rho", spearman_rho, (ranks, scores)),
-            ("gamma", goodman_kruskal_gamma, (ranks, scores)),
-            ("m1", max1_error, (gt_pos, scores)),
-        ):
-            try:
-                per[name].append(float(fn(*args)))
-            except ValueError:
-                skipped[name] += 1
-        per["hl"].append(hamming_loss(gt_pos, mask))
-        per["f1"].append(f1_score(gt_pos, mask))
+    if gt.ndim != 2 or scores.shape != gt.shape or masks.shape != gt.shape:
+        raise ValueError("prediction and ground-truth vectors must share one length")
+    gt_pos = gt > 0
+    gt_float = gt.astype(float)
+    per = {
+        "tau_b": _tau_b_values(gt_float, scores),
+        "rho": _spearman_values(gt_float, scores),
+        "gamma": _gamma_values(gt_float, scores),
+        "hl": _hamming_values(gt_pos, masks),
+        "m1": _max1_values(gt_pos, scores),
+        "f1": _f1_values(gt_pos, masks),
+    }
+    skipped = {name: int(np.count_nonzero(~per[name][1])) for name in ("tau_b", "rho", "gamma", "m1")}
 
-    def mean(vals):
-        return math.fsum(vals) / len(vals) if vals else float("nan")
+    def mean(name):
+        values, defined = per[name]
+        kept = values[defined].tolist()
+        return math.fsum(kept) / len(kept) if kept else float("nan")
 
     return MetricReport(
-        tau_b=mean(per["tau_b"]),
-        spearman_rho=mean(per["rho"]),
-        gamma=mean(per["gamma"]),
-        hamming_loss=mean(per["hl"]),
-        max1=mean(per["m1"]),
-        f1=mean(per["f1"]),
-        n_instances=len(preds),
+        tau_b=mean("tau_b"),
+        spearman_rho=mean("rho"),
+        gamma=mean("gamma"),
+        hamming_loss=mean("hl"),
+        max1=mean("m1"),
+        f1=mean("f1"),
+        n_instances=len(gt),
         skipped_tau_b=skipped["tau_b"],
         skipped_spearman_rho=skipped["rho"],
         skipped_gamma=skipped["gamma"],

@@ -29,7 +29,7 @@ every other parameter is bit-identical to its stage-1 value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,12 @@ from .baselines import (
 )
 from .buckets import CanvasInstance, bucket_order_from_ranks, weak_bucket_order
 from .gmlr import GaussianPrediction, gmlr_objective
+from .predict import Prediction, decide, first_row
 
 METHODS = ("gmlr", "lsep", "crpc")
+# Rows per forward pass at inference.  Small enough that a chunk of
+# canvases stays a few MB through the front end's patch matrices.
+PREDICT_CHUNK = 64
 # Version 1 is the plain MLP layout; version 2 adds the image front end.
 MLP_CHECKPOINT_VERSION = 1
 FRONT_END_CHECKPOINT_VERSION = 2
@@ -203,6 +207,10 @@ class TrainConfig:
             raise ValueError("rates must be positive")
         if not 0 < self.lr_decay_per_epoch <= 1:
             raise ValueError("lr_decay_per_epoch must lie in (0, 1]")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0 or (self.stage2_epochs is not None and self.stage2_epochs < 0):
+            raise ValueError("epochs and stage2_epochs must be non-negative")
 
 
 def init_model(
@@ -562,16 +570,28 @@ def train(dataset, cfg: TrainConfig, init_params: ModelParams | None = None):
     return params, log
 
 
-def predict_with(params: ModelParams, features):
-    """Forward pass plus the method's bipartition and rank assignment."""
-    from .predict import predict_crpc, predict_gmlr, predict_lsep
+def predict_batch(params: ModelParams, x) -> tuple[np.ndarray, Prediction]:
+    """Forward passes over ``PREDICT_CHUNK``-row chunks of the (n, d)
+    feature matrix, then the method's bipartition and rank rule.
 
-    head_out = forward(params, features)
-    if params.head == "gmlr":
-        return predict_gmlr(head_out)
-    if params.head == "lsep":
-        return predict_lsep(head_out)
-    return predict_crpc(head_out)
+    Returns the (n, width) head output and a ``Prediction`` of (n, K)
+    scores, positive masks and ranks.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("features must be an (n, d) matrix")
+    out = np.empty((x.shape[0], head_width(params.head, params.num_classes)))
+    for start in range(0, x.shape[0], PREDICT_CHUNK):
+        out[start : start + PREDICT_CHUNK] = _forward_batch(params, x[start : start + PREDICT_CHUNK])[0]
+    return out, decide(params.head, out, params.num_classes)
+
+
+def predict_with(params: ModelParams, features) -> Prediction:
+    """``predict_batch`` for one feature vector."""
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("features must be a 1-d vector")
+    return first_row(predict_batch(params, x[None, :])[1])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ Every method reduces to a score vector plus a bipartition rule:
 Predicted ranks are dense 1..m over the positives, higher score means
 higher rank, and exact score ties always break by ascending class index
 so outputs are reproducible.
+
+The rules act on (n, width) head-output arrays; ``decide`` is the one
+code path, and the per-instance ``predict_*`` functions are n=1 views of
+it.
 """
 
 from __future__ import annotations
@@ -17,55 +21,86 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from .baselines import PairwiseLogits, ScoreThresholdHeads, crpc_scores
+from .baselines import PairwiseLogits, ScoreThresholdHeads, pair_slots
 from .gmlr import GaussianPrediction
 
 
 @dataclass(frozen=True)
 class Prediction:
+    """Scores, bipartition and ranks: (K,) arrays for one instance or
+    (n, K) arrays for a batch."""
+
     scores: np.ndarray
     positive_mask: np.ndarray
     predicted_ranks: np.ndarray
 
 
 def ranks_from_scores(scores, positive_mask) -> np.ndarray:
-    """Dense ranks 1..m for the positives by ascending score, 0 elsewhere.
+    """Dense ranks 1..m for the positives by ascending score, 0 elsewhere,
+    along the last axis.
 
     Ties break by ascending class index: of two equal-scored positives
     the lower index receives the higher rank.
     """
     scores = np.asarray(scores, dtype=float)
     positive_mask = np.asarray(positive_mask, dtype=bool)
-    ranks = np.zeros(scores.size, dtype=int)
-    positives = np.flatnonzero(positive_mask)
-    ordered = sorted(positives.tolist(), key=lambda c: (-scores[c], c))
-    for offset, c in enumerate(ordered):
-        ranks[c] = len(ordered) - offset
+    # Stable, so equal scores keep ascending class order: best first.
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    ordered_mask = np.take_along_axis(positive_mask, order, axis=-1)
+    seen = np.cumsum(ordered_mask, axis=-1)
+    ordered = np.where(ordered_mask, seen[..., -1:] - seen + 1, 0)
+    ranks = np.empty_like(ordered)
+    np.put_along_axis(ranks, order, ordered, axis=-1)
     return ranks
 
 
-def _prediction(scores, positive_mask) -> Prediction:
-    scores = np.asarray(scores, dtype=float)
-    positive_mask = np.asarray(positive_mask, dtype=bool)
-    return Prediction(
-        scores=scores,
-        positive_mask=positive_mask,
-        predicted_ranks=ranks_from_scores(scores, positive_mask),
-    )
+def crpc_tally(logits: np.ndarray, num_classes: int) -> np.ndarray:
+    """(n, K+1) soft-vote tallies from (n, slots) pairwise logits; the
+    last column is the virtual label's.  Columns add up in slot order,
+    exactly as ``crpc_scores`` does per instance."""
+    tally = np.zeros((logits.shape[0], num_classes + 1))
+    wins, losses = expit(logits), expit(-logits)
+    for slot, (u, v) in enumerate(pair_slots(num_classes + 1)):
+        tally[:, u] += wins[:, slot]
+        tally[:, v] += losses[:, slot]
+    return tally
+
+
+def decide(head: str, out: np.ndarray, num_classes: int) -> Prediction:
+    """The method's scores, bipartition and ranks from (n, width) head
+    outputs."""
+    k = num_classes
+    if head == "gmlr":
+        scores = out[:, :k]
+        mask = scores >= 0.0
+    elif head == "lsep":
+        scores = out[:, :k]
+        mask = scores > out[:, k:]
+    else:
+        tally = crpc_tally(out, k)
+        scores = tally[:, :k]
+        mask = scores > tally[:, k:]
+    return Prediction(scores=scores, positive_mask=mask, predicted_ranks=ranks_from_scores(scores, mask))
+
+
+def first_row(batch: Prediction) -> Prediction:
+    return Prediction(batch.scores[0], batch.positive_mask[0], batch.predicted_ranks[0])
 
 
 def predict_gmlr(pred: GaussianPrediction) -> Prediction:
     """Mean >= 0 marks a predicted positive; means are the ranking scores."""
-    return _prediction(pred.mu, pred.mu >= 0.0)
+    return first_row(decide("gmlr", np.concatenate([pred.mu, pred.log_var])[None], pred.num_classes))
 
 
 def predict_lsep(heads: ScoreThresholdHeads) -> Prediction:
     """f_k > g_k marks a predicted positive; scores f rank the classes."""
-    return _prediction(heads.scores, heads.scores > heads.thresholds)
+    return first_row(
+        decide("lsep", np.concatenate([heads.scores, heads.thresholds])[None], heads.num_classes)
+    )
 
 
 def predict_crpc(logits: PairwiseLogits) -> Prediction:
     """Soft-vote score strictly above the virtual label's marks a positive."""
-    scores, virtual = crpc_scores(logits)
-    return _prediction(scores, scores > virtual)
+    return first_row(decide("crpc", logits.values[None], logits.num_classes))

@@ -18,6 +18,8 @@ JSONL dataset layout (also the loader contract for external data):
 the first line is a header object {"k": classes, "d": feature length,
 "generator": config echo}; every following line is one instance
 {"features": [...], "ranks": [...]} with 0-based class positions.
+Ranks must be JSON integers: ``1.7``, ``1.0`` and ``true`` are data
+errors, not truncated or cast.
 """
 
 from __future__ import annotations
@@ -272,9 +274,15 @@ def generate_calibration_set(cfg: CanvasConfig, n: int = 50) -> list[GeneratedSa
 def generate_adjust_sequences(
     cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
 ) -> list[AdjustSequence]:
-    """Probe sequences of 3 digits at fixed positions whose named factors
-    sweep linearly: the low digit from the range minimum to its maximum,
-    the high digit the opposite way, the middle digit constant."""
+    """Every sequence of ``iter_adjust_sequences``, as a list."""
+    return list(iter_adjust_sequences(cfg, n_sequences, steps))
+
+
+def iter_adjust_sequences(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50):
+    """Yields probe sequences of 3 digits at fixed positions whose named
+    factors sweep linearly: the low digit from the range minimum to its
+    maximum, the high digit the opposite way, the middle digit constant.
+    Each sequence is built only when it is asked for."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
     bank = _glyph_bank(cfg)
@@ -284,7 +292,6 @@ def generate_adjust_sequences(
     else:
         lo, hi = max(cfg.brightness_range[0], cfg.brightness_floor), cfg.brightness_range[1]
     mid = 0.5 * (lo + hi)
-    sequences = []
     for _ in range(n_sequences):
         digits = tuple(int(d) for d in rng.choice(cfg.num_classes, size=3, replace=False))
         colors = []
@@ -315,8 +322,7 @@ def generate_adjust_sequences(
                     factors=tuple(placed), image_shape=cfg.image_shape,
                 )
             )
-        sequences.append(AdjustSequence(digits=digits, samples=tuple(samples)))
-    return sequences
+        yield AdjustSequence(digits=digits, samples=tuple(samples))
 
 
 def generate_feature_dataset(
@@ -384,24 +390,32 @@ def write_dataset_jsonl(path, instances, generator: dict | None = None) -> None:
 
 
 def read_dataset_jsonl(path) -> tuple[dict, list[RankedInstance]]:
-    """Read a JSONL dataset; returns (header, instances)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
-    for key in ("k", "d"):
-        if key not in header:
-            raise ValueError(f"{path}: header missing '{key}'")
-    k, d = int(header["k"]), int(header["d"])
+    """Read a JSONL dataset; returns (header, instances).
+
+    Lines are parsed as they are read, so the file's text is never held
+    whole in memory.
+    """
     instances = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        row = json.loads(line)
-        feats = np.asarray(row["features"], dtype=float)
-        ranks = np.asarray(row["ranks"], dtype=int)
-        if feats.size != d or ranks.size != k:
-            raise ValueError(f"{path}:{lineno}: instance shape does not match header")
-        instances.append(RankedInstance(features=feats, ranks=ranks))
+    with open(path, "r", encoding="ascii") as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty dataset file")
+        header = json.loads(first)
+        for key in ("k", "d"):
+            if key not in header:
+                raise ValueError(f"{path}: header missing '{key}'")
+        k, d = int(header["k"]), int(header["d"])
+        for lineno, line in enumerate(fh, start=2):
+            row = json.loads(line)
+            feats = np.asarray(row["features"], dtype=float)
+            ranks = row["ranks"]
+            # bool is an int subclass; only true JSON integers are ranks.
+            if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
+                raise ValueError(f"{path}:{lineno}: ranks must be a list of JSON integers, got {ranks!r}")
+            ranks = np.asarray(ranks, dtype=int)
+            if feats.size != d or ranks.size != k:
+                raise ValueError(f"{path}:{lineno}: instance shape does not match header")
+            instances.append(RankedInstance(features=feats, ranks=ranks))
     if not instances:
         raise ValueError(f"{path}: dataset has a header but no instances")
     return header, instances

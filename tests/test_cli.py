@@ -351,6 +351,48 @@ class TestExperiments:
         rows = read_csv(out / "calibration.csv")
         assert all(math.isnan(float(r[3])) for r in rows[1:])
 
+    def test_calib_exp_one_forward_per_chunk(self, tmp_path, monkeypatch):
+        import mlrank.model
+
+        ckpt = self._canvas_checkpoint(tmp_path)
+        calls = []
+        real = mlrank.model._forward_batch
+
+        def counting(params, x):
+            calls.append(len(x))
+            return real(params, x)
+
+        monkeypatch.setattr(mlrank.model, "_forward_batch", counting)
+        cfgp = tmp_path / "c.json"
+        n = mlrank.model.PREDICT_CHUNK + 1
+        cfgp.write_text(json.dumps({
+            "canvas": {"canvas_size": 32, "glyph_size": 8, "setup": "S"}, "n": n,
+        }))
+        assert run("calib-exp", "--config", str(cfgp), "--checkpoint", str(ckpt),
+                   "--seed", "13", "--out", str(tmp_path / "cal")) == 0
+        # sigma comes from the same head output: no second pass per canvas
+        assert calls == [mlrank.model.PREDICT_CHUNK, 1]
+
+    def test_adjust_exp_matches_per_sample_scores(self, tmp_path):
+        from mlrank.model import predict_with
+        from mlrank.synthgen import generate_adjust_sequences
+
+        ckpt = self._canvas_checkpoint(tmp_path)
+        canvas = {"canvas_size": 32, "glyph_size": 8, "setup": "S"}
+        cfgp = tmp_path / "a.json"
+        cfgp.write_text(json.dumps({"canvas": canvas, "n_sequences": 3, "steps": 5}))
+        out = tmp_path / "adj"
+        assert run("adjust-exp", "--config", str(cfgp), "--checkpoint", str(ckpt),
+                   "--seed", "11", "--out", str(out)) == 0
+        params, _ = load_checkpoint(ckpt)
+        seqs = generate_adjust_sequences(CanvasConfig(seed=11, **canvas), 3, 5)
+        want = np.zeros((5, 3))
+        for seq in seqs:
+            for step, sample in enumerate(seq.samples):
+                want[step] += predict_with(params, sample.pixels).scores[list(seq.digits)]
+        got = np.array([[float(v) for v in r[1:]] for r in read_csv(out / "adjust.csv")[1:]])
+        np.testing.assert_allclose(got, want / 3, rtol=1e-12, atol=1e-14)
+
     def test_setup_mismatch_warning(self, tmp_path, capsys):
         ckpt = self._canvas_checkpoint(tmp_path)
         cfgp = tmp_path / "a.json"
@@ -424,6 +466,30 @@ class TestExitCodes:
         code = run("train", "--dataset", str(ds), "--method", "gmlr", "--mode", "weak",
                    "--epochs", "1", "--seed", "1", "--out", str(out))
         assert code == 3
+
+    @pytest.mark.parametrize("bad", ["1.7", "1.0", "true", "false"])
+    def test_non_integer_rank_is_data_error(self, tmp_path, capsys, bad):
+        ds = tmp_path / "bad.jsonl"
+        ds.write_text(
+            '{"d":2,"generator":{},"k":2}\n'
+            '{"features":[0.1,0.2],"ranks":[1,0]}\n'
+            f'{{"features":[0.3,0.4],"ranks":[{bad},0]}}\n'
+        )
+        code = run("train", "--dataset", str(ds), "--method", "gmlr", "--mode", "strong",
+                   "--epochs", "1", "--seed", "1", "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"{ds}:3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [{"batch_size": 0}, {"batch_size": -1}, {"epochs": -1}])
+    def test_bad_batch_size_or_epochs_is_data_error(self, tmp_path, capsys, setting):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds, n=8)
+        cfgp = tmp_path / "t.json"
+        cfgp.write_text(json.dumps({"dataset": str(ds), "method": "gmlr", **setting}))
+        out = tmp_path / "run"
+        assert run("train", "--config", str(cfgp), "--seed", "1", "--out", str(out)) == 2
+        assert next(iter(setting)) in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
 
     def test_infeasible_canvas_is_data_error(self, tmp_path):
         cfgp = tmp_path / "g.json"

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mlrank.metrics import (
     evaluate_dataset,
@@ -13,6 +16,8 @@ from mlrank.metrics import (
     max1_error,
     spearman_rho,
 )
+
+from mlrank.predict import Prediction, ranks_from_scores
 
 from oracles import gamma_brute, kendall_tau_b_brute, spearman_brute
 
@@ -208,3 +213,80 @@ class TestEvaluateDataset:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             evaluate_dataset([], [])
+
+
+def oracle_report(score_rows, mask_rows, gt_rows):
+    """Dataset means and skip counts from the brute-force oracles, with
+    each metric's undefined cases decided from its definition."""
+    per = {name: [] for name in ("tau_b", "rho", "gamma", "hl", "m1", "f1")}
+    for scores, mask, gt in zip(score_rows, mask_rows, gt_rows):
+        scores, mask, gt = list(scores), [bool(m) for m in mask], [int(g) for g in gt]
+        k = len(gt)
+        gt_pos = [g > 0 for g in gt]
+        if k >= 2 and len(set(gt)) > 1 and len(set(scores)) > 1:
+            per["tau_b"].append(kendall_tau_b_brute(gt, scores))
+            per["rho"].append(spearman_brute(gt, scores))
+        untied = [
+            (i, j) for i in range(k) for j in range(i + 1, k)
+            if gt[i] != gt[j] and scores[i] != scores[j]
+        ]
+        if untied:
+            per["gamma"].append(gamma_brute(gt, scores))
+        if any(gt_pos):
+            top = max(range(k), key=lambda c: (scores[c], -c))
+            per["m1"].append(0 if gt_pos[top] else 1)
+        per["hl"].append(sum(a != b for a, b in zip(gt_pos, mask)) / k)
+        tp = sum(a and b for a, b in zip(gt_pos, mask))
+        wrong = sum(a != b for a, b in zip(gt_pos, mask))
+        per["f1"].append(1.0 if tp + wrong == 0 else tp / (tp + 0.5 * wrong))
+    n = len(gt_rows)
+    means = {name: math.fsum(v) / len(v) if v else math.nan for name, v in per.items()}
+    skipped = {name: n - len(per[name]) for name in ("tau_b", "rho", "gamma", "m1")}
+    return means, skipped
+
+
+@st.composite
+def tied_datasets(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 10))
+    # Integer-valued scores from a small range tie often; constant rows
+    # and all-negative ground truths make the degenerate cases.
+    scores = draw(arrays(float, (n, k), elements=st.integers(-2, 2).map(float)))
+    masks = draw(arrays(bool, (n, k)))
+    gt = draw(arrays(int, (n, k), elements=st.integers(0, 3)))
+    return scores, masks, gt
+
+
+class TestBatchedAgainstOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_datasets())
+    def test_means_and_skip_counts(self, data):
+        scores, masks, gt = data
+        report = evaluate_dataset(list(zip(scores, masks)), list(gt))
+        want, skipped = oracle_report(scores, masks, gt)
+        got = {
+            "tau_b": report.tau_b, "rho": report.spearman_rho, "gamma": report.gamma,
+            "hl": report.hamming_loss, "m1": report.max1, "f1": report.f1,
+        }
+        for name, value in want.items():
+            if math.isnan(value):
+                assert math.isnan(got[name]), name
+            else:
+                assert got[name] == pytest.approx(value, abs=1e-12), name
+        assert (report.skipped_tau_b, report.skipped_spearman_rho, report.skipped_gamma,
+                report.skipped_max1) == (skipped["tau_b"], skipped["rho"], skipped["gamma"], skipped["m1"])
+        assert report.n_instances == len(gt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_datasets())
+    def test_batched_prediction_equals_instance_list(self, data):
+        scores, masks, gt = data
+        batched = Prediction(scores, masks, ranks_from_scores(scores, masks))
+        # repr: exact floats, and NaN equals NaN.
+        assert repr(evaluate_dataset(batched, gt)) == repr(evaluate_dataset(list(zip(scores, masks)), list(gt)))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            evaluate_dataset([FakePred([0.1, 0.2], [1, 0])], [np.array([1, 0, 0])])
+        with pytest.raises(ValueError):
+            evaluate_dataset([FakePred([0.1, 0.2], [1, 0])] * 2, [np.array([1, 0])])

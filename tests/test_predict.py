@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mlrank.baselines import PairwiseLogits, ScoreThresholdHeads
+from mlrank.baselines import PairwiseLogits, ScoreThresholdHeads, crpc_scores
 from mlrank.gmlr import GaussianPrediction
-from mlrank.predict import predict_crpc, predict_gmlr, predict_lsep, ranks_from_scores
+from mlrank.model import PREDICT_CHUNK, init_model, predict_batch, predict_with
+from mlrank.predict import decide, predict_crpc, predict_gmlr, predict_lsep, ranks_from_scores
 
 
 def gp(mu):
@@ -95,3 +99,97 @@ class TestRankAssignment:
         ranks = ranks_from_scores(np.array([0.5, 0.5, 0.1]), np.array([True, True, True]))
         # equal scores: lower class index wins the higher rank
         assert ranks.tolist() == [3, 2, 1]
+
+
+# ---------------------------------------------------------------------------
+# The batched path
+
+
+def sort_oracle_ranks(scores, mask):
+    expect = np.zeros(len(scores), dtype=int)
+    positives = [c for c in range(len(scores)) if mask[c]]
+    for i, c in enumerate(sorted(positives, key=lambda c: (-scores[c], c))):
+        expect[c] = len(positives) - i
+    return expect
+
+
+@st.composite
+def tied_score_batches(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 10))
+    # Few distinct integer values, so ties are common.
+    scores = draw(arrays(float, (n, k), elements=st.integers(-3, 3).map(float)))
+    mask = draw(arrays(bool, (n, k)))
+    return scores, mask
+
+
+class TestBatchedRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_score_batches())
+    def test_against_sort_oracle(self, batch):
+        scores, mask = batch
+        ranks = ranks_from_scores(scores, mask)
+        assert ranks.shape == scores.shape
+        for row in range(len(scores)):
+            assert ranks[row].tolist() == sort_oracle_ranks(scores[row], mask[row]).tolist()
+
+
+class TestPredictBatch:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        method=st.sampled_from(["gmlr", "lsep", "crpc"]),
+        k=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.1, 1.0, 10.0]),
+    )
+    def test_matches_row_by_row_across_a_chunk_boundary(self, method, k, seed, scale):
+        rng = np.random.default_rng(seed)
+        params = init_model(5, k, method, hidden=(7,), seed=seed % 1000)
+        x = scale * rng.normal(size=(PREDICT_CHUNK + 1, 5))
+        out, batch = predict_batch(params, x)
+        assert out.shape == (PREDICT_CHUNK + 1, params.weights[-1].shape[1])
+        assert batch.scores.shape == batch.positive_mask.shape == batch.predicted_ranks.shape
+        for i, row in enumerate(x):
+            single = predict_with(params, row)
+            # One row through BLAS and a chunk of rows may round differently.
+            np.testing.assert_allclose(batch.scores[i], single.scores, rtol=1e-12, atol=1e-14)
+            # Masks and ranks must agree unless a score sits on its
+            # threshold or on another score to within rounding.
+            if method == "gmlr":
+                threshold = 0.0
+            elif method == "lsep":
+                threshold = out[i, k:]
+            else:
+                threshold = crpc_scores(PairwiseLogits(out[i], k))[1]
+            margin = np.abs(single.scores - threshold)
+            gaps = np.abs(single.scores[:, None] - single.scores[None, :])[np.triu_indices(k, 1)]
+            assume(margin.min() > 1e-9 and (gaps.size == 0 or gaps.min() > 1e-9))
+            assert batch.positive_mask[i].tolist() == single.positive_mask.tolist()
+            assert batch.predicted_ranks[i].tolist() == single.predicted_ranks.tolist()
+
+    def test_empty_batch(self):
+        params = init_model(3, 2, "gmlr", hidden=(), seed=0)
+        out, batch = predict_batch(params, np.zeros((0, 3)))
+        assert out.shape == (0, 4) and batch.scores.shape == (0, 2)
+
+    def test_rejects_vectors(self):
+        params = init_model(3, 2, "gmlr", hidden=(), seed=0)
+        with pytest.raises(ValueError, match=r"\(n, d\)"):
+            predict_batch(params, np.zeros(3))
+
+
+class TestCrpcTally:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 10),
+        n=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_bit_identical_to_crpc_scores(self, k, n, data):
+        slots = (k + 1) * k // 2
+        values = data.draw(arrays(float, (n, slots), elements=st.floats(-50, 50)))
+        batch = decide("crpc", values, k)
+        for i in range(n):
+            scores, virtual = crpc_scores(PairwiseLogits(values[i], k))
+            assert batch.scores[i].tobytes() == scores.tobytes()
+            assert batch.positive_mask[i].tolist() == (scores > virtual).tolist()

@@ -15,6 +15,7 @@ from mlrank.synthgen import (
     generate_canvas_dataset,
     generate_feature_dataset,
     generate_small_variance_dataset,
+    iter_adjust_sequences,
     read_dataset_jsonl,
     write_dataset_jsonl,
     write_pgm,
@@ -38,6 +39,16 @@ class TestGlyphs:
         for a in range(10):
             for b in range(a + 1, 10):
                 assert np.abs(imgs[a] - imgs[b]).max() > 0.2
+
+    def test_cached_glyph_equals_fresh_render_and_is_read_only(self):
+        for size in range(4, 46):
+            for digit in range(10):
+                cached = rasterize_digit(digit, size)
+                assert rasterize_digit(digit, size) is cached
+                np.testing.assert_array_equal(cached, rasterize_digit.__wrapped__(digit, size))
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 1.0
 
     def test_bilinear_resize_identity_and_constant(self):
         rng = np.random.default_rng(0)
@@ -186,6 +197,17 @@ class TestAdjustSequences:
         for sa, sb in zip(a, b):
             assert sa.digits == sb.digits
             for xa, xb in zip(sa.samples, sb.samples):
+                np.testing.assert_array_equal(xa.pixels, xb.pixels)
+
+
+    def test_list_is_the_streamed_sequences(self):
+        cfg = small_cfg(setup="S")
+        listed = generate_adjust_sequences(cfg, n_sequences=3, steps=4)
+        streamed = iter_adjust_sequences(cfg, n_sequences=3, steps=4)
+        assert not isinstance(streamed, list)
+        for a, b in zip(listed, streamed, strict=True):
+            assert a.digits == b.digits and a.samples[0].factors == b.samples[0].factors
+            for xa, xb in zip(a.samples, b.samples, strict=True):
                 np.testing.assert_array_equal(xa.pixels, xb.pixels)
 
 
