@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import mlrank.model
 from mlrank.buckets import RankedInstance
 from mlrank.cli import main
 from mlrank.model import (
@@ -14,10 +15,16 @@ from mlrank.model import (
     TrainConfig,
     init_model,
     load_checkpoint,
+    predict_with,
     save_checkpoint,
     train,
 )
-from mlrank.synthgen import CanvasConfig, generate_canvas_dataset, write_dataset_jsonl
+from mlrank.synthgen import (
+    CanvasConfig,
+    generate_adjust_sequences,
+    generate_canvas_dataset,
+    write_dataset_jsonl,
+)
 
 
 def run(*argv):
@@ -352,8 +359,6 @@ class TestExperiments:
         assert all(math.isnan(float(r[3])) for r in rows[1:])
 
     def test_calib_exp_one_forward_per_chunk(self, tmp_path, monkeypatch):
-        import mlrank.model
-
         ckpt = self._canvas_checkpoint(tmp_path)
         calls = []
         real = mlrank.model._forward_batch
@@ -374,9 +379,6 @@ class TestExperiments:
         assert calls == [mlrank.model.PREDICT_CHUNK, 1]
 
     def test_adjust_exp_matches_per_sample_scores(self, tmp_path):
-        from mlrank.model import predict_with
-        from mlrank.synthgen import generate_adjust_sequences
-
         ckpt = self._canvas_checkpoint(tmp_path)
         canvas = {"canvas_size": 32, "glyph_size": 8, "setup": "S"}
         cfgp = tmp_path / "a.json"

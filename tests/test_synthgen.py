@@ -199,7 +199,6 @@ class TestAdjustSequences:
             for xa, xb in zip(sa.samples, sb.samples):
                 np.testing.assert_array_equal(xa.pixels, xb.pixels)
 
-
     def test_list_is_the_streamed_sequences(self):
         cfg = small_cfg(setup="S")
         listed = generate_adjust_sequences(cfg, n_sequences=3, steps=4)
