@@ -6,14 +6,7 @@ metrics used to compare them, deterministic synthetic ranked-dataset
 generators, and a CLI harness for the behavioural experiments.
 """
 
-from .baselines import (
-    PairwiseLogits,
-    ScoreThresholdHeads,
-    crpc_loss,
-    crpc_scores,
-    lsep_class_loss,
-    lsep_rank_loss,
-)
+from .baselines import crpc_loss, crpc_slots, lsep_class_loss, lsep_rank_loss
 from .buckets import (
     BucketOrder,
     CanvasInstance,
@@ -21,11 +14,11 @@ from .buckets import (
     bucket_likelihood,
     bucket_likelihood_oracle,
     bucket_order_from_ranks,
+    pair_mask,
     strict_pairs,
-    weak_pairs,
 )
-from .gaussian import GaussianParam, diff_param, erf, log_q_prob, q_prob
-from .gmlr import GaussianPrediction, LossValue, classification_loss, gmlr_objective, ranking_loss
+from .gaussian import GaussianParam, q_grads, q_prob
+from .gmlr import classification_loss, gmlr_objective, ranking_loss
 from .metrics import (
     MetricReport,
     evaluate_dataset,
@@ -53,7 +46,7 @@ from .model import (
     select_front_end,
     train,
 )
-from .predict import Prediction, predict_crpc, predict_gmlr, predict_lsep
+from .predict import Prediction
 from .synthgen import (
     CanvasConfig,
     GeneratedSample,

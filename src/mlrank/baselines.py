@@ -8,22 +8,23 @@ log-sum-exp pairwise loss, then the thresholds alone are trained for
 classification with the rest of the network frozen.
 
 Slot layout for pairwise logits: pairs (u, v) with u < v over items
-0..K (index K is the virtual label), enumerated in lexicographic order;
-the value stored at a slot is the logit of "u outranks v".
+0..K (index K is the virtual label), in the row-major upper-triangle
+order of ``crpc_slots``; the value stored at a slot is the logit of "u
+outranks v".
+
+Every loss takes a batch, the (n, width) head output and the (n, K)
+ranks, and returns the (n,) losses and the (n, width) head gradient.
+Pairwise terms come from (n, K, K) pair masks (``pair_mask``); a
+pair's gradient reaches its winner through a row sum and its loser
+through a column sum of the pair matrix.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 from scipy.special import expit as _sigmoid
 
-from .buckets import BucketOrder, bucket_order_from_ranks, weak_bucket_order
-
-MODES = ("weak", "strong")
+from .buckets import MODES, head_batch, pair_mask
 
 
 def _softplus(x):
@@ -31,202 +32,75 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-@lru_cache(maxsize=None)
-def pair_slots(num_items: int) -> tuple[tuple[int, int], ...]:
-    """Canonical (u, v) pair per slot, u < v, lexicographic."""
-    return tuple(itertools.combinations(range(num_items), 2))
+def crpc_slots(num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) item index arrays of the (K+1)K/2 logit slots: u < v,
+    lexicographic, with the virtual label as item K."""
+    return np.triu_indices(num_classes + 1, 1)
 
 
-@lru_cache(maxsize=None)
-def _slot_index(num_items: int) -> dict[tuple[int, int], int]:
-    return {pair: i for i, pair in enumerate(pair_slots(num_items))}
+def crpc_loss(logits, ranks, mode: str):
+    """CRPC losses and gradients w.r.t. the (n, (K+1)K/2) logits.
 
-
-@dataclass(frozen=True)
-class PairwiseLogits:
-    """One logit per unordered pair of the K real classes plus the virtual label."""
-
-    values: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        n_items = self.num_classes + 1
-        expected = n_items * (n_items - 1) // 2
-        if values.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} pairwise logits for {self.num_classes} classes, "
-                f"got shape {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
-
-    @property
-    def num_items(self) -> int:
-        return self.num_classes + 1
-
-    @property
-    def virtual_index(self) -> int:
-        return self.num_classes
-
-    def slot(self, u: int, v: int) -> int:
-        return _slot_index(self.num_items)[(u, v) if u < v else (v, u)]
-
-    def oriented(self, winner: int, loser: int) -> float:
-        """Logit of "winner outranks loser", negating reversed slots."""
-        x = self.values[self.slot(winner, loser)]
-        return float(x) if winner < loser else -float(x)
-
-
-@dataclass(frozen=True)
-class ScoreThresholdHeads:
-    """LSEP heads: per-class ranking scores f and classification thresholds g."""
-
-    scores: np.ndarray
-    thresholds: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.scores, dtype=float)
-        g = np.asarray(self.thresholds, dtype=float)
-        if f.ndim != 1 or f.shape != g.shape:
-            raise ValueError("scores and thresholds must be 1-d vectors of equal length")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-            raise ValueError("head entries must be finite")
-        object.__setattr__(self, "scores", f)
-        object.__setattr__(self, "thresholds", g)
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.scores.size)
-
-
-def crpc_augmented_order(ranks, num_classes: int) -> BucketOrder:
-    """Bucket order over K+1 items with the virtual label as its own bucket
-    between the lowest positive bucket and the negatives."""
-    ranks = np.asarray(ranks, dtype=int)
-    base = bucket_order_from_ranks(ranks)
-    virtual = frozenset({num_classes})
-    buckets: list[frozenset[int]] = []
-    inserted = False
-    for lv, bucket in zip(sorted(set(ranks.tolist()), reverse=True), base.buckets):
-        if lv == 0 and not inserted:
-            buckets.append(virtual)
-            inserted = True
-        buckets.append(bucket)
-    if not inserted:
-        buckets.append(virtual)
-    return BucketOrder(buckets=tuple(buckets), num_classes=num_classes + 1)
-
-
-def crpc_loss(logits: PairwiseLogits, ranks, mode: str, order: BucketOrder | None = None):
-    """CRPC loss and gradient w.r.t. the logit vector.
-
-    Weak: per slot, binary cross-entropy on sigmoid(logit) with target 1
-    when u is positive and v is negative-or-virtual, target 0 in the
-    mirrored case; slots where neither case holds contribute nothing.
-    Strong: -log sigmoid(winner-over-loser logit) summed over the strict
-    pairs of the rank order augmented with the virtual label.
+    The supervision ranks the K+1 items by the augmented ranks
+    [2 * ranks, 1], which put the virtual label between the lowest
+    positive and the negatives.  Strong mode orders the classes by rank,
+    weak mode only positives over negatives.  Each slot whose two items
+    are ordered adds -log sigmoid(winner-over-loser logit); a slot of
+    tied items adds nothing.  Weak mode also never trains a negative
+    below the virtual label.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    ranks = np.asarray(ranks, dtype=int)
-    k = logits.num_classes
-    if ranks.shape != (k,):
-        raise ValueError("ranks length does not match logits")
-    values = logits.values
-    grad = np.zeros_like(values)
+    k = np.shape(ranks)[-1]
+    logits, ranks = head_batch(logits, ranks, (k + 1) * k // 2)
+    levels = ranks if mode == "strong" else (ranks > 0).astype(int)
+    augmented = np.concatenate([2 * levels, np.ones((len(levels), 1), dtype=int)], axis=1)
+    order = pair_mask(augmented, "strong")
     if mode == "weak":
-        positive = ranks > 0
-        loss = 0.0
-        for slot, (u, v) in enumerate(pair_slots(logits.num_items)):
-            # u < v, so u is always a real class; v may be the virtual label.
-            v_virtual = v == logits.virtual_index
-            beta_u = positive[u] and (v_virtual or not positive[v])
-            beta_v = (not v_virtual) and positive[v] and not positive[u]
-            x = values[slot]
-            if beta_u:
-                loss += float(_softplus(-x))
-                grad[slot] -= float(_sigmoid(-x))
-            elif beta_v:
-                loss += float(_softplus(x))
-                grad[slot] += float(_sigmoid(x))
-        return loss, grad
-    if order is None:
-        order = crpc_augmented_order(ranks, k)
-    pu, pv = order.pair_arrays()
-    loss = 0.0
-    for w, l in zip(pu.tolist(), pv.tolist()):
-        slot = logits.slot(w, l)
-        sign = 1.0 if w < l else -1.0
-        x = sign * values[slot]
-        loss += float(_softplus(-x))
-        grad[slot] -= sign * float(_sigmoid(-x))
-    return loss, grad
+        order[:, k, :] = False
+    u, v = crpc_slots(k)
+    sign = order[:, u, v].astype(float) - order[:, v, u]
+    x = sign * logits
+    active = sign != 0.0
+    loss = np.sum(np.where(active, _softplus(-x), 0.0), axis=1)
+    return loss, np.where(active, -sign * _sigmoid(-x), 0.0)
 
 
-def crpc_scores(logits: PairwiseLogits) -> tuple[np.ndarray, float]:
-    """Soft vote tally: each item sums sigmoid(its winning logit) over all
-    opponents.  Returns (real-class scores, virtual label's score);
-    classes beat the bipartition only with a strictly higher score."""
-    n = logits.num_items
-    scores = np.zeros(n)
-    for slot, (u, v) in enumerate(pair_slots(n)):
-        x = logits.values[slot]
-        scores[u] += _sigmoid(x)
-        scores[v] += _sigmoid(-x)
-    return scores[: logits.num_classes], float(scores[logits.virtual_index])
+def lsep_rank_loss(out, ranks, mode: str):
+    """log(1 + sum over supervised pairs of exp(f_loser - f_winner)), with
+    gradients.
 
-
-def lsep_rank_loss(
-    heads: ScoreThresholdHeads,
-    ranks,
-    mode: str,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
-):
-    """log(1 + sum over pairs of exp(f_loser - f_winner)), with gradients.
-
-    Returns (loss, grad_scores, grad_thresholds); the threshold gradient
-    is identically zero.  The inner sum is max-shifted so huge score
-    gaps cannot overflow.  ``pairs`` may carry precomputed (winner,
-    loser) index arrays for the given mode.
+    ``out`` is the (n, 2K) head output, scores f then thresholds.
+    Returns the (n,) losses and the (n, 2K) gradient, whose threshold
+    half is identically zero.  The inner sum is max-shifted so huge
+    score gaps cannot overflow.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    ranks = np.asarray(ranks, dtype=int)
-    k = heads.num_classes
-    if ranks.shape != (k,):
-        raise ValueError("ranks length does not match heads")
-    grad_f = np.zeros(k)
-    grad_g = np.zeros(k)
-    if pairs is None:
-        order = bucket_order_from_ranks(ranks) if mode == "strong" else weak_bucket_order(ranks)
-        pairs = order.pair_arrays()
-    pu, pv = pairs
-    if pu.size == 0:
-        return 0.0, grad_f, grad_g
-    f = heads.scores
-    z = f[pv] - f[pu]
-    shift = max(0.0, float(np.max(z)))
-    denom = np.exp(-shift) + np.sum(np.exp(z - shift))
-    loss = shift + float(np.log(denom))
-    w = np.exp(z - shift) / denom
-    np.add.at(grad_f, pv, w)
-    np.add.at(grad_f, pu, -w)
-    return loss, grad_f, grad_g
+    k = np.shape(ranks)[-1]
+    out, ranks = head_batch(out, ranks, 2 * k)
+    mask = pair_mask(ranks, mode)
+    f = out[:, :k]
+    # z[i, u, v] = f_v - f_u for winner u and loser v, -inf off the mask.
+    z = np.where(mask, f[:, None, :] - f[:, :, None], -np.inf)
+    shift = np.maximum(z.max(axis=(1, 2)), 0.0)
+    e = np.exp(z - shift[:, None, None])
+    denom = np.exp(-shift) + e.sum(axis=(1, 2))
+    w = e / denom[:, None, None]
+    grad = np.zeros_like(out)
+    grad[:, :k] = w.sum(axis=1) - w.sum(axis=2)
+    return shift + np.log(denom), grad
 
 
-def lsep_class_loss(heads: ScoreThresholdHeads, ranks):
+def lsep_class_loss(out, ranks):
     """Per-class BCE on delta_k = sigmoid(f_k - g_k) against rank_k > 0.
 
-    Returns (loss, grad_scores, grad_thresholds).  The score gradient is
-    identically zero by contract: in the second training stage the
-    scores are frozen and only the thresholds learn.
+    Returns the (n,) losses and the (n, 2K) gradient.  The score half of
+    the gradient is identically zero by contract: in the second training
+    stage the scores are frozen and only the thresholds learn.
     """
-    ranks = np.asarray(ranks, dtype=int)
-    k = heads.num_classes
-    if ranks.shape != (k,):
-        raise ValueError("ranks length does not match heads")
+    k = np.shape(ranks)[-1]
+    out, ranks = head_batch(out, ranks, 2 * k)
     y = (ranks > 0).astype(float)
-    x = heads.scores - heads.thresholds
-    loss = float(np.sum(y * _softplus(-x) + (1.0 - y) * _softplus(x)))
-    grad_g = y - _sigmoid(x)
-    return loss, np.zeros(k), grad_g
+    x = out[:, :k] - out[:, k:]
+    grad = np.zeros_like(out)
+    grad[:, k:] = y - _sigmoid(x)
+    return np.sum(y * _softplus(-x) + (1.0 - y) * _softplus(x), axis=1), grad

@@ -11,6 +11,10 @@ bucket order is the product of P(z_u >= z_v) over exactly those pairs.
 force: it enumerates every complete orientation of the tied pairs and
 sums the full pairwise products.
 
+Training reads the same strict relation as a boolean pair mask over a
+batch of rank vectors (``pair_mask``); ``BucketOrder`` is the
+per-instance form that the likelihood and its oracle take.
+
 Class indices are 0-based.  Pair orientation is (u, v) = "u outranks v"
 throughout.
 """
@@ -23,9 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import q_prob_values
+from .gaussian import GaussianParam, q_prob
 
 ENUMERATION_BOUND = 8
+MODES = ("weak", "strong")
 
 
 @dataclass(frozen=True)
@@ -140,30 +145,38 @@ def bucket_order_from_ranks(ranks) -> BucketOrder:
     return BucketOrder(buckets=buckets, num_classes=int(ranks.size))
 
 
-def weak_bucket_order(ranks) -> BucketOrder:
-    """Two-bucket order: all positives tied on top of all negatives.
-
-    Its strict pairs are exactly the positive x negative pairs, i.e. the
-    supervision available to weak methods.
-    """
-    ranks = np.asarray(ranks, dtype=int)
-    if ranks.ndim != 1 or ranks.size == 0:
-        raise ValueError("empty label vector")
-    pos = frozenset(int(c) for c in np.flatnonzero(ranks > 0))
-    neg = frozenset(int(c) for c in np.flatnonzero(ranks == 0))
-    buckets = tuple(b for b in (pos, neg) if b)
-    return BucketOrder(buckets=buckets, num_classes=int(ranks.size))
-
-
 def strict_pairs(b: BucketOrder) -> list[tuple[int, int]]:
     """All ordered pairs (u, v) with u in a strictly higher bucket than v."""
     pu, pv = b.pair_arrays()
     return list(zip(pu.tolist(), pv.tolist()))
 
 
-def weak_pairs(ranks) -> list[tuple[int, int]]:
-    """Ordered pairs (positive, negative); ordering among positives discarded."""
-    return strict_pairs(weak_bucket_order(ranks))
+def pair_mask(ranks, mode: str) -> np.ndarray:
+    """Supervised pairs of (..., K) rank vectors as a (..., K, K) mask.
+
+    Entry [..., u, v] is True when class u must outrank class v: in
+    "strong" mode when rank_u > rank_v, the strict pairs of the bucket
+    order; in "weak" mode when u is positive and v negative, so the
+    ordering among positives is discarded.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    ranks = np.asarray(ranks, dtype=int)
+    levels = ranks if mode == "strong" else ranks > 0
+    return levels[..., :, None] > levels[..., None, :]
+
+
+def head_batch(out, ranks, width: int):
+    """(n, width) float head outputs and (n, K) int ranks of one batch;
+    ValueError when the two do not match."""
+    out = np.asarray(out, dtype=float)
+    ranks = np.asarray(ranks, dtype=int)
+    if ranks.ndim != 2 or out.shape != (ranks.shape[0], width):
+        raise ValueError(
+            f"head output of shape {out.shape} does not match ranks of shape "
+            f"{ranks.shape} (expected width {width})"
+        )
+    return out, ranks
 
 
 def bucket_likelihood(mu, sigma, b: BucketOrder) -> float:
@@ -175,8 +188,7 @@ def bucket_likelihood(mu, sigma, b: BucketOrder) -> float:
     pu, pv = b.pair_arrays()
     if pu.size == 0:
         return 1.0
-    probs = q_prob_values(mu[pu] - mu[pv], np.hypot(sigma[pu], sigma[pv]))
-    return float(np.prod(probs))
+    return float(q_prob(GaussianParam(mu[pu] - mu[pv], np.hypot(sigma[pu], sigma[pv]))).prod())
 
 
 def bucket_likelihood_oracle(mu, sigma, b: BucketOrder) -> float:
@@ -198,14 +210,11 @@ def bucket_likelihood_oracle(mu, sigma, b: BucketOrder) -> float:
     if len(covered) > ENUMERATION_BOUND:
         raise ValueError("enumeration bound exceeded")
 
-    def pair_probs(us, vs) -> np.ndarray:
-        return np.atleast_1d(q_prob_values(mu[us] - mu[vs], np.hypot(sigma[us], sigma[vs])))
-
+    # P(z_u >= z_v) for every ordered pair (u, v).
+    p = q_prob(GaussianParam(mu[:, None] - mu[None, :], np.hypot(sigma[:, None], sigma[None, :])))
     # Cross-bucket pairs carry the same orientation in every term.
-    total = 1.0
     pu, pv = b.pair_arrays()
-    if pu.size:
-        total = float(np.prod(pair_probs(pu, pv)))
+    total = float(p[pu, pv].prod())
     # Tied pairs of distinct buckets never interact, so the orientation
     # sum factorizes per bucket.
     for bucket in b.buckets:
@@ -213,7 +222,7 @@ def bucket_likelihood_oracle(mu, sigma, b: BucketOrder) -> float:
         t = len(pairs)
         if t == 0:
             continue
-        p = pair_probs(np.array([u for u, _ in pairs]), np.array([v for _, v in pairs]))
+        tied = p[tuple(np.array(pairs).T)]
         bucket_sum = 0.0
         chunk = 1 << 16
         for start in range(0, 1 << t, chunk):
@@ -223,7 +232,7 @@ def bucket_likelihood_oracle(mu, sigma, b: BucketOrder) -> float:
             else:
                 idx = np.arange(start, stop, dtype=np.uint64)[:, None]
                 bits = ((idx >> np.arange(t, dtype=np.uint64)) & 1).astype(bool)
-            bucket_sum += float(np.where(bits, p, 1.0 - p).prod(axis=1).sum())
+            bucket_sum += float(np.where(bits, tied, 1.0 - tied).prod(axis=1).sum())
         total *= bucket_sum
     return total
 

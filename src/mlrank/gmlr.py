@@ -11,140 +11,83 @@ significance value.  Two negative log-likelihood terms are combined:
 The per-instance total weighs the terms by 1/K and 1/|pairs| so neither
 dominates as K or the pair count grows.  Strong supervision uses the
 full bucket order of the rank vector; weak supervision replaces it with
-the positives-over-negatives order.  All gradients are closed form, with
-respect to the predicted means and log-variances.
+the positives-over-negatives order (see ``pair_mask``).
+
+Every function takes a batch: (n, K) means, log-variances and ranks,
+and (n, K, K) pair masks.  The ranking term is evaluated on all K x K
+pairs at once and masked; a pair's gradient reaches its winner through
+a row sum and its loser through a column sum of the pair matrix.  All
+gradients are closed form, with respect to the predicted means and
+log-variances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .buckets import BucketOrder, bucket_order_from_ranks, weak_bucket_order
-from .gaussian import q_grads_values, q_prob_values
-
-MODES = ("weak", "strong")
+from .buckets import head_batch, pair_mask
+from .gaussian import GaussianParam, q_grads, q_prob
 
 
-@dataclass(frozen=True)
-class GaussianPrediction:
-    """Per-class predicted mean and log-variance; sigma = exp(log_var / 2)."""
-
-    mu: np.ndarray
-    log_var: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        log_var = np.asarray(self.log_var, dtype=float)
-        if mu.ndim != 1 or mu.shape != log_var.shape:
-            raise ValueError("mu and log_var must be 1-d vectors of equal length")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(log_var))):
-            raise ValueError("prediction entries must be finite")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "log_var", log_var)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(0.5 * self.log_var)
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.mu.size)
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """Weighted objective value and its gradients at the prediction."""
-
-    classification: float
-    ranking: float
-    total: float
-    grad_mu: np.ndarray
-    grad_log_var: np.ndarray
-
-
-def classification_loss(pred: GaussianPrediction, ranks):
-    """Bernoulli NLL summed over classes, plus gradients.
+def classification_loss(mu, log_var, ranks):
+    """(n,) Bernoulli NLL summed over classes, plus (n, K) gradients.
 
     Returns (loss, grad_mu, grad_log_var).  A class is a target positive
     iff its rank is > 0.  P(negative) is evaluated as Q(-mu, sigma), the
     exact complement of Q(mu, sigma), which keeps tail accuracy.
     """
-    ranks = np.asarray(ranks, dtype=int)
-    if ranks.shape != (pred.num_classes,):
-        raise ValueError("ranks length does not match prediction")
-    mu = pred.mu
-    sigma = pred.sigma
-    beta = ranks > 0
-    sgn = np.where(beta, 1.0, -1.0)
+    sigma = np.exp(0.5 * log_var)
+    sgn = np.where(np.asarray(ranks) > 0, 1.0, -1.0)
     # Per class the active term is -log Q(sgn * mu, sigma).
-    q = q_prob_values(sgn * mu, sigma)
-    dq_dm, dq_ds = q_grads_values(sgn * mu, sigma)
-    loss = float(-np.sum(np.log(q)))
-    grad_mu = -sgn * dq_dm / q
+    g = GaussianParam(sgn * mu, sigma)
+    q = q_prob(g)
+    dq_dm, dq_ds = q_grads(g)
     grad_sigma = -dq_ds / q
-    grad_log_var = 0.5 * sigma * grad_sigma
-    return loss, grad_mu, grad_log_var
+    return -np.sum(np.log(q), axis=1), -sgn * dq_dm / q, 0.5 * sigma * grad_sigma
 
 
-def ranking_loss(pred: GaussianPrediction, order: BucketOrder):
-    """Sum of -log Q over the order's strict pairs, plus gradients.
+def ranking_loss(mu, log_var, mask):
+    """(n,) sum of -log Q over each row's masked pairs, plus (n, K)
+    gradients.
 
-    Returns (loss, grad_mu, grad_log_var); zero loss for an empty pair
-    set.  Each pair (u, v) contributes through the difference
-    distribution N(mu_u - mu_v, sigma_u^2 + sigma_v^2), so its gradient
-    touches both endpoints.
+    Returns (loss, grad_mu, grad_log_var); a row with no pair has zero
+    loss and gradient.  Each pair (u, v) contributes through the
+    difference distribution N(mu_u - mu_v, sigma_u^2 + sigma_v^2), so
+    its gradient touches both endpoints.
     """
-    if order.num_classes != pred.num_classes:
-        raise ValueError("bucket order does not match prediction")
-    k = pred.num_classes
-    grad_mu = np.zeros(k)
-    grad_log_var = np.zeros(k)
-    pu, pv = order.pair_arrays()
-    if pu.size == 0:
-        return 0.0, grad_mu, grad_log_var
-    mu = pred.mu
-    sigma = pred.sigma
-    m = mu[pu] - mu[pv]
-    s = np.hypot(sigma[pu], sigma[pv])
-    q = q_prob_values(m, s)
-    dq_dm, dq_ds = q_grads_values(m, s)
-    loss = float(-np.sum(np.log(q)))
-    dl_dm = -dq_dm / q
-    dl_ds = -dq_ds / q
-    np.add.at(grad_mu, pu, dl_dm)
-    np.add.at(grad_mu, pv, -dl_dm)
+    sigma = np.exp(0.5 * log_var)
+    m = mu[:, :, None] - mu[:, None, :]
+    s = np.hypot(sigma[:, :, None], sigma[:, None, :])
+    g = GaussianParam(m, s)
+    q = q_prob(g)
+    dq_dm, dq_ds = q_grads(g)
+    loss = np.sum(np.where(mask, -np.log(q), 0.0), axis=(1, 2))
+    dl_dm = np.where(mask, -dq_dm / q, 0.0)
     # d s / d sigma_u = sigma_u / s, then d sigma_u / d log_var_u = sigma_u / 2.
-    np.add.at(grad_log_var, pu, dl_ds * sigma[pu] ** 2 / (2.0 * s))
-    np.add.at(grad_log_var, pv, dl_ds * sigma[pv] ** 2 / (2.0 * s))
+    dl_ds = np.where(mask, -dq_ds / q, 0.0) / (2.0 * s)
+    grad_mu = dl_dm.sum(axis=2) - dl_dm.sum(axis=1)
+    grad_log_var = sigma**2 * (dl_ds.sum(axis=2) + dl_ds.sum(axis=1))
     return loss, grad_mu, grad_log_var
 
 
-def gmlr_objective(
-    pred: GaussianPrediction, ranks, mode: str, order: BucketOrder | None = None
-) -> LossValue:
+def gmlr_objective(out, ranks, mode: str):
     """Weighted per-instance objective: total = Lc/K + Lr/|pairs|.
 
-    ``mode`` selects the supervision order: "strong" uses the full
-    bucket order of the rank vector, "weak" the positives-over-negatives
-    order.  When the pair set is empty the ranking term and its weight
-    are both zero.  ``order`` may carry a precomputed supervision order
-    (it must match the mode) to avoid rebuilding it in training loops.
+    ``out`` is the (n, 2K) head output, means then log-variances.
+    Returns the (n,) totals and their (n, 2K) gradient.  ``mode``
+    selects the supervision order (``pair_mask``).  When a row's pair
+    set is empty its ranking term and weight are both zero.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    ranks = np.asarray(ranks, dtype=int)
-    if order is None:
-        order = bucket_order_from_ranks(ranks) if mode == "strong" else weak_bucket_order(ranks)
-    lc, gc_mu, gc_lv = classification_loss(pred, ranks)
-    lr, gr_mu, gr_lv = ranking_loss(pred, order)
-    lam1 = 1.0 / pred.num_classes
-    lam2 = 1.0 / order.num_strict_pairs if order.num_strict_pairs else 0.0
-    return LossValue(
-        classification=lc,
-        ranking=lr,
-        total=lam1 * lc + lam2 * lr,
-        grad_mu=lam1 * gc_mu + lam2 * gr_mu,
-        grad_log_var=lam1 * gc_lv + lam2 * gr_lv,
-    )
+    k = np.shape(ranks)[-1]
+    out, ranks = head_batch(out, ranks, 2 * k)
+    mask = pair_mask(ranks, mode)
+    mu, log_var = out[:, :k], out[:, k:]
+    lc, gc_mu, gc_lv = classification_loss(mu, log_var, ranks)
+    lr, gr_mu, gr_lv = ranking_loss(mu, log_var, mask)
+    pairs = mask.sum(axis=(1, 2))
+    lam1 = 1.0 / k
+    lam2 = np.where(pairs > 0, 1.0 / np.maximum(pairs, 1), 0.0)
+    total = lam1 * lc + lam2 * lr
+    lam2 = lam2[:, None]
+    grad = np.concatenate([lam1 * gc_mu + lam2 * gr_mu, lam1 * gc_lv + lam2 * gr_lv], axis=1)
+    return total, grad

@@ -33,16 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (
-    PairwiseLogits,
-    ScoreThresholdHeads,
-    crpc_augmented_order,
-    crpc_loss,
-    lsep_class_loss,
-    lsep_rank_loss,
-)
-from .buckets import CanvasInstance, bucket_order_from_ranks, weak_bucket_order
-from .gmlr import GaussianPrediction, gmlr_objective
+from .baselines import crpc_loss, lsep_class_loss, lsep_rank_loss
+from .buckets import CanvasInstance
+from .gaussian import GaussianParam
+from .gmlr import gmlr_objective
 from .predict import Prediction, decide, first_row
 
 METHODS = ("gmlr", "lsep", "crpc")
@@ -330,18 +324,17 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
 
 
 def forward(params: ModelParams, features):
-    """Single-instance forward pass returning the method's typed head."""
+    """Single-instance forward pass: the (width,) head output, or for
+    gmlr a ``GaussianParam`` of the per-class means and standard
+    deviations."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 1:
         raise ValueError("features must be a 1-d vector")
-    out, _ = _forward_batch(params, x[None, :])
-    out = out[0]
-    k = params.num_classes
+    out = _forward_batch(params, x[None, :])[0][0]
     if params.head == "gmlr":
-        return GaussianPrediction(mu=out[:k], log_var=out[k:])
-    if params.head == "lsep":
-        return ScoreThresholdHeads(scores=out[:k], thresholds=out[k:])
-    return PairwiseLogits(values=out, num_classes=k)
+        k = params.num_classes
+        return GaussianParam(mu=out[:k], sigma=np.exp(0.5 * out[k:]))
+    return out
 
 
 def backward(params: ModelParams, features, head_grads, cache=None):
@@ -373,27 +366,8 @@ def backward(params: ModelParams, features, head_grads, cache=None):
     return grads
 
 
-def _head_loss_and_grad(method, mode, stage, row, ranks, k, prep):
-    if method == "gmlr":
-        value = gmlr_objective(GaussianPrediction(row[:k], row[k:]), ranks, mode, order=prep)
-        return value.total, np.concatenate([value.grad_mu, value.grad_log_var])
-    if method == "crpc":
-        loss, grad = crpc_loss(PairwiseLogits(row, k), ranks, mode, order=prep)
-        return loss, grad
-    heads = ScoreThresholdHeads(row[:k], row[k:])
-    if stage == 1:
-        loss, gf, gg = lsep_rank_loss(heads, ranks, mode, pairs=prep)
-    else:
-        loss, gf, gg = lsep_class_loss(heads, ranks)
-    return loss, np.concatenate([gf, gg])
-
-
-def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, stage=1, prepared=None):
-    """Mean per-instance loss over the batch plus parameter gradients.
-
-    ``prepared`` optionally carries per-instance precomputed supervision
-    structures (bucket orders or pair arrays) aligned with the batch.
-    """
+def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, stage=1):
+    """Mean per-instance loss over the batch plus parameter gradients."""
     x = np.asarray(x, dtype=float)
     ranks_matrix = np.asarray(ranks_matrix, dtype=int)
     out, cache = _forward_batch(params, x)
@@ -403,17 +377,17 @@ def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, stage=1,
         sigma = np.exp(0.5 * out[:, params.num_classes :])
         if not np.all(np.isfinite(sigma)) or not np.all(sigma > 0):
             raise FloatingPointError("variance head overflow")
+    if method == "gmlr":
+        losses, head_grads = gmlr_objective(out, ranks_matrix, mode)
+    elif method == "crpc":
+        losses, head_grads = crpc_loss(out, ranks_matrix, mode)
+    elif stage == 1:
+        losses, head_grads = lsep_rank_loss(out, ranks_matrix, mode)
+    else:
+        losses, head_grads = lsep_class_loss(out, ranks_matrix)
     n = x.shape[0]
-    k = params.num_classes
-    head_grads = np.zeros_like(out)
-    total = 0.0
-    for i in range(n):
-        prep = prepared[i] if prepared is not None else None
-        loss, grad = _head_loss_and_grad(method, mode, stage, out[i], ranks_matrix[i], k, prep)
-        total += loss
-        head_grads[i] = grad
     grads = backward(params, x, head_grads / n, cache=cache)
-    return total / n, grads
+    return float(np.sum(losses)) / n, grads
 
 
 @dataclass
@@ -442,21 +416,8 @@ def adam_step(values, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
     return values, state
 
 
-def _prepare_supervision(method, mode, stage, ranks_matrix, num_classes):
-    if method == "gmlr":
-        build = bucket_order_from_ranks if mode == "strong" else weak_bucket_order
-        return [build(r) for r in ranks_matrix]
-    if method == "crpc" and mode == "strong":
-        return [crpc_augmented_order(r, num_classes) for r in ranks_matrix]
-    if method == "lsep" and stage == 1:
-        build = bucket_order_from_ranks if mode == "strong" else weak_bucket_order
-        return [build(r).pair_arrays() for r in ranks_matrix]
-    return None
-
-
 def _run_stage(params, x, ranks_matrix, cfg: TrainConfig, stage, epochs, values, rng, log, epoch_offset):
     n = x.shape[0]
-    prepared = _prepare_supervision(cfg.method, cfg.mode, stage, ranks_matrix, params.num_classes)
     state = AdamState.for_values(values)
     grads_slice = _grad_selector(params, cfg.method, stage)
     stall = 0
@@ -467,10 +428,9 @@ def _run_stage(params, x, ranks_matrix, cfg: TrainConfig, stage, epochs, values,
         epoch_sum = 0.0
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
-            batch_prep = [prepared[j] for j in idx] if prepared is not None else None
             try:
                 loss, grads = batch_objective(
-                    params, x[idx], ranks_matrix[idx], cfg.method, cfg.mode, stage, batch_prep
+                    params, x[idx], ranks_matrix[idx], cfg.method, cfg.mode, stage
                 )
             except FloatingPointError:
                 loss, grads = float("nan"), None

@@ -12,8 +12,7 @@ higher rank, and exact score ties always break by ascending class index
 so outputs are reproducible.
 
 The rules act on (n, width) head-output arrays; ``decide`` is the one
-code path, and the per-instance ``predict_*`` functions are n=1 views of
-it.
+code path.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .baselines import PairwiseLogits, ScoreThresholdHeads, pair_slots
-from .gmlr import GaussianPrediction
+from .baselines import crpc_slots
 
 
 @dataclass(frozen=True)
@@ -59,10 +57,10 @@ def ranks_from_scores(scores, positive_mask) -> np.ndarray:
 def crpc_tally(logits: np.ndarray, num_classes: int) -> np.ndarray:
     """(n, K+1) soft-vote tallies from (n, slots) pairwise logits; the
     last column is the virtual label's.  Columns add up in slot order,
-    exactly as ``crpc_scores`` does per instance."""
+    one slot at a time, so every score has fixed bits."""
     tally = np.zeros((logits.shape[0], num_classes + 1))
     wins, losses = expit(logits), expit(-logits)
-    for slot, (u, v) in enumerate(pair_slots(num_classes + 1)):
+    for slot, (u, v) in enumerate(zip(*crpc_slots(num_classes))):
         tally[:, u] += wins[:, slot]
         tally[:, v] += losses[:, slot]
     return tally
@@ -87,20 +85,3 @@ def decide(head: str, out: np.ndarray, num_classes: int) -> Prediction:
 
 def first_row(batch: Prediction) -> Prediction:
     return Prediction(batch.scores[0], batch.positive_mask[0], batch.predicted_ranks[0])
-
-
-def predict_gmlr(pred: GaussianPrediction) -> Prediction:
-    """Mean >= 0 marks a predicted positive; means are the ranking scores."""
-    return first_row(decide("gmlr", np.concatenate([pred.mu, pred.log_var])[None], pred.num_classes))
-
-
-def predict_lsep(heads: ScoreThresholdHeads) -> Prediction:
-    """f_k > g_k marks a predicted positive; scores f rank the classes."""
-    return first_row(
-        decide("lsep", np.concatenate([heads.scores, heads.thresholds])[None], heads.num_classes)
-    )
-
-
-def predict_crpc(logits: PairwiseLogits) -> Prediction:
-    """Soft-vote score strictly above the virtual label's marks a positive."""
-    return first_row(decide("crpc", logits.values[None], logits.num_classes))

@@ -174,7 +174,9 @@ def _compose(cfg: CanvasConfig, bank: GlyphBank, placed: list[DigitFactors], rng
         canvas = np.zeros((size, size, 3))
     else:
         canvas = np.zeros((size, size))
-    rng = rng if rng is not None else np.random.default_rng(0)
+    if rng is None and bank.glyphs is not None:
+        # Only stored banks draw from the rng: which glyph to use.
+        rng = np.random.default_rng(0)
     for pf in placed:
         px = max(4, int(round(cfg.glyph_size * pf.scale)))
         glyph = bank.render(pf.digit, px, rng) * pf.brightness

@@ -10,9 +10,8 @@ from mlrank.buckets import (
     bucket_likelihood,
     bucket_likelihood_oracle,
     bucket_order_from_ranks,
+    pair_mask,
     strict_pairs,
-    weak_bucket_order,
-    weak_pairs,
 )
 
 from oracles import ordered_partitions
@@ -66,6 +65,15 @@ class TestStrictPairs:
         assert order.num_strict_pairs == expected
 
 
+def weak_pairs(ranks):
+    """Pairs (u, v) of the weak supervision mask."""
+    return [tuple(p) for p in np.argwhere(pair_mask(ranks, "weak")).tolist()]
+
+
+def mask_pairs(ranks):
+    return {tuple(p) for p in np.argwhere(pair_mask(ranks, "strong")).tolist()}
+
+
 class TestWeakPairs:
     def test_example(self):
         assert set(weak_pairs([2, 1, 0])) == {(0, 2), (1, 2)}
@@ -95,6 +103,7 @@ class TestRoundTrip:
                     (u, v) for u in range(k) for v in range(k) if ranks[u] > ranks[v]
                 }
                 assert got == want
+                assert mask_pairs(list(ranks)) == want
 
     def test_randomized_larger(self):
         rng = np.random.default_rng(3)
@@ -104,6 +113,7 @@ class TestRoundTrip:
             got = set(strict_pairs(bucket_order_from_ranks(ranks)))
             want = {(u, v) for u in range(k) for v in range(k) if ranks[u] > ranks[v]}
             assert got == want
+            assert mask_pairs(ranks) == want
 
 
 class TestBucketLikelihood:
@@ -204,5 +214,6 @@ class TestBucketOrderValidation:
             BucketOrder((frozenset({5}),), 3)
 
     def test_weak_order_shape(self):
-        order = weak_bucket_order([2, 1, 0, 0])
-        assert buckets_of(order) == [[0, 1], [2, 3]]
+        # weak supervision is the two-bucket order: positives over negatives
+        order = BucketOrder((frozenset({0, 1}), frozenset({2, 3})), 4)
+        assert set(weak_pairs([2, 1, 0, 0])) == set(strict_pairs(order))

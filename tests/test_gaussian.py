@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mlrank.gaussian import P_EPS, GaussianParam, diff_param, erf, log_q_prob, q_grads, q_prob
+from mlrank.buckets import pair_mask
+from mlrank.gaussian import P_EPS, GaussianParam, q_grads, q_prob
+from mlrank.gmlr import classification_loss, ranking_loss
 
 from oracles import erf_quadrature, q_prob_quadrature
 
@@ -11,6 +13,27 @@ from oracles import erf_quadrature, q_prob_quadrature
 ERF_1 = 0.8427007929497149
 PHI_1 = 0.8413447460685429
 PHI_INV_SQRT2 = 0.7602499389065233
+
+
+def erf(x):
+    """erf through Q's erfc form: erf(x) = 2 Q(sqrt(2) x, 1) - 1."""
+    return 2.0 * q_prob(GaussianParam(math.sqrt(2.0) * np.asarray(x, dtype=float), 1.0)) - 1.0
+
+
+def log_q_prob(g):
+    """log Q as the classification loss takes it: minus the loss of one
+    positive class."""
+    mu = np.array([[float(g.mu)]])
+    log_var = np.array([[2.0 * math.log(float(g.sigma))]])
+    return -classification_loss(mu, log_var, np.array([[1]]))[0][0]
+
+
+def diff_q(u, v):
+    """Q of z_u - z_v as the ranking loss takes it: exp(-loss) of the
+    single pair "u outranks v"."""
+    mu = np.array([[u.mu, v.mu]], dtype=float)
+    log_var = 2.0 * np.log(np.array([[u.sigma, v.sigma]], dtype=float))
+    return math.exp(-ranking_loss(mu, log_var, pair_mask([[1, 0]], "strong"))[0][0])
 
 
 class TestErf:
@@ -85,19 +108,19 @@ class TestLogQProb:
 
 
 class TestDiffParam:
+    """z_u - z_v ~ N(mu_u - mu_v, sigma_u^2 + sigma_v^2) inside the ranking loss."""
+
     def test_symmetric(self):
-        d = diff_param(GaussianParam(0.0, 1.0), GaussianParam(0.0, 1.0))
-        assert d.mu == 0.0
-        assert d.sigma == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert diff_q(GaussianParam(0.0, 1.0), GaussianParam(0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+        # only the variance sum matters at equal means
+        assert diff_q(GaussianParam(0.0, 0.3), GaussianParam(0.0, 4.0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_direct(self):
-        d = diff_param(GaussianParam(3.0, 2.0), GaussianParam(1.0, 2.0))
-        assert d.mu == 2.0
-        assert d.sigma == pytest.approx(math.sqrt(8), abs=1e-12)
+        want = float(q_prob(GaussianParam(2.0, math.sqrt(8))))
+        assert diff_q(GaussianParam(3.0, 2.0), GaussianParam(1.0, 2.0)) == pytest.approx(want, rel=1e-12)
 
     def test_through_q(self):
-        d = diff_param(GaussianParam(1.0, 1.0), GaussianParam(0.0, 1.0))
-        assert abs(q_prob(d) - PHI_INV_SQRT2) <= 1e-6
+        assert abs(diff_q(GaussianParam(1.0, 1.0), GaussianParam(0.0, 1.0)) - PHI_INV_SQRT2) <= 1e-6
         assert abs(PHI_INV_SQRT2 - q_prob_quadrature(1.0, math.sqrt(2))) <= 1e-9
 
 

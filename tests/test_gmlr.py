@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mlrank.buckets import bucket_order_from_ranks
-from mlrank.gmlr import GaussianPrediction, classification_loss, gmlr_objective, ranking_loss
+from mlrank.buckets import pair_mask
+from mlrank.gmlr import classification_loss, gmlr_objective, ranking_loss
 
 from oracles import fd_gradient, max_rel_error
 
@@ -18,80 +18,97 @@ STRONG_TOTAL_EXAMPLE = 0.5562618890191638
 WEAK_TOTAL_EXAMPLE = 0.5242296940354121
 
 
-def pred(mu, log_var=None):
-    mu = np.asarray(mu, dtype=float)
-    if log_var is None:
-        log_var = np.zeros_like(mu)
-    return GaussianPrediction(mu=mu, log_var=np.asarray(log_var, dtype=float))
+def row(values):
+    return np.asarray(values, dtype=float)[None, :]
+
+
+def log_var_or_zeros(mu, log_var):
+    return np.zeros(len(mu)) if log_var is None else log_var
+
+
+def cls_loss(mu, ranks, log_var=None):
+    """(loss, grad_mu, grad_log_var) of one instance."""
+    loss, gmu, glv = classification_loss(row(mu), row(log_var_or_zeros(mu, log_var)), [ranks])
+    return loss[0], gmu[0], glv[0]
+
+
+def rank_loss(mu, ranks, log_var=None, mode="strong"):
+    loss, gmu, glv = ranking_loss(row(mu), row(log_var_or_zeros(mu, log_var)), pair_mask([ranks], mode))
+    return loss[0], gmu[0], glv[0]
+
+
+def objective(mu, ranks, mode, log_var=None):
+    """(total, grad) of one instance; grad holds d/dmu then d/dlog_var."""
+    out = np.concatenate([mu, log_var_or_zeros(mu, log_var)])
+    total, grad = gmlr_objective(out[None, :], [ranks], mode)
+    return total[0], grad[0]
 
 
 class TestClassificationLoss:
     def test_single_positive_at_zero(self):
-        loss, _, _ = classification_loss(pred([0.0]), [1])
+        loss, _, _ = cls_loss([0.0], [1])
         assert loss == pytest.approx(LOG2, abs=1e-12)
 
     def test_two_class(self):
-        loss, _, _ = classification_loss(pred([0.0, 0.0]), [1, 0])
+        loss, _, _ = cls_loss([0.0, 0.0], [1, 0])
         assert loss == pytest.approx(2 * LOG2, abs=1e-12)
 
     def test_positive_at_one(self):
-        loss, _, _ = classification_loss(pred([1.0]), [1])
+        loss, _, _ = cls_loss([1.0], [1])
         assert abs(loss - NEG_LOG_PHI_1) <= 1e-5
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            classification_loss(pred([0.0, 0.0]), [1])
+            gmlr_objective(np.zeros((1, 4)), [[1]], "strong")
+        with pytest.raises(ValueError):
+            gmlr_objective(np.zeros((2, 2)), [[1]], "strong")
 
 
 class TestRankingLoss:
     def test_symmetric_pairs(self):
-        order = bucket_order_from_ranks([1, 2, 1])
-        loss, _, _ = ranking_loss(pred([0.0, 0.0, 0.0]), order)
+        loss, _, _ = rank_loss([0.0, 0.0, 0.0], [1, 2, 1])
         assert loss == pytest.approx(2 * LOG2, abs=1e-12)
 
     def test_empty_order(self):
-        order = bucket_order_from_ranks([0, 0, 0])
-        loss, gmu, glv = ranking_loss(pred([1.0, 2.0, 3.0]), order)
+        loss, gmu, glv = rank_loss([1.0, 2.0, 3.0], [0, 0, 0])
         assert loss == 0.0
         assert not gmu.any() and not glv.any()
 
     def test_raised_middle(self):
-        order = bucket_order_from_ranks([1, 2, 1])
-        loss, _, _ = ranking_loss(pred([0.0, 1.0, 0.0]), order)
+        loss, _, _ = rank_loss([0.0, 1.0, 0.0], [1, 2, 1])
         assert abs(loss - NEG_2LOG_PHI_INV_SQRT2) <= 1e-9
 
     def test_monotone_in_pair_gap(self):
-        order = bucket_order_from_ranks([1, 0])
         gaps = np.linspace(-3, 3, 25)
-        losses = [ranking_loss(pred([g, 0.0]), order)[0] for g in gaps]
+        losses = [rank_loss([g, 0.0], [1, 0])[0] for g in gaps]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
 class TestObjective:
     def test_weighted_example(self):
-        value = gmlr_objective(pred([0.0, 0.0]), [1, 0], "strong")
-        assert value.total == pytest.approx(2 * LOG2, abs=1e-12)
-        assert value.total == pytest.approx(
-            value.classification / 2 + value.ranking / 1, abs=1e-12
-        )
+        total, _ = objective([0.0, 0.0], [1, 0], "strong")
+        assert total == pytest.approx(2 * LOG2, abs=1e-12)
+        lc = cls_loss([0.0, 0.0], [1, 0])[0]
+        lr = rank_loss([0.0, 0.0], [1, 0])[0]
+        assert total == pytest.approx(lc / 2 + lr / 1, abs=1e-12)
 
     def test_all_negative(self):
-        value = gmlr_objective(pred([0.3, -0.2]), [0, 0], "strong")
-        assert value.ranking == 0.0
-        assert value.total == pytest.approx(value.classification / 2, abs=1e-12)
+        total, _ = objective([0.3, -0.2], [0, 0], "strong")
+        assert rank_loss([0.3, -0.2], [0, 0])[0] == 0.0
+        assert total == pytest.approx(cls_loss([0.3, -0.2], [0, 0])[0] / 2, abs=1e-12)
 
     def test_weak_vs_strong_direction(self):
-        p = pred([1.0, 0.0, -1.0])
-        strong = gmlr_objective(p, [2, 1, 0], "strong")
-        weak = gmlr_objective(p, [2, 1, 0], "weak")
-        assert strong.total == pytest.approx(STRONG_TOTAL_EXAMPLE, abs=1e-12)
-        assert weak.total == pytest.approx(WEAK_TOTAL_EXAMPLE, abs=1e-12)
+        mu = [1.0, 0.0, -1.0]
+        strong, _ = objective(mu, [2, 1, 0], "strong")
+        weak, _ = objective(mu, [2, 1, 0], "weak")
+        assert strong == pytest.approx(STRONG_TOTAL_EXAMPLE, abs=1e-12)
+        assert weak == pytest.approx(WEAK_TOTAL_EXAMPLE, abs=1e-12)
         # the extra positive-positive pair costs more than the weak mean
-        assert strong.total > weak.total
+        assert strong > weak
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            gmlr_objective(pred([0.0]), [1], "semi")
+            objective([0.0], [1], "semi")
 
 
 class TestGradients:
@@ -104,15 +121,12 @@ class TestGradients:
             ranks = rng.integers(0, 4, size=k)
             mode = "strong" if rng.integers(2) else "weak"
 
-            value = gmlr_objective(GaussianPrediction(mu, lv), ranks, mode)
+            _, analytic = objective(mu, ranks, mode, lv)
 
             def total_at(x):
-                return gmlr_objective(
-                    GaussianPrediction(x[:k], x[k:]), ranks, mode
-                ).total
+                return objective(x[:k], ranks, mode, x[k:])[0]
 
             fd = fd_gradient(total_at, np.concatenate([mu, lv]))
-            analytic = np.concatenate([value.grad_mu, value.grad_log_var])
             assert max_rel_error(analytic, fd) <= 1e-4
 
 
@@ -122,13 +136,13 @@ class TestProperties:
         bound = -math.log(1e-12)
         for _ in range(50):
             k = int(rng.integers(1, 6))
-            p = pred(rng.normal(scale=30, size=k), rng.normal(size=k))
+            mu = rng.normal(scale=30, size=k)
+            lv = rng.normal(size=k)
             ranks = rng.integers(0, 3, size=k)
-            lc, _, _ = classification_loss(p, ranks)
-            order = bucket_order_from_ranks(ranks)
-            lr, _, _ = ranking_loss(p, order)
+            lc, _, _ = cls_loss(mu, ranks, lv)
+            lr, _, _ = rank_loss(mu, ranks, lv)
             assert 0.0 <= lc <= k * bound
-            assert 0.0 <= lr <= order.num_strict_pairs * bound + 1e-12
+            assert 0.0 <= lr <= pair_mask(ranks, "strong").sum() * bound + 1e-12
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(21)
@@ -139,10 +153,8 @@ class TestProperties:
             ranks = rng.integers(0, 4, size=k)
             perm = rng.permutation(k)
             for mode in ("weak", "strong"):
-                a = gmlr_objective(GaussianPrediction(mu, lv), ranks, mode)
-                b = gmlr_objective(
-                    GaussianPrediction(mu[perm], lv[perm]), ranks[perm], mode
-                )
-                assert a.total == pytest.approx(b.total, rel=1e-12)
-                np.testing.assert_allclose(a.grad_mu[perm], b.grad_mu, rtol=1e-10)
-                np.testing.assert_allclose(a.grad_log_var[perm], b.grad_log_var, rtol=1e-10)
+                a_total, a_grad = objective(mu, ranks, mode, lv)
+                b_total, b_grad = objective(mu[perm], ranks[perm], mode, lv[perm])
+                assert a_total == pytest.approx(b_total, rel=1e-12)
+                np.testing.assert_allclose(a_grad[:k][perm], b_grad[:k], rtol=1e-10)
+                np.testing.assert_allclose(a_grad[k:][perm], b_grad[k:], rtol=1e-10)

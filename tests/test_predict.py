@@ -1,70 +1,96 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
-from mlrank.baselines import PairwiseLogits, ScoreThresholdHeads, crpc_scores
-from mlrank.gmlr import GaussianPrediction
 from mlrank.model import PREDICT_CHUNK, init_model, predict_batch, predict_with
-from mlrank.predict import decide, predict_crpc, predict_gmlr, predict_lsep, ranks_from_scores
+from mlrank.predict import decide, first_row, ranks_from_scores
 
 
-def gp(mu):
-    mu = np.asarray(mu, dtype=float)
-    return GaussianPrediction(mu=mu, log_var=np.zeros_like(mu))
+def crpc_scores(values, k):
+    """Reference soft-vote tally of one logit vector: slot by slot in
+    lexicographic (u, v) order, each item adding sigmoid of its winning
+    logit.  Returns (real-class scores, virtual label's score)."""
+    scores = np.zeros(k + 1)
+    for slot, (u, v) in enumerate(itertools.combinations(range(k + 1), 2)):
+        scores[u] += expit(values[slot])
+        scores[v] += expit(-values[slot])
+    return scores[:k], float(scores[k])
+
+
+def predict_one(head, out, k):
+    return first_row(decide(head, np.asarray(out, dtype=float)[None, :], k))
+
+
+def predict_gmlr(mu):
+    """Means then zero log-variances."""
+    return predict_one("gmlr", np.concatenate([mu, np.zeros(len(mu))]), len(mu))
+
+
+def predict_lsep(scores, thresholds):
+    return predict_one("lsep", np.concatenate([scores, thresholds]), len(scores))
+
+
+def predict_crpc(values, k):
+    return predict_one("crpc", values, k)
+
+
+def crpc_slot(u, v):
+    """Slot of the pair (u, v), u < v, among K=2's three slots."""
+    return [(0, 1), (0, 2), (1, 2)].index((u, v))
 
 
 class TestPredictGmlr:
     def test_sign_rule_and_ranks(self):
-        pred = predict_gmlr(gp([0.5, -0.2, 1.3]))
+        pred = predict_gmlr([0.5, -0.2, 1.3])
         assert pred.positive_mask.tolist() == [True, False, True]
         assert pred.predicted_ranks.tolist() == [1, 0, 2]
 
     def test_no_positives(self):
-        pred = predict_gmlr(gp([-1.0, -2.0]))
+        pred = predict_gmlr([-1.0, -2.0])
         assert pred.predicted_ranks.tolist() == [0, 0]
 
     def test_zero_boundary_is_positive(self):
-        pred = predict_gmlr(gp([0.0, -0.1]))
+        pred = predict_gmlr([0.0, -0.1])
         assert pred.positive_mask.tolist() == [True, False]
 
 
 class TestPredictLsep:
     def test_threshold_rule(self):
-        pred = predict_lsep(ScoreThresholdHeads(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+        pred = predict_lsep([1.0, 0.0], [0.0, 1.0])
         assert pred.positive_mask.tolist() == [True, False]
 
     def test_equal_is_negative(self):
-        pred = predict_lsep(ScoreThresholdHeads(np.array([0.7, 0.7]), np.array([0.7, 0.7])))
+        pred = predict_lsep([0.7, 0.7], [0.7, 0.7])
         assert not pred.positive_mask.any()
 
     def test_ranks(self):
-        pred = predict_lsep(ScoreThresholdHeads(np.array([3.0, 2.0, 1.0]), np.array([0.0, 0.0, 2.0])))
+        pred = predict_lsep([3.0, 2.0, 1.0], [0.0, 0.0, 2.0])
         assert pred.predicted_ranks.tolist() == [2, 1, 0]
 
 
 class TestPredictCrpc:
     def test_all_zero_logits_no_positives(self):
-        pred = predict_crpc(PairwiseLogits(np.zeros(3), 2))
+        pred = predict_crpc(np.zeros(3), 2)
         assert not pred.positive_mask.any()
 
     def test_dominant_class(self):
-        lg = PairwiseLogits(np.zeros(3), 2)
-        values = lg.values.copy()
-        values[lg.slot(0, 1)] = 10.0
-        values[lg.slot(0, 2)] = 10.0
-        pred = predict_crpc(PairwiseLogits(values, 2))
+        values = np.zeros(3)
+        values[crpc_slot(0, 1)] = 10.0
+        values[crpc_slot(0, 2)] = 10.0
+        pred = predict_crpc(values, 2)
         assert pred.positive_mask.tolist() == [True, False]
         assert pred.predicted_ranks[0] == 1
 
     def test_matches_scores_recomputation(self):
-        from mlrank.baselines import crpc_scores
-
         rng = np.random.default_rng(2)
         values = rng.normal(size=6)
-        pred = predict_crpc(PairwiseLogits(values, 3))
-        scores, virtual = crpc_scores(PairwiseLogits(values, 3))
+        pred = predict_crpc(values, 3)
+        scores, virtual = crpc_scores(values, 3)
         np.testing.assert_array_equal(pred.positive_mask, scores > virtual)
 
 
@@ -88,8 +114,8 @@ class TestRankAssignment:
     def test_argsort_invariance_under_shift(self):
         rng = np.random.default_rng(12)
         mu = rng.normal(size=6)
-        base = predict_gmlr(gp(mu))
-        shifted = predict_gmlr(gp(mu + 5.0))
+        base = predict_gmlr(mu)
+        shifted = predict_gmlr(mu + 5.0)
         order_base = np.argsort(-base.scores, kind="stable")
         order_shift = np.argsort(-shifted.scores, kind="stable")
         assert order_base.tolist() == order_shift.tolist()
@@ -160,7 +186,7 @@ class TestPredictBatch:
             elif method == "lsep":
                 threshold = out[i, k:]
             else:
-                threshold = crpc_scores(PairwiseLogits(out[i], k))[1]
+                threshold = crpc_scores(out[i], k)[1]
             margin = np.abs(single.scores - threshold)
             gaps = np.abs(single.scores[:, None] - single.scores[None, :])[np.triu_indices(k, 1)]
             assume(margin.min() > 1e-9 and (gaps.size == 0 or gaps.min() > 1e-9))
@@ -190,6 +216,6 @@ class TestCrpcTally:
         values = data.draw(arrays(float, (n, slots), elements=st.floats(-50, 50)))
         batch = decide("crpc", values, k)
         for i in range(n):
-            scores, virtual = crpc_scores(PairwiseLogits(values[i], k))
+            scores, virtual = crpc_scores(values[i], k)
             assert batch.scores[i].tobytes() == scores.tobytes()
             assert batch.positive_mask[i].tolist() == (scores > virtual).tolist()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -210,6 +211,19 @@ class TestAdjustSequences:
                 np.testing.assert_array_equal(xa.pixels, xb.pixels)
 
 
+    def test_builtin_bank_builds_no_rng(self, monkeypatch):
+        # Sweep canvases are composed without an rng; only stored glyph
+        # banks need one, so builtin glyphs must not build it per canvas.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.random.default_rng called")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for setup, color_mode in (("S", "gray"), ("B", "color")):
+            cfg = small_cfg(setup=setup, color_mode=color_mode)
+            seqs = generate_adjust_sequences(cfg, n_sequences=2, steps=5)
+            assert [len(seq.samples) for seq in seqs] == [5, 5]
+
+
 class TestCalibrationSet:
     def test_four_positives_bijection(self):
         cfg = small_cfg(setup="S")
@@ -354,6 +368,20 @@ class TestIdx:
         cfg = small_cfg(glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
         samples = generate_canvas_dataset(cfg, 5)
         assert len(samples) == 5
+
+    def test_adjust_sequences_from_idx_bank_pinned(self, tmp_path):
+        # Each sweep canvas picks its stored glyphs from a fresh
+        # default_rng(0); the digest pins those bytes.
+        rng = np.random.default_rng(6)
+        images = rng.integers(0, 256, size=(20, 28, 28)).astype(np.uint8)
+        labels = np.tile(np.arange(10, dtype=np.uint8), 2)
+        img_path, lbl_path = self._write_idx(tmp_path, images, labels)
+        cfg = small_cfg(setup="S", glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
+        h = hashlib.sha256()
+        for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=5):
+            for sample in seq.samples:
+                h.update(sample.pixels.tobytes())
+        assert h.hexdigest() == "78c676aab0e01f82a4640c79f7a4cf71505e3e05bcee53af2e50962d48f17ebc"
 
     def test_missing_paths(self):
         with pytest.raises(ValueError, match="glyph source unavailable"):
