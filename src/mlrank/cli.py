@@ -117,8 +117,10 @@ def _canvas_config(d: dict, seed: int) -> CanvasConfig:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    kwargs = {k: v for k, v in cfg.items() if k in fields}
+    kwargs = {k: v for k, v in cfg.items() if k not in ("dataset", "out")}
+    unknown = set(kwargs) - {f.name for f in dataclasses.fields(TrainConfig)}
+    if unknown:
+        raise UsageError(f"unknown train config keys: {sorted(unknown)}")
     if "hidden" in kwargs:
         kwargs["hidden"] = tuple(kwargs["hidden"])
     return TrainConfig(**kwargs)
@@ -217,14 +219,13 @@ def cmd_train(args) -> int:
         args,
         ("seed", "out", "dataset", "method", "mode", "epochs", "batch_size", "learning_rate"),
     )
-    seed = int(_require(cfg, "seed"))
-    cfg["seed"] = seed
+    cfg["seed"] = int(_require(cfg, "seed"))
+    tc = _train_config(cfg)
     out = _out_dir(cfg)
     header, instances = read_dataset_jsonl(_require(cfg, "dataset"))
     shape = _image_shape(header)
     if shape is not None:
         instances = [CanvasInstance(inst.features, inst.ranks, shape) for inst in instances]
-    tc = _train_config(cfg)
     params, log = train(instances, tc)
     meta = {
         "mode": tc.mode,
@@ -406,9 +407,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mlrank", description="Multi-label ranking toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="PRNG seed (overrides config)")
+        if seed:
+            p.add_argument("--seed", type=int, help="PRNG seed (overrides config)")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("generate", help="generate a synthetic ranked dataset")
@@ -429,7 +431,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--checkpoint")
     p.add_argument("--dataset")
     p.add_argument("--raw", action="store_true", help="emit [0,1] scale instead of x100")
@@ -446,7 +448,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_calib_exp)
 
     p = sub.add_parser("extract-sig", help="equidistant checkpoints along one class's scores")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--checkpoint")
     p.add_argument("--dataset")
     p.add_argument("--class-index", type=int, dest="class_index")

@@ -22,8 +22,8 @@ everywhere.
 
 Training is seeded and single-threaded: given the same dataset and
 config it reproduces bit-identical parameters.  LSEP trains in two
-stages; stage 2 updates only the threshold slice of the final layer, so
-every other parameter is bit-identical to its stage-1 value.
+stages; stage 2 fits only the final layer's threshold slice on the frozen
+last hidden layer, so every other parameter keeps its stage-1 bits.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ METHODS = ("gmlr", "lsep", "crpc")
 # Rows per forward pass at inference.  Small enough that a chunk of
 # canvases stays a few MB through the front end's patch matrices.
 PREDICT_CHUNK = 64
+# Adam's moment decays and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Version 1 is the plain MLP layout; version 2 adds the image front end.
 MLP_CHECKPOINT_VERSION = 1
 FRONT_END_CHECKPOINT_VERSION = 2
@@ -181,16 +183,10 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-4
     weight_decay: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr_decay_per_epoch: float = 0.9
     seed: int = 0
     hidden: tuple[int, ...] = (64, 64)
     stage2_epochs: int | None = None
-    early_stop: bool = False
-    early_stop_patience: int = 5
-    early_stop_rel_tol: float = 1e-5
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -366,7 +362,7 @@ def backward(params: ModelParams, features, head_grads, cache=None):
     return grads
 
 
-def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, stage=1):
+def batch_objective(params: ModelParams, x, ranks_matrix, method, mode):
     """Mean per-instance loss over the batch plus parameter gradients."""
     x = np.asarray(x, dtype=float)
     ranks_matrix = np.asarray(ranks_matrix, dtype=int)
@@ -381,13 +377,25 @@ def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, stage=1)
         losses, head_grads = gmlr_objective(out, ranks_matrix, mode)
     elif method == "crpc":
         losses, head_grads = crpc_loss(out, ranks_matrix, mode)
-    elif stage == 1:
-        losses, head_grads = lsep_rank_loss(out, ranks_matrix, mode)
     else:
-        losses, head_grads = lsep_class_loss(out, ranks_matrix)
+        losses, head_grads = lsep_rank_loss(out, ranks_matrix, mode)
     n = x.shape[0]
     grads = backward(params, x, head_grads / n, cache=cache)
     return float(np.sum(losses)) / n, grads
+
+
+def lsep_threshold_objective(params: ModelParams, x, ranks_matrix):
+    """LSEP's second stage: the mean classification loss and the gradients
+    of the final layer's threshold columns and biases, which are affine in
+    the frozen last hidden layer, so no backward pass is needed."""
+    x = np.asarray(x, dtype=float)
+    out, (_, inputs, _) = _forward_batch(params, x)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("non-finite network output")
+    losses, head_grads = lsep_class_loss(out, ranks_matrix)
+    n = x.shape[0]
+    g = head_grads[:, params.num_classes :] / n
+    return float(np.sum(losses)) / n, [inputs[-1].T @ g, g.sum(axis=0)]
 
 
 @dataclass
@@ -401,27 +409,25 @@ class AdamState:
         return cls(m=[np.zeros_like(v) for v in values], v=[np.zeros_like(v) for v in values])
 
 
-def adam_step(values, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+def adam_step(values, grads, state: AdamState, lr, weight_decay=0.0):
     """One in-place Adam update with bias correction and coupled L2 decay."""
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for val, g, m, v in zip(values, grads, state.m, state.v):
         g = g + weight_decay * val
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        val -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        val -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return values, state
 
 
-def _run_stage(params, x, ranks_matrix, cfg: TrainConfig, stage, epochs, values, rng, log, epoch_offset):
-    n = x.shape[0]
+def _run_stage(params, values, objective, n, cfg: TrainConfig, stage, epochs, rng, log, epoch_offset):
+    """Adam over ``values`` for ``epochs`` shuffled passes over n rows;
+    ``objective(idx)`` gives a batch's mean loss and the grads of ``values``."""
     state = AdamState.for_values(values)
-    grads_slice = _grad_selector(params, cfg.method, stage)
-    stall = 0
-    prev_loss = None
     for epoch in range(epochs):
         lr = cfg.learning_rate * cfg.lr_decay_per_epoch ** epoch
         perm = rng.permutation(n)
@@ -429,55 +435,15 @@ def _run_stage(params, x, ranks_matrix, cfg: TrainConfig, stage, epochs, values,
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
             try:
-                loss, grads = batch_objective(
-                    params, x[idx], ranks_matrix[idx], cfg.method, cfg.mode, stage
-                )
+                loss, grads = objective(idx)
             except FloatingPointError:
-                loss, grads = float("nan"), None
+                loss = float("nan")
             if not np.isfinite(loss):
                 norm = float(np.sqrt(sum(float(np.sum(v * v)) for v in params.value_list())))
                 raise TrainingDiverged(epoch=epoch_offset + epoch, batch=b, param_norm=norm)
-            adam_step(
-                values,
-                grads_slice(grads),
-                state,
-                lr,
-                cfg.beta1,
-                cfg.beta2,
-                cfg.eps,
-                cfg.weight_decay,
-            )
+            adam_step(values, grads, state, lr, cfg.weight_decay)
             epoch_sum += loss * len(idx)
-        epoch_loss = epoch_sum / n
-        log.append((epoch_offset + epoch, stage, epoch_loss, lr))
-        if cfg.early_stop and prev_loss is not None:
-            rel = (prev_loss - epoch_loss) / max(abs(prev_loss), 1e-30)
-            stall = stall + 1 if rel < cfg.early_stop_rel_tol else 0
-            if stall >= cfg.early_stop_patience:
-                break
-        prev_loss = epoch_loss
-    return epoch_offset + epochs
-
-
-def _grad_selector(params: ModelParams, method, stage):
-    """Maps full gradient lists to the stage's trainable value list."""
-    if method == "lsep" and stage == 2:
-        k = params.num_classes
-
-        def select(grads):
-            dw, db = grads[-1]
-            return [dw[:, k:], db[k:]]
-
-        return select
-    return lambda grads: [g for dw_db in grads for g in dw_db]
-
-
-def _stage_values(params: ModelParams, method, stage):
-    if method == "lsep" and stage == 2:
-        k = params.num_classes
-        # Views into the final layer: only the threshold slice trains.
-        return [params.weights[-1][:, k:], params.biases[-1][k:]]
-    return params.value_list()
+        log.append((epoch_offset + epoch, stage, epoch_sum / n, lr))
 
 
 def select_front_end(dataset) -> FrontEnd | None:
@@ -517,15 +483,19 @@ def train(dataset, cfg: TrainConfig, init_params: ModelParams | None = None):
         raise ValueError("initial parameters do not match the dataset's front end")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
     log: list[tuple[int, int, float, float]] = []
-    offset = _run_stage(
-        params, x, ranks_matrix, cfg, 1, cfg.epochs, _stage_values(params, cfg.method, 1),
-        rng, log, 0,
-    )
+
+    def ranking(idx):
+        loss, grads = batch_objective(params, x[idx], ranks_matrix[idx], cfg.method, cfg.mode)
+        return loss, [g for dw_db in grads for g in dw_db]
+
+    _run_stage(params, params.value_list(), ranking, len(x), cfg, 1, cfg.epochs, rng, log, 0)
     if cfg.method == "lsep":
+        # Views into the final layer: only the threshold slice trains.
+        thresholds = [params.weights[-1][:, num_classes:], params.biases[-1][num_classes:]]
         stage2 = cfg.epochs if cfg.stage2_epochs is None else cfg.stage2_epochs
         _run_stage(
-            params, x, ranks_matrix, cfg, 2, stage2, _stage_values(params, cfg.method, 2),
-            rng, log, offset,
+            params, thresholds, lambda idx: lsep_threshold_objective(params, x[idx], ranks_matrix[idx]),
+            len(x), cfg, 2, stage2, rng, log, cfg.epochs,
         )
     return params, log
 

@@ -493,6 +493,28 @@ class TestExitCodes:
         assert next(iter(setting)) in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize("setting", [{"early_stop": True}, {"learning_rat": 0.1}])
+    def test_unknown_train_config_key_is_usage_error(self, tmp_path, capsys, setting):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds, n=8)
+        cfgp = tmp_path / "t.json"
+        cfgp.write_text(json.dumps({"dataset": str(ds), "method": "gmlr", **setting}))
+        out = tmp_path / "run"
+        assert run("train", "--config", str(cfgp), "--seed", "1", "--out", str(out)) == 1
+        assert next(iter(setting)) in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
+    def test_seed_is_not_an_eval_or_extract_sig_flag(self, tmp_path):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds)
+        ckpt = tmp_path / "ckpt.json"
+        make_affine_gmlr_checkpoint(ckpt)
+        assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--seed", "3",
+                   "--out", str(tmp_path / "e")) == 1
+        assert run("extract-sig", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                   "--class-index", "0", "--seed", "3", "--out", str(tmp_path / "s")) == 1
+        assert not (tmp_path / "e").exists() and not (tmp_path / "s").exists()
+
     def test_infeasible_canvas_is_data_error(self, tmp_path):
         cfgp = tmp_path / "g.json"
         cfgp.write_text(json.dumps({

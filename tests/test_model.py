@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mlrank
+from mlrank.baselines import lsep_class_loss
 from mlrank.buckets import CanvasInstance, RankedInstance
 from mlrank.gaussian import GaussianParam, q_grads, q_prob
 from mlrank.model import (
@@ -18,11 +19,13 @@ from mlrank.model import (
     TrainingDiverged,
     adam_step,
     backward,
+    _forward_batch,
     batch_objective,
     forward,
     head_width,
     init_model,
     load_checkpoint,
+    lsep_threshold_objective,
     predict_with,
     save_checkpoint,
     select_front_end,
@@ -219,13 +222,62 @@ class TestTrain:
         assert info.value.epoch == 0
         assert "parameter norm" in str(info.value)
 
-    def test_early_stop(self):
-        cfg = TrainConfig(
-            method="gmlr", mode="strong", epochs=60, learning_rate=1e-9, hidden=(4,),
-            seed=4, early_stop=True, early_stop_patience=3,
-        )
-        _, log = train(self.dataset, cfg)
-        assert len(log) < 60
+
+def lsep_model(kind):
+    """A plain-MLP or canvas-front-end lsep model with a random threshold
+    slice, and a batch of five rows for it."""
+    rng = np.random.default_rng(23)
+    fe = FrontEnd((32, 32, 1)) if kind == "front-end" else None
+    dim = 6 if fe is None else fe.input_dim
+    params = init_model(dim, 3, "lsep", hidden=(5, 4), seed=13, front_end=fe)
+    params.weights[-1][:, 3:] = rng.normal(size=(4, 3))
+    params.biases[-1][3:] = rng.normal(size=3)
+    x = rng.uniform(size=(5, dim))
+    ranks = np.array([[2, 1, 0], [0, 0, 1], [1, 1, 1], [0, 0, 0], [3, 0, 2]])
+    return params, x, ranks
+
+
+@pytest.mark.parametrize("kind", ["plain", "front-end"])
+class TestLsepThresholdObjective:
+    def test_matches_threshold_slice_of_full_backward(self, kind):
+        params, x, ranks = lsep_model(kind)
+        out, cache = _forward_batch(params, x)
+        losses, head_grads = lsep_class_loss(out, ranks)
+        full = backward(params, x, head_grads / len(x), cache=cache)
+        loss, (dw, db) = lsep_threshold_objective(params, x, ranks)
+        assert loss == np.sum(losses) / len(x)
+        assert np.max(np.abs(dw - full[-1][0][:, 3:])) <= 1e-15
+        assert np.max(np.abs(db - full[-1][1][3:])) <= 1e-15
+        assert dw.shape == (4, 3) and db.shape == (3,)
+
+    def test_gradients_match_fd(self, kind):
+        params, x, ranks = lsep_model(kind)
+        w, b = params.weights[-1], params.biases[-1]
+        _, (dw, db) = lsep_threshold_objective(params, x, ranks)
+
+        def loss_at(flat):
+            w[:, 3:] = flat[:12].reshape(4, 3)
+            b[3:] = flat[12:]
+            return lsep_threshold_objective(params, x, ranks)[0]
+
+        base = np.concatenate([w[:, 3:].reshape(-1), b[3:]])
+        fd = fd_gradient(loss_at, base.copy())
+        loss_at(base)
+        assert max_rel_error(np.concatenate([dw.reshape(-1), db]), fd) <= 1e-5
+
+    def test_adam_step_moves_only_thresholds(self, kind):
+        params, x, ranks = lsep_model(kind)
+        before = params.copy()
+        thresholds = [params.weights[-1][:, 3:], params.biases[-1][3:]]
+        _, grads = lsep_threshold_objective(params, x, ranks)
+        adam_step(thresholds, grads, AdamState.for_values(thresholds), lr=0.1, weight_decay=1e-5)
+        for i in range(len(params.weights) - 1):
+            np.testing.assert_array_equal(params.weights[i], before.weights[i])
+            np.testing.assert_array_equal(params.biases[i], before.biases[i])
+        np.testing.assert_array_equal(params.weights[-1][:, :3], before.weights[-1][:, :3])
+        np.testing.assert_array_equal(params.biases[-1][:3], before.biases[-1][:3])
+        assert not np.any(params.weights[-1][:, 3:] == before.weights[-1][:, 3:])
+        assert not np.any(params.biases[-1][3:] == before.biases[-1][3:])
 
 
 class TestCheckpoint:
