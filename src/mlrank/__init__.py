@@ -9,7 +9,6 @@ generators, and a CLI harness for the behavioural experiments.
 from .baselines import crpc_loss, crpc_slots, lsep_class_loss, lsep_rank_loss
 from .buckets import (
     BucketOrder,
-    CanvasInstance,
     RankedInstance,
     bucket_likelihood,
     bucket_likelihood_oracle,

@@ -35,10 +35,16 @@ MODES = ("weak", "strong")
 
 @dataclass(frozen=True)
 class RankedInstance:
-    """A feature vector plus one natural-number rank per class (0 = negative)."""
+    """A feature vector plus one natural-number rank per class (0 = negative).
+
+    ``image_shape`` is (height, width, channels) when the features are a
+    flattened image in that channels-last order, and None otherwise.
+    Training selects the weight-shared image front end from it.
+    """
 
     features: np.ndarray
     ranks: np.ndarray
+    image_shape: tuple[int, int, int] | None = None
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -51,31 +57,17 @@ class RankedInstance:
             raise ValueError("features must be finite")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "ranks", ranks)
+        if self.image_shape is not None:
+            shape = tuple(int(v) for v in self.image_shape)
+            if len(shape) != 3 or min(shape) < 1:
+                raise ValueError("image_shape must be (height, width, channels) of positive sizes")
+            if feats.ndim != 1 or feats.size != shape[0] * shape[1] * shape[2]:
+                raise ValueError(f"features do not hold a flattened {shape} image")
+            object.__setattr__(self, "image_shape", shape)
 
     @property
     def positive_mask(self) -> np.ndarray:
         return self.ranks > 0
-
-
-@dataclass(frozen=True)
-class CanvasInstance(RankedInstance):
-    """A ranked instance whose features are a flattened image.
-
-    ``image_shape`` is (height, width, channels); the features hold the
-    pixels in that channels-last order.  Training selects the
-    weight-shared image front end for instances of this type.
-    """
-
-    image_shape: tuple[int, int, int]
-
-    def __post_init__(self):
-        super().__post_init__()
-        shape = tuple(int(v) for v in self.image_shape)
-        if len(shape) != 3 or min(shape) < 1:
-            raise ValueError("image_shape must be (height, width, channels) of positive sizes")
-        if self.features.ndim != 1 or self.features.size != shape[0] * shape[1] * shape[2]:
-            raise ValueError(f"features do not hold a flattened {shape} image")
-        object.__setattr__(self, "image_shape", shape)
 
 
 @dataclass(frozen=True)

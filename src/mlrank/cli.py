@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from .buckets import CanvasInstance
 from .metrics import evaluate_dataset
 from .model import (
     TrainConfig,
@@ -126,19 +125,6 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
-def _image_shape(header: dict) -> tuple[int, int, int] | None:
-    """(height, width, channels) of a canvas dataset from its header's
-    generator echo; None for any other dataset."""
-    generator = header.get("generator")
-    if not isinstance(generator, dict) or generator.get("kind") not in ("canvas", "small-variance"):
-        return None
-    canvas = generator.get("canvas")
-    if not isinstance(canvas, dict) or "canvas_size" not in canvas:
-        raise ValueError("canvas dataset header has no canvas_size in its generator echo")
-    size = int(canvas["canvas_size"])
-    return (size, size, 3 if canvas.get("color_mode") == "color" else 1)
-
-
 def _load_model_and_data(cfg):
     params, meta = load_checkpoint(_require(cfg, "checkpoint"))
     header, instances = read_dataset_jsonl(_require(cfg, "dataset"))
@@ -153,7 +139,13 @@ def _load_model_and_data(cfg):
     return params, meta, header, instances
 
 
-def _warn_setup_mismatch(meta: dict, canvas: CanvasConfig) -> None:
+def _probe_setup(cfg: dict):
+    """(seed, out, params, canvas) of a probe experiment on a canvas
+    checkpoint; warns when the checkpoint was trained on another setup."""
+    seed = int(_require(cfg, "seed"))
+    out = _out_dir(cfg)
+    params, meta = load_checkpoint(_require(cfg, "checkpoint"))
+    canvas = _canvas_config(cfg.get("canvas", {}), seed)
     trained = meta.get("trained_on", {})
     setup = trained.get("canvas", {}).get("setup") if isinstance(trained, dict) else None
     if setup is not None and setup != canvas.setup:
@@ -161,6 +153,11 @@ def _warn_setup_mismatch(meta: dict, canvas: CanvasConfig) -> None:
             f"warning: checkpoint was trained on setup {setup!r}, experiment uses {canvas.setup!r}",
             file=sys.stderr,
         )
+    if canvas.feature_length != params.input_dim:
+        raise ValueError(
+            f"feature-length mismatch: checkpoint expects {params.input_dim}, canvas yields {canvas.feature_length}"
+        )
+    return seed, out, params, canvas
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +180,7 @@ def cmd_generate(args) -> int:
         instances = [s.to_instance() for s in samples]
         resolved["canvas"] = canvas.to_dict()
         if cfg.get("dump_images"):
-            dump_images(os.path.join(out, "images"), samples, canvas)
+            dump_images(os.path.join(out, "images"), samples)
             resolved["dump_images"] = True
     elif kind == "feature":
         fdict = dict(cfg.get("feature", {}))
@@ -223,9 +220,6 @@ def cmd_train(args) -> int:
     tc = _train_config(cfg)
     out = _out_dir(cfg)
     header, instances = read_dataset_jsonl(_require(cfg, "dataset"))
-    shape = _image_shape(header)
-    if shape is not None:
-        instances = [CanvasInstance(inst.features, inst.ranks, shape) for inst in instances]
     params, log = train(instances, tc)
     meta = {
         "mode": tc.mode,
@@ -285,15 +279,7 @@ def cmd_eval(args) -> int:
 
 def cmd_adjust_exp(args) -> int:
     cfg = _merge_flags(_load_config(args.config), args, ("seed", "out", "checkpoint"))
-    seed = int(_require(cfg, "seed"))
-    out = _out_dir(cfg)
-    params, meta = load_checkpoint(_require(cfg, "checkpoint"))
-    canvas = _canvas_config(cfg.get("canvas", {}), seed)
-    _warn_setup_mismatch(meta, canvas)
-    if canvas.feature_length != params.input_dim:
-        raise ValueError(
-            f"feature-length mismatch: checkpoint expects {params.input_dim}, canvas yields {canvas.feature_length}"
-        )
+    seed, out, params, canvas = _probe_setup(cfg)
     n_sequences = int(cfg.get("n_sequences", 50))
     steps = int(cfg.get("steps", 50))
     sums = np.zeros((steps, 3))
@@ -322,15 +308,7 @@ def cmd_adjust_exp(args) -> int:
 
 def cmd_calib_exp(args) -> int:
     cfg = _merge_flags(_load_config(args.config), args, ("seed", "out", "checkpoint"))
-    seed = int(_require(cfg, "seed"))
-    out = _out_dir(cfg)
-    params, meta = load_checkpoint(_require(cfg, "checkpoint"))
-    canvas = _canvas_config(cfg.get("canvas", {}), seed)
-    _warn_setup_mismatch(meta, canvas)
-    if canvas.feature_length != params.input_dim:
-        raise ValueError(
-            f"feature-length mismatch: checkpoint expects {params.input_dim}, canvas yields {canvas.feature_length}"
-        )
+    seed, out, params, canvas = _probe_setup(cfg)
     n = int(cfg.get("n", 50))
     samples = generate_calibration_set(canvas, n)
     out_heads, pred = predict_batch(params, np.stack([sample.pixels for sample in samples]))

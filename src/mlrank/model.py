@@ -8,17 +8,17 @@ is written out explicitly so every loss gradient is exact and checkable
 against finite differences.
 
 Feature-space instances feed the affine stack directly (a plain MLP).
-Image instances (``CanvasInstance``, which carry their image shape) get
-a weight-shared front end ahead of it: an 8x8 stride-4 convolution with
-8 channels, a 3x3 stride-2 convolution with 16 channels and a 3x3
-convolution with 32 channels, each unpadded and followed by ReLU, then
-per-channel global max and mean pooling.  A plain MLP on raw pixels has
-no weight sharing and memorizes its training canvases; the front end
-sees every position through the same kernels, and its last layer's
-32-pixel receptive field spans most of a scaled digit, so it can tell
-which digit is how large.  ``train`` selects the front end from the
-instance type alone; the model still takes flat feature vectors
-everywhere.
+Image instances (those with an ``image_shape``) get a weight-shared
+front end ahead of it: an 8x8 stride-4 convolution with 8 channels, a
+3x3 stride-2 convolution with 16 channels and a 3x3 convolution with 32
+channels, each unpadded and followed by ReLU, then per-channel global
+max and mean pooling.  A plain MLP on raw pixels has no weight sharing
+and memorizes its training canvases; the front end sees every position
+through the same kernels, and its last layer's 32-pixel receptive field
+spans most of a scaled digit, so it can tell which digit is how large.
+``train`` selects the front end from the instances' ``image_shape``
+alone, which a JSONL dataset declares in its header; the model still
+takes flat feature vectors everywhere.
 
 Training is seeded and single-threaded: given the same dataset and
 config it reproduces bit-identical parameters.  LSEP trains in two
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import crpc_loss, lsep_class_loss, lsep_rank_loss
-from .buckets import CanvasInstance
 from .gaussian import GaussianParam
 from .gmlr import gmlr_objective
 from .predict import Prediction, decide, first_row
@@ -448,9 +447,9 @@ def _run_stage(params, values, objective, n, cfg: TrainConfig, stage, epochs, rn
 
 def select_front_end(dataset) -> FrontEnd | None:
     """The front end a dataset trains with: the canvas front end when
-    every instance is a ``CanvasInstance`` of one image shape, none when
-    no instance is."""
-    shapes = {inst.image_shape if isinstance(inst, CanvasInstance) else None for inst in dataset}
+    every instance has one ``image_shape``, none when no instance has
+    one."""
+    shapes = {inst.image_shape for inst in dataset}
     if len(shapes) > 1:
         raise ValueError("dataset mixes image shapes or image and feature instances")
     shape = shapes.pop() if shapes else None
@@ -460,7 +459,7 @@ def select_front_end(dataset) -> FrontEnd | None:
 def train(dataset, cfg: TrainConfig, init_params: ModelParams | None = None):
     """Train a model on RankedInstance records; returns (params, log).
 
-    ``CanvasInstance`` records train behind the image front end (see
+    Records with an ``image_shape`` train behind the image front end (see
     ``select_front_end``), all others as a plain MLP.  The log holds
     (epoch, stage, mean per-instance loss, learning rate) rows.  GMLR
     and CRPC train in a single stage; LSEP trains the ranking loss

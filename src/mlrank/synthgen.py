@@ -16,10 +16,14 @@ exactly, so files and in-memory datasets always agree.
 
 JSONL dataset layout (also the loader contract for external data):
 the first line is a header object {"k": classes, "d": feature length,
-"generator": config echo}; every following line is one instance
-{"features": [...], "ranks": [...]} with 0-based class positions.
-Ranks must be JSON integers: ``1.7``, ``1.0`` and ``true`` are data
-errors, not truncated or cast.
+"generator": config echo}, plus "image_shape": [height, width, channels]
+when the features are channels-last images, which then train behind the
+image front end; every following line is one instance {"features":
+[...], "ranks": [...]} with 0-based class positions.  ``k``, ``d``, the
+shape's sizes and the ranks must be JSON integers: ``1.7``, ``1.0`` and
+``true`` are data errors, not truncated or cast.  Canvas files written
+before the header declared ``image_shape`` read as feature data and must
+be regenerated.
 """
 
 from __future__ import annotations
@@ -30,11 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buckets import CanvasInstance, RankedInstance
+from .buckets import RankedInstance
 from .glyphs import GlyphBank, builtin_bank, hsv_to_rgb, load_idx_glyphs
 
 SETUPS = ("S", "B", "S-mix", "B-mix")
 CALIBRATION_SCALES = (1.0, 1.5, 2.0, 2.5)
+# Brightness draws and sweeps start here at least, so every digit shows.
+BRIGHTNESS_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,6 @@ class CanvasConfig:
     glyph_source: str = "builtin"
     seed: int = 0
     glyph_size: int = 16
-    brightness_floor: float = 0.05
     idx_images: str | None = None
     idx_labels: str | None = None
 
@@ -70,6 +75,13 @@ class CanvasConfig:
         blo, bhi = self.brightness_range
         if not (0.0 <= blo <= bhi <= 1.0):
             raise ValueError("brightness_range must lie within [0, 1]")
+        if self.uses_brightness and bhi < BRIGHTNESS_FLOOR:
+            raise ValueError(f"brightness_range must reach the brightness floor {BRIGHTNESS_FLOOR}")
+        flo, fhi = self.scale_range if self.ranked_factor == "scale" else self.brightness_bounds
+        if flo == fhi and self.digit_count_range[1] > 1:
+            raise ValueError(
+                f"{self.ranked_factor} range [{flo}, {fhi}] is degenerate: digits would tie in rank"
+            )
         if self.glyph_size < 4:
             raise ValueError("glyph_size must be at least 4")
         max_scale = self.scale_range[1] if self.uses_scale else 1.0
@@ -85,6 +97,11 @@ class CanvasConfig:
     @property
     def uses_brightness(self) -> bool:
         return self.setup in ("B", "S-mix", "B-mix")
+
+    @property
+    def brightness_bounds(self) -> tuple[float, float]:
+        """The range brightness is drawn and swept over."""
+        return max(self.brightness_range[0], BRIGHTNESS_FLOOR), self.brightness_range[1]
 
     @property
     def ranked_factor(self) -> str:
@@ -131,8 +148,8 @@ class GeneratedSample:
     factors: tuple[DigitFactors, ...]
     image_shape: tuple[int, int, int]
 
-    def to_instance(self) -> CanvasInstance:
-        return CanvasInstance(features=self.pixels, ranks=self.ranks, image_shape=self.image_shape)
+    def to_instance(self) -> RankedInstance:
+        return RankedInstance(features=self.pixels, ranks=self.ranks, image_shape=self.image_shape)
 
 
 @dataclass(frozen=True)
@@ -162,13 +179,25 @@ def _ranks_from_factors(num_classes: int, digits, factors) -> np.ndarray:
     return ranks
 
 
-def _sample_brightness(cfg: CanvasConfig, rng) -> float:
-    b = float(rng.uniform(cfg.brightness_range[0], cfg.brightness_range[1]))
-    return max(b, cfg.brightness_floor)
+def _digit(cfg: CanvasConfig, rng, digit: int, scale: float, brightness: float) -> DigitFactors:
+    """Draw a digit's hue and saturation (colour canvases only), then a
+    position that fits it at ``scale``; returns its factors."""
+    hue = float(rng.uniform()) if cfg.color_mode == "color" else None
+    sat = float(rng.uniform()) if cfg.color_mode == "color" else None
+    px = max(4, int(round(cfg.glyph_size * scale)))
+    top = int(rng.integers(0, cfg.canvas_size - px + 1))
+    left = int(rng.integers(0, cfg.canvas_size - px + 1))
+    return DigitFactors(
+        digit=digit, scale=scale, brightness=brightness, top=top, left=left, hue=hue, saturation=sat
+    )
 
 
-def _compose(cfg: CanvasConfig, bank: GlyphBank, placed: list[DigitFactors], rng=None):
-    """Render placed digits onto a fresh canvas (max compositing)."""
+def _sample(cfg: CanvasConfig, bank: GlyphBank, placed: list[DigitFactors], rng=None) -> GeneratedSample:
+    """The sample of the placed digits: ranks by the setup's named factor
+    (exact ties break by ascending digit index), and the digits rendered
+    onto a fresh canvas (max compositing)."""
+    factors = [getattr(pf, cfg.ranked_factor) for pf in placed]
+    ranks = _ranks_from_factors(cfg.num_classes, [pf.digit for pf in placed], factors)
     size = cfg.canvas_size
     if cfg.color_mode == "color":
         canvas = np.zeros((size, size, 3))
@@ -186,42 +215,24 @@ def _compose(cfg: CanvasConfig, bank: GlyphBank, placed: list[DigitFactors], rng
             canvas[region] = np.maximum(canvas[region], patch)
         else:
             canvas[region] = np.maximum(canvas[region], glyph)
-    return np.round(canvas, 3).reshape(-1)
-
-
-def _place(cfg: CanvasConfig, rng, scale: float) -> tuple[int, int]:
-    px = max(4, int(round(cfg.glyph_size * scale)))
-    top = int(rng.integers(0, cfg.canvas_size - px + 1))
-    left = int(rng.integers(0, cfg.canvas_size - px + 1))
-    return top, left
+    return GeneratedSample(
+        pixels=np.round(canvas, 3).reshape(-1), ranks=ranks,
+        factors=tuple(placed), image_shape=cfg.image_shape,
+    )
 
 
 def _one_canvas_sample(cfg: CanvasConfig, bank: GlyphBank, rng) -> GeneratedSample:
     lo, hi = cfg.digit_count_range
     count = int(rng.integers(lo, hi + 1))
-    digits = [int(d) for d in rng.choice(cfg.num_classes, size=count, replace=False)]
     placed = []
-    for digit in digits:
+    for digit in rng.choice(cfg.num_classes, size=count, replace=False):
         scale = float(rng.uniform(*cfg.scale_range)) if cfg.uses_scale else 1.0
-        brightness = _sample_brightness(cfg, rng) if cfg.uses_brightness else 1.0
-        hue = float(rng.uniform()) if cfg.color_mode == "color" else None
-        sat = float(rng.uniform()) if cfg.color_mode == "color" else None
-        top, left = _place(cfg, rng, scale)
-        placed.append(
-            DigitFactors(
-                digit=digit, scale=scale, brightness=brightness,
-                top=top, left=left, hue=hue, saturation=sat,
-            )
-        )
-    key = cfg.ranked_factor
-    factor_values = [getattr(pf, key) for pf in placed]
-    if len(set(factor_values)) != len(factor_values):
-        raise RuntimeError("tied importance factors; ranks would not be dense")
-    ranks = _ranks_from_factors(cfg.num_classes, digits, factor_values)
-    pixels = _compose(cfg, bank, placed, rng)
-    return GeneratedSample(
-        pixels=pixels, ranks=ranks, factors=tuple(placed), image_shape=cfg.image_shape
-    )
+        brightness = float(rng.uniform(*cfg.brightness_bounds)) if cfg.uses_brightness else 1.0
+        placed.append(_digit(cfg, rng, int(digit), scale, brightness))
+    factors = [getattr(pf, cfg.ranked_factor) for pf in placed]
+    if len(set(factors)) != len(factors):
+        raise ValueError("tied importance factors: widen the ranked factor's range")
+    return _sample(cfg, bank, placed, rng)
 
 
 def generate_canvas_dataset(cfg: CanvasConfig, n: int) -> list[GeneratedSample]:
@@ -250,26 +261,10 @@ def generate_calibration_set(cfg: CanvasConfig, n: int = 50) -> list[GeneratedSa
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     samples = []
     for _ in range(n):
-        digits = [int(d) for d in rng.choice(cfg.num_classes, size=4, replace=False)]
+        digits = rng.choice(cfg.num_classes, size=4, replace=False)
         scales = [CALIBRATION_SCALES[int(i)] for i in rng.permutation(4)]
-        placed = []
-        for digit, scale in zip(digits, scales):
-            hue = float(rng.uniform()) if cfg.color_mode == "color" else None
-            sat = float(rng.uniform()) if cfg.color_mode == "color" else None
-            top, left = _place(cfg, rng, scale)
-            placed.append(
-                DigitFactors(
-                    digit=digit, scale=scale, brightness=1.0,
-                    top=top, left=left, hue=hue, saturation=sat,
-                )
-            )
-        ranks = _ranks_from_factors(cfg.num_classes, digits, scales)
-        samples.append(
-            GeneratedSample(
-                pixels=_compose(cfg, bank, placed, rng), ranks=ranks,
-                factors=tuple(placed), image_shape=cfg.image_shape,
-            )
-        )
+        placed = [_digit(cfg, rng, int(d), scale, 1.0) for d, scale in zip(digits, scales)]
+        samples.append(_sample(cfg, bank, placed, rng))
     return samples
 
 
@@ -289,41 +284,28 @@ def iter_adjust_sequences(cfg: CanvasConfig, n_sequences: int = 50, steps: int =
         raise ValueError("steps must be at least 2")
     bank = _glyph_bank(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    if cfg.ranked_factor == "scale":
-        lo, hi = cfg.scale_range
-    else:
-        lo, hi = max(cfg.brightness_range[0], cfg.brightness_floor), cfg.brightness_range[1]
+    by_scale = cfg.ranked_factor == "scale"
+    lo, hi = cfg.scale_range if by_scale else cfg.brightness_bounds
     mid = 0.5 * (lo + hi)
     for _ in range(n_sequences):
         digits = tuple(int(d) for d in rng.choice(cfg.num_classes, size=3, replace=False))
-        colors = []
-        positions = []
-        for role_max in (hi, mid, hi):  # largest sweep extent per role
-            hue = float(rng.uniform()) if cfg.color_mode == "color" else None
-            sat = float(rng.uniform()) if cfg.color_mode == "color" else None
-            colors.append((hue, sat))
-            positions.append(_place(cfg, rng, role_max if cfg.ranked_factor == "scale" else 1.0))
+        # Each role is placed to fit its largest sweep extent.
+        roles = [
+            _digit(cfg, rng, digit, extent if by_scale else 1.0, 1.0)
+            for digit, extent in zip(digits, (hi, mid, hi))
+        ]
         samples = []
         for step in range(steps):
             t = step / (steps - 1)
             factors = (lo + t * (hi - lo), mid, hi - t * (hi - lo))
-            placed = []
-            for (digit, factor, (hue, sat), (top, left)) in zip(digits, factors, colors, positions):
-                scale = factor if cfg.ranked_factor == "scale" else 1.0
-                brightness = factor if cfg.ranked_factor == "brightness" else 1.0
-                placed.append(
-                    DigitFactors(
-                        digit=digit, scale=scale, brightness=brightness,
-                        top=top, left=left, hue=hue, saturation=sat,
-                    )
+            placed = [
+                DigitFactors(
+                    digit=r.digit, scale=f if by_scale else 1.0, brightness=1.0 if by_scale else f,
+                    top=r.top, left=r.left, hue=r.hue, saturation=r.saturation,
                 )
-            ranks = _ranks_from_factors(cfg.num_classes, digits, factors)
-            samples.append(
-                GeneratedSample(
-                    pixels=_compose(cfg, bank, placed), ranks=ranks,
-                    factors=tuple(placed), image_shape=cfg.image_shape,
-                )
-            )
+                for r, f in zip(roles, factors)
+            ]
+            samples.append(_sample(cfg, bank, placed))
         yield AdjustSequence(digits=digits, samples=tuple(samples))
 
 
@@ -372,17 +354,21 @@ def generate_feature_dataset(
 
 
 def write_dataset_jsonl(path, instances, generator: dict | None = None) -> None:
-    """Write instances as JSONL behind a {"k", "d", "generator"} header."""
+    """Write instances as JSONL behind a {"k", "d", "generator"} header,
+    which also declares "image_shape" when the instances are images."""
     instances = list(instances)
     if not instances:
         raise ValueError("refusing to write an empty dataset")
     k = int(instances[0].ranks.size)
     d = int(instances[0].features.size)
+    shape = instances[0].image_shape
+    header = {"k": k, "d": d, "generator": generator or {}}
+    if shape is not None:
+        header["image_shape"] = list(shape)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        header = {"k": k, "d": d, "generator": generator or {}}
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for inst in instances:
-            if inst.ranks.size != k or inst.features.size != d:
+            if inst.ranks.size != k or inst.features.size != d or inst.image_shape != shape:
                 raise ValueError("inconsistent instance shapes")
             row = {
                 "features": inst.features.tolist(),
@@ -394,30 +380,46 @@ def write_dataset_jsonl(path, instances, generator: dict | None = None) -> None:
 def read_dataset_jsonl(path) -> tuple[dict, list[RankedInstance]]:
     """Read a JSONL dataset; returns (header, instances).
 
-    Lines are parsed as they are read, so the file's text is never held
-    whole in memory.
+    Every instance carries the header's ``image_shape`` (None when it
+    declares none).  A malformed header or row is a ValueError that
+    names ``file:line``.  Lines are parsed as they are read, so the
+    file's text is never held whole in memory.
     """
     instances = []
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline()
         if not first:
             raise ValueError(f"{path}: empty dataset file")
-        header = json.loads(first)
-        for key in ("k", "d"):
-            if key not in header:
-                raise ValueError(f"{path}: header missing '{key}'")
-        k, d = int(header["k"]), int(header["d"])
-        for lineno, line in enumerate(fh, start=2):
-            row = json.loads(line)
-            feats = np.asarray(row["features"], dtype=float)
-            ranks = row["ranks"]
-            # bool is an int subclass; only true JSON integers are ranks.
-            if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
-                raise ValueError(f"{path}:{lineno}: ranks must be a list of JSON integers, got {ranks!r}")
-            ranks = np.asarray(ranks, dtype=int)
-            if feats.size != d or ranks.size != k:
-                raise ValueError(f"{path}:{lineno}: instance shape does not match header")
-            instances.append(RankedInstance(features=feats, ranks=ranks))
+        lineno = 1
+        try:
+            header = json.loads(first)
+            if not isinstance(header, dict):
+                raise ValueError(f"header must be a JSON object, got {header!r}")
+            # bool is an int subclass; only true JSON integers count here.
+            for key in ("k", "d"):
+                if type(header.get(key)) is not int or header[key] < 1:
+                    raise ValueError(f"header '{key}' must be a positive JSON integer, got {header.get(key)!r}")
+            k, d, shape = header["k"], header["d"], header.get("image_shape")
+            if "image_shape" in header:
+                if not (
+                    isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)
+                    and shape[0] * shape[1] * shape[2] == d
+                ):
+                    raise ValueError(f"image_shape must be 3 positive JSON integers of product d={d}, got {shape!r}")
+                shape = tuple(shape)
+            for lineno, line in enumerate(fh, start=2):
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError(f"an instance must be a JSON object, got {type(row).__name__}")
+                ranks = row.get("ranks")
+                if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
+                    raise ValueError(f"ranks must be a list of JSON integers, got {ranks!r}")
+                feats = np.asarray(row.get("features"), dtype=float)
+                if feats.ndim != 1 or feats.size != d or len(ranks) != k:
+                    raise ValueError("instance shape does not match header")
+                instances.append(RankedInstance(feats, np.asarray(ranks, dtype=int), shape))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not instances:
         raise ValueError(f"{path}: dataset has a header but no instances")
     return header, instances
@@ -441,23 +443,22 @@ def write_ppm(path, img: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
-def dump_images(directory, samples, cfg: CanvasConfig) -> None:
-    """One PGM/PPM per sample plus a labels.jsonl sidecar with ranks and
-    the per-digit factor records."""
+def dump_images(directory, samples) -> None:
+    """One PPM (3 channels) or PGM (1 channel) per sample plus a
+    labels.jsonl sidecar with ranks and the per-digit factor records."""
     import os
 
     os.makedirs(directory, exist_ok=True)
     sidecar = os.path.join(directory, "labels.jsonl")
     with open(sidecar, "w", encoding="ascii", newline="\n") as fh:
         for i, sample in enumerate(samples):
-            if cfg.color_mode == "color":
-                img = sample.pixels.reshape(cfg.canvas_size, cfg.canvas_size, 3)
+            img = sample.pixels.reshape(sample.image_shape)
+            if img.shape[2] == 3:
                 name = f"{i:05d}.ppm"
                 write_ppm(os.path.join(directory, name), img)
             else:
-                img = sample.pixels.reshape(cfg.canvas_size, cfg.canvas_size)
                 name = f"{i:05d}.pgm"
-                write_pgm(os.path.join(directory, name), img)
+                write_pgm(os.path.join(directory, name), img[:, :, 0])
             row = {
                 "image": name,
                 "ranks": sample.ranks.tolist(),

@@ -207,6 +207,35 @@ class TestCanvasTrain:
         err = capsys.readouterr().err
         assert "data error" in err and "minimum canvas size is 32x32" in err
 
+    def test_declared_image_shape_trains_behind_front_end(self, tmp_path):
+        # An external image dataset: a header with image_shape and no
+        # generator echo.
+        rng = np.random.default_rng(3)
+        ds = tmp_path / "images.jsonl"
+        lines = [json.dumps({"k": 3, "d": 32 * 32, "image_shape": [32, 32, 1]})]
+        for _ in range(6):
+            ranks = rng.permutation([0, 1, 2]).tolist()
+            lines.append(json.dumps({"features": np.round(rng.uniform(size=1024), 3).tolist(), "ranks": ranks}))
+        ds.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert run("train", "--dataset", str(ds), "--method", "gmlr", "--mode", "strong",
+                   "--epochs", "1", "--batch-size", "4", "--seed", "1", "--out", str(out)) == 0
+        params, _ = load_checkpoint(out / "checkpoint.json")
+        assert params.front_end == FrontEnd((32, 32, 1))
+
+    @pytest.mark.parametrize("shape", ["[32,32]", "[32,16,1]", "[32,32,1.0]", "[32,32,true]",
+                                       "[0,32,1]", '"32x32x1"', "null"])
+    def test_bad_image_shape_is_data_error(self, tmp_path, capsys, shape):
+        ds = tmp_path / "images.jsonl"
+        ds.write_text(f'{{"d":1024,"image_shape":{shape},"k":2}}\n'
+                      f'{{"features":{json.dumps([0.5] * 1024)},"ranks":[1,0]}}\n')
+        out = tmp_path / "run"
+        assert run("train", "--dataset", str(ds), "--method", "gmlr", "--mode", "strong",
+                   "--epochs", "1", "--seed", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{ds}:1" in err and "image_shape" in err
+        assert not (out / "checkpoint.json").exists()
+
     def test_feature_dataset_trains_plain_mlp(self, tmp_path):
         gen = tmp_path / "gen"
         assert run("generate", "--kind", "feature", "--n", "10", "--seed", "2",
@@ -514,6 +543,31 @@ class TestExitCodes:
         assert run("extract-sig", "--checkpoint", str(ckpt), "--dataset", str(ds),
                    "--class-index", "0", "--seed", "3", "--out", str(tmp_path / "s")) == 1
         assert not (tmp_path / "e").exists() and not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("header,row,line", [
+        ('{"d":2,"generator":{},"k":2.9}', '{"features":[0.1,0.2],"ranks":[1,0]}', 1),
+        ('5', '{"features":[0.1,0.2],"ranks":[1,0]}', 1),
+        ('{"d":2,"generator":{},"k":2}', '[[0.1,0.2],[1,0]]', 2),
+    ])
+    def test_malformed_header_or_row_is_data_error(self, tmp_path, capsys, header, row, line):
+        ds = tmp_path / "bad.jsonl"
+        ds.write_text(f"{header}\n{row}\n")
+        out = tmp_path / "run"
+        assert run("train", "--dataset", str(ds), "--method", "gmlr", "--mode", "strong",
+                   "--epochs", "1", "--seed", "1", "--out", str(out)) == 2
+        assert f"{ds}:{line}" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("canvas", [
+        {"setup": "S", "scale_range": [2.0, 2.0]},
+        {"setup": "B", "brightness_range": [0.5, 0.5]},
+    ])
+    def test_degenerate_factor_range_is_data_error(self, tmp_path, capsys, canvas):
+        cfgp = tmp_path / "g.json"
+        cfgp.write_text(json.dumps({"kind": "canvas", "canvas": canvas}))
+        assert run("generate", "--config", str(cfgp), "--n", "5", "--seed", "1",
+                   "--out", str(tmp_path / "x")) == 2
+        assert "degenerate" in capsys.readouterr().err
 
     def test_infeasible_canvas_is_data_error(self, tmp_path):
         cfgp = tmp_path / "g.json"

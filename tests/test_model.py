@@ -9,7 +9,7 @@ import pytest
 
 import mlrank
 from mlrank.baselines import lsep_class_loss
-from mlrank.buckets import CanvasInstance, RankedInstance
+from mlrank.buckets import RankedInstance
 from mlrank.gaussian import GaussianParam, q_grads, q_prob
 from mlrank.model import (
     AdamState,
@@ -377,7 +377,7 @@ class TestFrontEnd:
 class TestFrontEndSelection:
     def test_canvas_instances_get_the_front_end(self):
         data = small_canvases()
-        assert all(isinstance(inst, CanvasInstance) for inst in data)
+        assert all(inst.image_shape == (32, 32, 1) for inst in data)
         assert select_front_end(data) == FrontEnd((32, 32, 1))
         assert select_front_end(small_canvases(color_mode="color")) == FrontEnd((32, 32, 3))
         params, _ = train(data, TrainConfig(epochs=1, hidden=(4,), batch_size=4, seed=1))
@@ -396,7 +396,7 @@ class TestFrontEndSelection:
         plain = RankedInstance(canvases[0].features, canvases[0].ranks)
         with pytest.raises(ValueError, match="mixes"):
             train(canvases + [plain], TrainConfig(epochs=1, hidden=(4,)))
-        reshaped = CanvasInstance(canvases[0].features, canvases[0].ranks, (16, 64, 1))
+        reshaped = RankedInstance(canvases[0].features, canvases[0].ranks, (16, 64, 1))
         with pytest.raises(ValueError):
             select_front_end(canvases + [reshaped])
 

@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from mlrank.buckets import bucket_order_from_ranks
+from mlrank.buckets import RankedInstance, bucket_order_from_ranks
 from mlrank.glyphs import bilinear_resize, load_idx_glyphs, rasterize_digit
 from mlrank.metrics import spearman_rho
 from mlrank.synthgen import (
+    BRIGHTNESS_FLOOR,
     CALIBRATION_SCALES,
     CanvasConfig,
     generate_adjust_sequences,
@@ -77,6 +78,25 @@ class TestCanvasConfig:
         with pytest.raises(ValueError):
             CanvasConfig(setup="X")
 
+    @pytest.mark.parametrize("kw", [
+        {"setup": "S", "scale_range": (2.0, 2.0)},
+        {"setup": "S-mix", "scale_range": (1.5, 1.5)},
+        {"setup": "B", "brightness_range": (0.5, 0.5)},
+        # the floor lifts the draws to [0.05, 0.05]
+        {"setup": "B-mix", "brightness_range": (0.0, BRIGHTNESS_FLOOR)},
+    ])
+    def test_degenerate_ranked_range_rejected(self, kw):
+        with pytest.raises(ValueError, match="degenerate"):
+            CanvasConfig(**kw)
+        # one digit per canvas cannot tie
+        CanvasConfig(digit_count_range=(1, 1), **kw)
+
+    @pytest.mark.parametrize("setup", ["B", "S-mix", "B-mix"])
+    def test_brightness_range_below_floor_rejected(self, setup):
+        with pytest.raises(ValueError, match="brightness floor"):
+            CanvasConfig(setup=setup, brightness_range=(0.0, 0.01))
+        CanvasConfig(setup="S", brightness_range=(0.0, 0.01))
+
 
 class TestCanvasDataset:
     def test_shapes_and_rank_consistency(self):
@@ -113,7 +133,35 @@ class TestCanvasDataset:
             positives = sorted(np.flatnonzero(s.ranks > 0), key=lambda c: s.ranks[c])
             vals = [by_digit[c].brightness for c in positives]
             assert vals == sorted(vals)
-            assert all(v >= small_cfg().brightness_floor for v in vals)
+            assert all(v >= BRIGHTNESS_FLOOR for v in vals)
+
+    @pytest.mark.parametrize("setup", ["B", "B-mix"])
+    @pytest.mark.parametrize("color_mode", ["gray", "color"])
+    def test_brightness_setups_generate_at_default_config(self, setup, color_mode):
+        # Brightness draws used to be clamped up to the floor, so every
+        # draw below it tied with the others and generation failed.
+        cfg = CanvasConfig(setup=setup, color_mode=color_mode)
+        samples = generate_canvas_dataset(cfg, 2000)
+        assert len(samples) == 2000
+        lo, hi = cfg.brightness_bounds
+        assert all(lo <= pf.brightness <= hi for s in samples for pf in s.factors)
+
+    @pytest.mark.parametrize("color_mode,digest", [
+        ("gray", "0b4e02f386983e4210eac63feb61ec91ef6140f8528d4b014691e3d8184aa175"),
+        ("color", "c2d2393a01d359a6a602d33bc798f1baa0a6196631fb496d20f3638e4c352d40"),
+    ])
+    def test_scale_setup_bytes_pinned(self, color_mode, digest):
+        # Pins the bytes of the S-setup datasets, calibration sets and
+        # sweeps, which one sample renderer builds for all three.
+        cfg = small_cfg(setup="S", color_mode=color_mode)
+        samples = generate_canvas_dataset(cfg, 20) + generate_calibration_set(cfg, 10)
+        samples += [s for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=6) for s in seq.samples]
+        h = hashlib.sha256()
+        for s in samples:
+            assert s.image_shape == cfg.image_shape
+            h.update(s.pixels.tobytes())
+            h.update(s.ranks.astype("<i8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_determinism(self):
         cfg = small_cfg(setup="S-mix")
@@ -318,6 +366,51 @@ class TestJsonl:
             '{"k":2,"d":3,"generator":{}}\n{"features":[1.0,2.0],"ranks":[1,0]}\n'
         )
         with pytest.raises(ValueError, match="shape"):
+            read_dataset_jsonl(path)
+
+    def test_image_shape_round_trip(self, tmp_path):
+        cfg = small_cfg(color_mode="color")
+        samples = generate_canvas_dataset(cfg, 4)
+        path = tmp_path / "c.jsonl"
+        write_dataset_jsonl(path, [s.to_instance() for s in samples])
+        header, loaded = read_dataset_jsonl(path)
+        assert header["image_shape"] == [48, 48, 3]
+        assert all(inst.image_shape == (48, 48, 3) for inst in loaded)
+        features = tmp_path / "f.jsonl"
+        write_dataset_jsonl(features, generate_feature_dataset(3, 5, 4, seed=1))
+        header, loaded = read_dataset_jsonl(features)
+        assert "image_shape" not in header and all(inst.image_shape is None for inst in loaded)
+
+    def test_writer_refuses_mixed_image_shapes(self, tmp_path):
+        pixels, ranks = np.zeros(64), np.array([1, 0])
+        for other in ((4, 16, 1), None):
+            mixed = [RankedInstance(pixels, ranks, (8, 8, 1)), RankedInstance(pixels, ranks, other)]
+            with pytest.raises(ValueError, match="inconsistent"):
+                write_dataset_jsonl(tmp_path / "m.jsonl", mixed)
+
+    @pytest.mark.parametrize("header,row,line", [
+        ('5', '{"features":[0.1],"ranks":[1]}', 1),
+        ('[1]', '{"features":[0.1],"ranks":[1]}', 1),
+        ('{"k":2.9,"d":1}', '{"features":[0.1],"ranks":[1,0]}', 1),
+        ('{"k":1,"d":true}', '{"features":[0.1],"ranks":[1]}', 1),
+        ('{"k":0,"d":1}', '{"features":[0.1],"ranks":[]}', 1),
+        ('{"d":1}', '{"features":[0.1],"ranks":[1]}', 1),
+        ('{"k":1,"d":4,"image_shape":[2,2]}', '{"features":[0,0,0,0],"ranks":[1]}', 1),
+        ('{"k":1,"d":4,"image_shape":[2,2,2]}', '{"features":[0,0,0,0],"ranks":[1]}', 1),
+        ('{"k":1,"d":4,"image_shape":[4,1,1.0]}', '{"features":[0,0,0,0],"ranks":[1]}', 1),
+        ('{"k":1,"d":4,"image_shape":[-2,-2,1]}', '{"features":[0,0,0,0],"ranks":[1]}', 1),
+        ('{"k":1,"d":4,"image_shape":"2x2x1"}', '{"features":[0,0,0,0],"ranks":[1]}', 1),
+        ('{"k":1,"d":1}', '[[0.1],[1]]', 2),
+        ('{"k":1,"d":1}', '{"features":{"a":1},"ranks":[1]}', 2),
+        ('{"k":1,"d":1}', '{"features":[[0.1]],"ranks":[1]}', 2),
+        ('{"k":1,"d":1}', '{"features":["x"],"ranks":[1]}', 2),
+        ('{"k":1,"d":1}', '{"ranks":[1]}', 2),
+        ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[1]', 2),
+    ])
+    def test_malformed_header_or_row_names_the_line(self, tmp_path, header, row, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.jsonl:{line}: "):
             read_dataset_jsonl(path)
 
 
