@@ -42,8 +42,8 @@ from .model import (
     predict_batch,
     predict_with,
     save_checkpoint,
-    select_front_end,
     train,
+    train_arrays,
 )
 from .predict import Prediction
 from .synthgen import (

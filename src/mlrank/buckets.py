@@ -39,7 +39,7 @@ class RankedInstance:
 
     ``image_shape`` is (height, width, channels) when the features are a
     flattened image in that channels-last order, and None otherwise.
-    Training selects the weight-shared image front end from it.
+    ``train`` passes it on to the image front end, which checks it.
     """
 
     features: np.ndarray
@@ -57,13 +57,6 @@ class RankedInstance:
             raise ValueError("features must be finite")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "ranks", ranks)
-        if self.image_shape is not None:
-            shape = tuple(int(v) for v in self.image_shape)
-            if len(shape) != 3 or min(shape) < 1:
-                raise ValueError("image_shape must be (height, width, channels) of positive sizes")
-            if feats.ndim != 1 or feats.size != shape[0] * shape[1] * shape[2]:
-                raise ValueError(f"features do not hold a flattened {shape} image")
-            object.__setattr__(self, "image_shape", shape)
 
     @property
     def positive_mask(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from .model import (
     load_checkpoint,
     predict_batch,
     save_checkpoint,
-    train,
+    train_arrays,
 )
 from .synthgen import (
     CALIBRATION_SCALES,
@@ -102,11 +102,14 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _canvas_config(d: dict, seed: int) -> CanvasConfig:
-    fields = {f.name for f in dataclasses.fields(CanvasConfig)}
-    unknown = set(d) - fields
+def _refuse_unknown(cfg: dict, known, what: str) -> None:
+    unknown = set(cfg) - set(known)
     if unknown:
-        raise UsageError(f"unknown canvas config keys: {sorted(unknown)}")
+        raise UsageError(f"unknown {what} config keys: {sorted(unknown)}")
+
+
+def _canvas_config(d: dict, seed: int) -> CanvasConfig:
+    _refuse_unknown(d, (f.name for f in dataclasses.fields(CanvasConfig)), "canvas")
     kwargs = dict(d)
     for key in ("digit_count_range", "scale_range", "brightness_range"):
         if key in kwargs:
@@ -117,26 +120,32 @@ def _canvas_config(d: dict, seed: int) -> CanvasConfig:
 
 def _train_config(cfg: dict) -> TrainConfig:
     kwargs = {k: v for k, v in cfg.items() if k not in ("dataset", "out")}
-    unknown = set(kwargs) - {f.name for f in dataclasses.fields(TrainConfig)}
-    if unknown:
-        raise UsageError(f"unknown train config keys: {sorted(unknown)}")
+    _refuse_unknown(kwargs, (f.name for f in dataclasses.fields(TrainConfig)), "train")
     if "hidden" in kwargs:
         kwargs["hidden"] = tuple(kwargs["hidden"])
     return TrainConfig(**kwargs)
 
 
+def _feature_config(d: dict) -> dict:
+    defaults = {"num_classes": 6, "dim": 24, "factor_range": [0.5, 3.0], "noise": 0.05}
+    _refuse_unknown(d, defaults, "feature")
+    f = {**defaults, **d}
+    return {
+        "num_classes": int(f["num_classes"]), "dim": int(f["dim"]),
+        "factor_range": list(f["factor_range"]), "noise": float(f["noise"]),
+    }
+
+
 def _load_model_and_data(cfg):
-    params, meta = load_checkpoint(_require(cfg, "checkpoint"))
-    header, instances = read_dataset_jsonl(_require(cfg, "dataset"))
-    if int(header["k"]) != params.num_classes:
-        raise ValueError(
-            f"class-count mismatch: checkpoint has {params.num_classes}, dataset has {header['k']}"
-        )
-    if int(header["d"]) != params.input_dim:
-        raise ValueError(
-            f"feature-length mismatch: checkpoint expects {params.input_dim}, dataset has {header['d']}"
-        )
-    return params, meta, header, instances
+    """(params, x, ranks) of a checkpoint and a dataset of its k, d and image_shape."""
+    params, _ = load_checkpoint(_require(cfg, "checkpoint"))
+    header, x, ranks = read_dataset_jsonl(_require(cfg, "dataset"))
+    shape = None if params.front_end is None else list(params.front_end.image_shape)
+    want = {"k": params.num_classes, "d": params.input_dim, "image_shape": shape}
+    got = {key: header.get(key) for key in want}
+    if got != want:
+        raise ValueError(f"dataset {got} does not match the checkpoint's {want}")
+    return params, x, ranks
 
 
 def _probe_setup(cfg: dict):
@@ -168,45 +177,36 @@ def cmd_generate(args) -> int:
     cfg = _merge_flags(_load_config(args.config), args, ("seed", "out", "n", "kind"))
     if args.dump_images:
         cfg["dump_images"] = True
+    _refuse_unknown(cfg, ("seed", "out", "n", "kind", "dump_images", "canvas", "feature"), "generate")
     seed = int(_require(cfg, "seed"))
     n = int(_require(cfg, "n"))
     kind = cfg.get("kind", "canvas")
     out = _out_dir(cfg)
-    resolved: dict = {"kind": kind, "n": n, "seed": seed, "out": out}
+    # No ``out`` in the header's echo: the bytes must not depend on it.
+    resolved: dict = {"kind": kind, "n": n, "seed": seed}
+    image_shape = None
     if kind in ("canvas", "small-variance"):
         canvas = _canvas_config(cfg.get("canvas", {}), seed)
         generator = generate_small_variance_dataset if kind == "small-variance" else generate_canvas_dataset
         samples = generator(canvas, n)
-        instances = [s.to_instance() for s in samples]
+        x = np.stack([s.pixels for s in samples])
+        ranks = np.stack([s.ranks for s in samples])
+        image_shape = canvas.image_shape
         resolved["canvas"] = canvas.to_dict()
         if cfg.get("dump_images"):
             dump_images(os.path.join(out, "images"), samples)
             resolved["dump_images"] = True
     elif kind == "feature":
-        fdict = dict(cfg.get("feature", {}))
-        fdict.setdefault("num_classes", 6)
-        fdict.setdefault("dim", 24)
-        fdict.setdefault("factor_range", (0.5, 3.0))
-        fdict.setdefault("noise", 0.05)
-        instances = generate_feature_dataset(
-            num_classes=int(fdict["num_classes"]),
-            dim=int(fdict["dim"]),
-            n=n,
-            factor_range=tuple(fdict["factor_range"]),
-            seed=seed,
-            noise=float(fdict["noise"]),
-        )
-        resolved["feature"] = {
-            "num_classes": int(fdict["num_classes"]),
-            "dim": int(fdict["dim"]),
-            "factor_range": list(tuple(fdict["factor_range"])),
-            "noise": float(fdict["noise"]),
-        }
+        resolved["feature"] = _feature_config(cfg.get("feature", {}))
+        records = generate_feature_dataset(n=n, seed=seed, **resolved["feature"])
+        x = np.stack([r.features for r in records])
+        ranks = np.stack([r.ranks for r in records])
     else:
         raise UsageError(f"unknown dataset kind {kind!r}")
-    write_dataset_jsonl(os.path.join(out, "dataset.jsonl"), instances, generator=resolved)
-    _write_echo(out, "generate", resolved)
-    print(f"wrote {len(instances)} instances to {os.path.join(out, 'dataset.jsonl')}")
+    path = os.path.join(out, "dataset.jsonl")
+    write_dataset_jsonl(path, x, ranks, generator=resolved, image_shape=image_shape)
+    _write_echo(out, "generate", {**resolved, "out": out})
+    print(f"wrote {len(x)} instances to {path}")
     return 0
 
 
@@ -219,8 +219,8 @@ def cmd_train(args) -> int:
     cfg["seed"] = int(_require(cfg, "seed"))
     tc = _train_config(cfg)
     out = _out_dir(cfg)
-    header, instances = read_dataset_jsonl(_require(cfg, "dataset"))
-    params, log = train(instances, tc)
+    header, x, ranks = read_dataset_jsonl(_require(cfg, "dataset"))
+    params, log = train_arrays(x, ranks, tc, header.get("image_shape"))
     meta = {
         "mode": tc.mode,
         "train_config": dataclasses.asdict(tc),
@@ -248,9 +248,9 @@ def cmd_eval(args) -> int:
         cfg["raw"] = True
     raw = bool(cfg.get("raw", False))
     out = _out_dir(cfg)
-    params, _, _, instances = _load_model_and_data(cfg)
-    _, preds = predict_batch(params, np.stack([inst.features for inst in instances]))
-    report = evaluate_dataset(preds, [inst.ranks for inst in instances])
+    params, x, ranks = _load_model_and_data(cfg)
+    _, preds = predict_batch(params, x)
+    report = evaluate_dataset(preds, ranks)
     scale = 1.0 if raw else 100.0
     values = [
         report.tau_b * scale,
@@ -345,17 +345,17 @@ def cmd_extract_sig(args) -> int:
         _load_config(args.config), args, ("out", "checkpoint", "dataset", "class_index", "n_checkpoints")
     )
     out = _out_dir(cfg)
-    params, _, header, instances = _load_model_and_data(cfg)
+    params, x, _ = _load_model_and_data(cfg)
     class_index = int(_require(cfg, "class_index"))
     n_checkpoints = int(cfg.get("n_checkpoints", 10))
     if not 0 <= class_index < params.num_classes:
         raise ValueError(f"class index {class_index} out of range for {params.num_classes} classes")
-    if n_checkpoints < 1 or n_checkpoints > len(instances):
+    n = len(x)
+    if n_checkpoints < 1 or n_checkpoints > n:
         raise ValueError("n_checkpoints must lie in 1..n_instances")
-    _, pred = predict_batch(params, np.stack([inst.features for inst in instances]))
+    _, pred = predict_batch(params, x)
     scores = pred.scores[:, class_index]
     order = np.argsort(scores, kind="stable")
-    n = len(instances)
     if n_checkpoints == 1:
         positions = [0]
     else:

@@ -7,8 +7,8 @@ log-variances), 2K for lsep (scores then thresholds), (K+1)K/2 for crpc
 is written out explicitly so every loss gradient is exact and checkable
 against finite differences.
 
-Feature-space instances feed the affine stack directly (a plain MLP).
-Image instances (those with an ``image_shape``) get a weight-shared
+Feature-space data feeds the affine stack directly (a plain MLP).
+Image data (flattened images of an ``image_shape``) gets a weight-shared
 front end ahead of it: an 8x8 stride-4 convolution with 8 channels, a
 3x3 stride-2 convolution with 16 channels and a 3x3 convolution with 32
 channels, each unpadded and followed by ReLU, then per-channel global
@@ -16,9 +16,10 @@ max and mean pooling.  A plain MLP on raw pixels has no weight sharing
 and memorizes its training canvases; the front end sees every position
 through the same kernels, and its last layer's 32-pixel receptive field
 spans most of a scaled digit, so it can tell which digit is how large.
-``train`` selects the front end from the instances' ``image_shape``
-alone, which a JSONL dataset declares in its header; the model still
-takes flat feature vectors everywhere.
+``train_arrays`` builds the front end from its ``image_shape`` argument
+alone, which a JSONL dataset declares in its header; ``train`` takes it
+from RankedInstance records.  The model takes flat feature vectors
+everywhere.
 
 Training is seeded and single-threaded: given the same dataset and
 config it reproduces bit-identical parameters.  LSEP trains in two
@@ -445,32 +446,21 @@ def _run_stage(params, values, objective, n, cfg: TrainConfig, stage, epochs, rn
         log.append((epoch_offset + epoch, stage, epoch_sum / n, lr))
 
 
-def select_front_end(dataset) -> FrontEnd | None:
-    """The front end a dataset trains with: the canvas front end when
-    every instance has one ``image_shape``, none when no instance has
-    one."""
-    shapes = {inst.image_shape for inst in dataset}
-    if len(shapes) > 1:
-        raise ValueError("dataset mixes image shapes or image and feature instances")
-    shape = shapes.pop() if shapes else None
-    return None if shape is None else FrontEnd(shape)
+def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None, init_params: ModelParams | None = None):
+    """Train a model on the (n, d) features and (n, K) ranks; returns
+    (params, log).
 
-
-def train(dataset, cfg: TrainConfig, init_params: ModelParams | None = None):
-    """Train a model on RankedInstance records; returns (params, log).
-
-    Records with an ``image_shape`` train behind the image front end (see
-    ``select_front_end``), all others as a plain MLP.  The log holds
+    Features that are flattened images of ``image_shape`` train behind
+    the image front end, all others as a plain MLP.  The log holds
     (epoch, stage, mean per-instance loss, learning rate) rows.  GMLR
     and CRPC train in a single stage; LSEP trains the ranking loss
     first, then only the threshold head on the classification loss.
     """
-    data = list(dataset)
-    if not data:
-        raise ValueError("dataset must be non-empty")
-    front_end = select_front_end(data)
-    x = np.stack([inst.features for inst in data])
-    ranks_matrix = np.stack([inst.ranks for inst in data])
+    x = np.asarray(x, dtype=float)
+    ranks_matrix = np.asarray(ranks, dtype=int)
+    if x.ndim != 2 or ranks_matrix.ndim != 2 or len(x) != len(ranks_matrix) or not len(x):
+        raise ValueError("dataset must be non-empty (n, d) features with (n, K) ranks")
+    front_end = None if image_shape is None else FrontEnd(tuple(image_shape))
     num_classes = ranks_matrix.shape[1]
     if init_params is None:
         params = init_model(x.shape[1], num_classes, cfg.method, cfg.hidden, cfg.seed, front_end)
@@ -497,6 +487,18 @@ def train(dataset, cfg: TrainConfig, init_params: ModelParams | None = None):
             len(x), cfg, 2, stage2, rng, log, cfg.epochs,
         )
     return params, log
+
+
+def train(dataset, cfg: TrainConfig, init_params: ModelParams | None = None):
+    """``train_arrays`` on RankedInstance records, which must share one
+    ``image_shape`` (None for feature records)."""
+    data = list(dataset)
+    shapes = {inst.image_shape for inst in data}
+    if len(shapes) != 1:
+        raise ValueError("dataset is empty or mixes image shapes or image and feature instances")
+    x = np.stack([inst.features for inst in data])
+    ranks = np.stack([inst.ranks for inst in data])
+    return train_arrays(x, ranks, cfg, shapes.pop(), init_params)
 
 
 def predict_batch(params: ModelParams, x) -> tuple[np.ndarray, Prediction]:

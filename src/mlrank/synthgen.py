@@ -21,9 +21,11 @@ when the features are channels-last images, which then train behind the
 image front end; every following line is one instance {"features":
 [...], "ranks": [...]} with 0-based class positions.  ``k``, ``d``, the
 shape's sizes and the ranks must be JSON integers: ``1.7``, ``1.0`` and
-``true`` are data errors, not truncated or cast.  Canvas files written
-before the header declared ``image_shape`` read as feature data and must
-be regenerated.
+``true`` are data errors, not truncated or cast.  Features must be
+finite and ranks non-negative.  The reader returns, and the writer
+takes, the (n, d) features and (n, k) ranks as arrays.  Canvas files
+written before the header declared ``image_shape`` read as feature data
+and must be regenerated.
 """
 
 from __future__ import annotations
@@ -353,76 +355,78 @@ def generate_feature_dataset(
 # Serialization
 
 
-def write_dataset_jsonl(path, instances, generator: dict | None = None) -> None:
-    """Write instances as JSONL behind a {"k", "d", "generator"} header,
-    which also declares "image_shape" when the instances are images."""
-    instances = list(instances)
-    if not instances:
-        raise ValueError("refusing to write an empty dataset")
-    k = int(instances[0].ranks.size)
-    d = int(instances[0].features.size)
-    shape = instances[0].image_shape
-    header = {"k": k, "d": d, "generator": generator or {}}
-    if shape is not None:
-        header["image_shape"] = list(shape)
+def _checked_header(header) -> tuple[int, int]:
+    """(k, d) of a dataset header that keeps the layout's rules (above)."""
+    if not isinstance(header, dict):
+        raise ValueError(f"header must be a JSON object, got {header!r}")
+    # bool is an int subclass; only true JSON integers count here.
+    for key in ("k", "d"):
+        if type(header.get(key)) is not int or header[key] < 1:
+            raise ValueError(f"header '{key}' must be a positive JSON integer, got {header.get(key)!r}")
+    k, d, shape = header["k"], header["d"], header.get("image_shape")
+    if "image_shape" in header and not (
+        isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)
+        and shape[0] * shape[1] * shape[2] == d
+    ):
+        raise ValueError(f"image_shape must be 3 positive JSON integers of product d={d}, got {shape!r}")
+    return k, d
+
+
+def write_dataset_jsonl(path, x, ranks, generator: dict | None = None, image_shape=None) -> None:
+    """Write the (n, d) features and (n, k) ranks behind a {"k", "d",
+    "generator"} header, plus "image_shape" when the features are images.
+    What the reader would refuse is refused before anything is written."""
+    x = np.asarray(x, dtype=float)
+    ranks = np.asarray(ranks)
+    if x.ndim != 2 or ranks.ndim != 2 or len(x) != len(ranks) or not len(x):
+        raise ValueError(f"need (n, d) features and (n, k) ranks, n >= 1; got {x.shape}, {ranks.shape}")
+    if not np.issubdtype(ranks.dtype, np.integer) or np.any(ranks < 0) or not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite and ranks non-negative integers")
+    header = {"k": ranks.shape[1], "d": x.shape[1], "generator": generator or {}}
+    if image_shape is not None:
+        header["image_shape"] = list(image_shape)
+    _checked_header(header)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for inst in instances:
-            if inst.ranks.size != k or inst.features.size != d or inst.image_shape != shape:
-                raise ValueError("inconsistent instance shapes")
-            row = {
-                "features": inst.features.tolist(),
-                "ranks": inst.ranks.tolist(),
-            }
+        # Row by row: x.tolist() would hold every value as a Python float.
+        for feats, row_ranks in zip(x, ranks):
+            row = {"features": feats.tolist(), "ranks": row_ranks.tolist()}
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
-def read_dataset_jsonl(path) -> tuple[dict, list[RankedInstance]]:
-    """Read a JSONL dataset; returns (header, instances).
+def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Read a JSONL dataset; returns (header, x, ranks), the (n, d) float
+    features and the (n, k) int ranks.
 
-    Every instance carries the header's ``image_shape`` (None when it
-    declares none).  A malformed header or row is a ValueError that
-    names ``file:line``.  Lines are parsed as they are read, so the
-    file's text is never held whole in memory.
+    A malformed header or row, a non-finite feature or a negative rank is
+    a ValueError that names ``file:line``.  A row's features become an
+    array as its line is read, so they are never all Python floats at once.
     """
-    instances = []
+    rows, rank_rows = [], []
     with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline()
-        if not first:
-            raise ValueError(f"{path}: empty dataset file")
         lineno = 1
         try:
-            header = json.loads(first)
-            if not isinstance(header, dict):
-                raise ValueError(f"header must be a JSON object, got {header!r}")
-            # bool is an int subclass; only true JSON integers count here.
-            for key in ("k", "d"):
-                if type(header.get(key)) is not int or header[key] < 1:
-                    raise ValueError(f"header '{key}' must be a positive JSON integer, got {header.get(key)!r}")
-            k, d, shape = header["k"], header["d"], header.get("image_shape")
-            if "image_shape" in header:
-                if not (
-                    isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)
-                    and shape[0] * shape[1] * shape[2] == d
-                ):
-                    raise ValueError(f"image_shape must be 3 positive JSON integers of product d={d}, got {shape!r}")
-                shape = tuple(shape)
+            header = json.loads(fh.readline())
+            k, d = _checked_header(header)
             for lineno, line in enumerate(fh, start=2):
                 row = json.loads(line)
                 if not isinstance(row, dict):
                     raise ValueError(f"an instance must be a JSON object, got {type(row).__name__}")
                 ranks = row.get("ranks")
-                if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
-                    raise ValueError(f"ranks must be a list of JSON integers, got {ranks!r}")
+                if not isinstance(ranks, list) or not all(type(r) is int and r >= 0 for r in ranks):
+                    raise ValueError(f"ranks must be a list of non-negative JSON integers, got {ranks!r}")
                 feats = np.asarray(row.get("features"), dtype=float)
                 if feats.ndim != 1 or feats.size != d or len(ranks) != k:
                     raise ValueError("instance shape does not match header")
-                instances.append(RankedInstance(feats, np.asarray(ranks, dtype=int), shape))
+                if not np.all(np.isfinite(feats)):
+                    raise ValueError("features must be finite")
+                rows.append(feats)
+                rank_rows.append(ranks)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    if not instances:
+    if not rows:
         raise ValueError(f"{path}: dataset has a header but no instances")
-    return header, instances
+    return header, np.stack(rows), np.array(rank_rows, dtype=int)
 
 
 def write_pgm(path, img: np.ndarray) -> None:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import mlrank.model
-from mlrank.buckets import RankedInstance
 from mlrank.cli import main
 from mlrank.model import (
     FrontEnd,
@@ -48,15 +47,9 @@ def snapshot(directory):
 def make_identity_dataset(path, n=40, k=3, seed=0):
     """All classes positive with distinct factors; features equal the factors,
     so a fixed affine checkpoint recovers everything exactly."""
-    rng = np.random.default_rng(seed)
-    instances = []
-    for _ in range(n):
-        factors = rng.uniform(0.5, 2.0, size=k)
-        order = np.argsort(np.argsort(factors))
-        ranks = order + 1  # dense 1..k by ascending factor
-        instances.append(RankedInstance(features=factors, ranks=ranks))
-    write_dataset_jsonl(path, instances, generator={"kind": "test-identity"})
-    return instances
+    factors = np.random.default_rng(seed).uniform(0.5, 2.0, size=(n, k))
+    ranks = np.argsort(np.argsort(factors, axis=1), axis=1) + 1  # dense 1..k by ascending factor
+    write_dataset_jsonl(path, factors, ranks, generator={"kind": "test-identity"})
 
 
 def make_affine_gmlr_checkpoint(path, k=3, bias=-0.25):
@@ -113,6 +106,24 @@ class TestGenerate:
                    "--n", "4", "--seed", "1", "--out", str(out)) == 0
         header = json.loads((out / "dataset.jsonl").read_text().splitlines()[0])
         assert header["generator"]["kind"] == "small-variance"
+
+    def test_bytes_do_not_depend_on_output_directory(self, tmp_path):
+        cfgp = tmp_path / "g.json"
+        cfgp.write_text(json.dumps({"kind": "canvas", "canvas": {
+            "canvas_size": 32, "glyph_size": 8, "setup": "S", "num_classes": 4,
+            "digit_count_range": [1, 3],
+        }}))
+        written = []
+        for where in ("a/gen", "elsewhere"):
+            gen, out = tmp_path / where, tmp_path / where / "run"
+            assert run("generate", "--config", str(cfgp), "--n", "6", "--seed", "4",
+                       "--out", str(gen)) == 0
+            assert run("train", "--dataset", str(gen / "dataset.jsonl"), "--method", "gmlr",
+                       "--mode", "strong", "--epochs", "1", "--batch-size", "4", "--seed", "5",
+                       "--out", str(out)) == 0
+            written.append(((gen / "dataset.jsonl").read_bytes(), (out / "checkpoint.json").read_bytes()))
+            assert json.loads((gen / "resolved_config.json").read_text())["out"] == str(gen)
+        assert written[0] == written[1]
 
 
 class TestTrain:
@@ -321,6 +332,31 @@ class TestEval:
         assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds4),
                    "--out", str(tmp_path / "e")) == 2
 
+    @pytest.mark.parametrize("command", ["eval", "extract-sig"])
+    @pytest.mark.parametrize("trained,declared,ok", [
+        ((32, 32, 1), [32, 32, 1], True),
+        ((32, 32, 1), [16, 64, 1], False),
+        ((32, 32, 1), None, False),
+        (None, [32, 32, 1], False),
+    ])
+    def test_declared_image_shape_must_match_checkpoint(
+        self, tmp_path, capsys, command, trained, declared, ok
+    ):
+        ckpt = tmp_path / "c.json"
+        fe = None if trained is None else FrontEnd(trained)
+        save_checkpoint(ckpt, init_model(1024, 3, "gmlr", hidden=(4,), seed=1, front_end=fe))
+        ds = tmp_path / "d.jsonl"
+        pixels = np.round(np.random.default_rng(2).uniform(size=(5, 1024)), 3)
+        write_dataset_jsonl(ds, pixels, np.tile([2, 1, 0], (5, 1)), image_shape=declared)
+        args = ["--class-index", "0", "--n-checkpoints", "2"] if command == "extract-sig" else []
+        code = run(command, "--checkpoint", str(ckpt), "--dataset", str(ds), *args,
+                   "--out", str(tmp_path / "o"))
+        assert code == (0 if ok else 2)
+        if not ok:
+            err = capsys.readouterr().err
+            want = None if trained is None else list(trained)
+            assert f"'image_shape': {declared}" in err and f"'image_shape': {want}" in err
+
 
 class TestExperiments:
     def _canvas_checkpoint(self, tmp_path, method="gmlr"):
@@ -487,12 +523,8 @@ class TestExitCodes:
 
     def test_numeric_abort_is_exit_3(self, tmp_path):
         # features large enough to overflow the first matmul
-        inst = [
-            RankedInstance(features=np.full(8, 1e308), ranks=np.array([1, 0]))
-            for _ in range(4)
-        ]
         ds = tmp_path / "huge.jsonl"
-        write_dataset_jsonl(ds, inst)
+        write_dataset_jsonl(ds, np.full((4, 8), 1e308), np.tile([1, 0], (4, 1)))
         out = tmp_path / "run"
         code = run("train", "--dataset", str(ds), "--method", "gmlr", "--mode", "weak",
                    "--epochs", "1", "--seed", "1", "--out", str(out))
@@ -510,6 +542,18 @@ class TestExitCodes:
                    "--epochs", "1", "--seed", "1", "--out", str(tmp_path / "run"))
         assert code == 2
         assert f"{ds}:3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,key", [
+        ({"canvass": {"canvas_size": 32}}, "canvass"),
+        ({"kind": "feature", "feature": {"dims": 30}}, "dims"),
+    ])
+    def test_unknown_generate_config_key_is_usage_error(self, tmp_path, capsys, setting, key):
+        cfgp = tmp_path / "g.json"
+        cfgp.write_text(json.dumps(setting))
+        out = tmp_path / "gen"
+        assert run("generate", "--config", str(cfgp), "--n", "3", "--seed", "1", "--out", str(out)) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (out / "dataset.jsonl").exists()
 
     @pytest.mark.parametrize("setting", [{"batch_size": 0}, {"batch_size": -1}, {"epochs": -1}])
     def test_bad_batch_size_or_epochs_is_data_error(self, tmp_path, capsys, setting):

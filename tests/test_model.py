@@ -28,7 +28,6 @@ from mlrank.model import (
     lsep_threshold_objective,
     predict_with,
     save_checkpoint,
-    select_front_end,
     train,
 )
 from mlrank.synthgen import CanvasConfig, generate_canvas_dataset, generate_feature_dataset
@@ -378,15 +377,16 @@ class TestFrontEndSelection:
     def test_canvas_instances_get_the_front_end(self):
         data = small_canvases()
         assert all(inst.image_shape == (32, 32, 1) for inst in data)
-        assert select_front_end(data) == FrontEnd((32, 32, 1))
-        assert select_front_end(small_canvases(color_mode="color")) == FrontEnd((32, 32, 3))
+        assert train(data, TrainConfig(epochs=0, hidden=(4,)))[0].front_end == FrontEnd((32, 32, 1))
+        color = small_canvases(color_mode="color")
+        assert train(color, TrainConfig(epochs=0, hidden=(4,)))[0].front_end == FrontEnd((32, 32, 3))
         params, _ = train(data, TrainConfig(epochs=1, hidden=(4,), batch_size=4, seed=1))
         assert params.front_end == FrontEnd((32, 32, 1))
         assert params.hidden == (4,)
 
     def test_feature_instances_train_a_plain_mlp(self):
         pixels = [RankedInstance(inst.features, inst.ranks) for inst in small_canvases()]
-        assert select_front_end(pixels) is None
+        assert train(pixels, TrainConfig(epochs=0, hidden=(4,)))[0].front_end is None
         params, _ = train(pixels, TrainConfig(epochs=1, hidden=(4,), batch_size=4, seed=1))
         assert params.front_end is None
         assert [w.shape for w in params.weights] == [(1024, 4), (4, 8)]
@@ -397,8 +397,8 @@ class TestFrontEndSelection:
         with pytest.raises(ValueError, match="mixes"):
             train(canvases + [plain], TrainConfig(epochs=1, hidden=(4,)))
         reshaped = RankedInstance(canvases[0].features, canvases[0].ranks, (16, 64, 1))
-        with pytest.raises(ValueError):
-            select_front_end(canvases + [reshaped])
+        with pytest.raises(ValueError, match="mixes"):
+            train(canvases + [reshaped], TrainConfig(epochs=0, hidden=(4,)))
 
     def test_init_params_must_match_front_end(self):
         data = small_canvases(4)

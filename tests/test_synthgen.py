@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from mlrank.buckets import RankedInstance, bucket_order_from_ranks
+from mlrank.buckets import bucket_order_from_ranks
 from mlrank.glyphs import bilinear_resize, load_idx_glyphs, rasterize_digit
 from mlrank.metrics import spearman_rho
 from mlrank.synthgen import (
@@ -338,24 +338,28 @@ class TestFeatureDataset:
             generate_feature_dataset(6, 4, 10)
 
 
+def feature_arrays(*args, **kwargs):
+    records = generate_feature_dataset(*args, **kwargs)
+    return np.stack([r.features for r in records]), np.stack([r.ranks for r in records])
+
+
 class TestJsonl:
     def test_round_trip_and_byte_determinism(self, tmp_path):
-        instances = generate_feature_dataset(3, 5, 12, seed=1)
+        x, ranks = feature_arrays(3, 5, 12, seed=1)
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
-        write_dataset_jsonl(p1, instances, generator={"kind": "feature"})
-        write_dataset_jsonl(p2, instances, generator={"kind": "feature"})
+        write_dataset_jsonl(p1, x, ranks, generator={"kind": "feature"})
+        write_dataset_jsonl(p2, x, ranks, generator={"kind": "feature"})
         assert p1.read_bytes() == p2.read_bytes()
-        header, loaded = read_dataset_jsonl(p1)
+        header, x_back, ranks_back = read_dataset_jsonl(p1)
         assert header["k"] == 3 and header["d"] == 5
-        for orig, back in zip(instances, loaded):
-            np.testing.assert_array_equal(orig.features, back.features)
-            np.testing.assert_array_equal(orig.ranks, back.ranks)
+        np.testing.assert_array_equal(x_back, x)
+        np.testing.assert_array_equal(ranks_back, ranks)
+        assert x_back.dtype == np.float64 and np.issubdtype(ranks_back.dtype, np.integer)
 
     def test_header_line_count(self, tmp_path):
-        instances = generate_feature_dataset(2, 3, 7, seed=2)
         path = tmp_path / "d.jsonl"
-        write_dataset_jsonl(path, instances)
+        write_dataset_jsonl(path, *feature_arrays(2, 3, 7, seed=2))
         lines = path.read_text().splitlines()
         assert len(lines) == 8
         assert json.loads(lines[0])["k"] == 2
@@ -372,23 +376,36 @@ class TestJsonl:
         cfg = small_cfg(color_mode="color")
         samples = generate_canvas_dataset(cfg, 4)
         path = tmp_path / "c.jsonl"
-        write_dataset_jsonl(path, [s.to_instance() for s in samples])
-        header, loaded = read_dataset_jsonl(path)
+        pixels = np.stack([s.pixels for s in samples])
+        write_dataset_jsonl(path, pixels, np.stack([s.ranks for s in samples]), image_shape=cfg.image_shape)
+        header, x, _ = read_dataset_jsonl(path)
         assert header["image_shape"] == [48, 48, 3]
-        assert all(inst.image_shape == (48, 48, 3) for inst in loaded)
+        np.testing.assert_array_equal(x, pixels)
         features = tmp_path / "f.jsonl"
-        write_dataset_jsonl(features, generate_feature_dataset(3, 5, 4, seed=1))
-        header, loaded = read_dataset_jsonl(features)
-        assert "image_shape" not in header and all(inst.image_shape is None for inst in loaded)
+        write_dataset_jsonl(features, *feature_arrays(3, 5, 4, seed=1))
+        header, _, _ = read_dataset_jsonl(features)
+        assert "image_shape" not in header
 
-    def test_writer_refuses_mixed_image_shapes(self, tmp_path):
-        pixels, ranks = np.zeros(64), np.array([1, 0])
-        for other in ((4, 16, 1), None):
-            mixed = [RankedInstance(pixels, ranks, (8, 8, 1)), RankedInstance(pixels, ranks, other)]
-            with pytest.raises(ValueError, match="inconsistent"):
-                write_dataset_jsonl(tmp_path / "m.jsonl", mixed)
+    @pytest.mark.parametrize("x,ranks,shape,match", [
+        (np.zeros((2, 64)), np.ones((2, 2), dtype=int), (4, 4, 1), "image_shape"),
+        (np.zeros((2, 64)), np.ones((2, 2), dtype=int), (8, 8, 1.0), "image_shape"),
+        (np.zeros((3, 64)), np.ones((2, 2), dtype=int), None, "n, d"),
+        (np.zeros(64), np.ones(2, dtype=int), None, "n, d"),
+        (np.zeros((0, 64)), np.ones((0, 2), dtype=int), None, "n, d"),
+        (np.zeros((2, 0)), np.ones((2, 2), dtype=int), None, "'d'"),
+        (np.array([[0.0], [np.inf]]), np.ones((2, 1), dtype=int), None, "finite"),
+        (np.array([[0.0], [np.nan]]), np.ones((2, 1), dtype=int), None, "finite"),
+        (np.zeros((2, 1)), np.array([[1], [-1]]), None, "non-negative"),
+        (np.zeros((2, 1)), np.array([[1.0], [0.0]]), None, "integers"),
+    ])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, x, ranks, shape, match):
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(ValueError, match=match):
+            write_dataset_jsonl(path, x, ranks, image_shape=shape)
+        assert not path.exists()
 
     @pytest.mark.parametrize("header,row,line", [
+        ('', '', 1),
         ('5', '{"features":[0.1],"ranks":[1]}', 1),
         ('[1]', '{"features":[0.1],"ranks":[1]}', 1),
         ('{"k":2.9,"d":1}', '{"features":[0.1],"ranks":[1,0]}', 1),
@@ -406,6 +423,9 @@ class TestJsonl:
         ('{"k":1,"d":1}', '{"features":["x"],"ranks":[1]}', 2),
         ('{"k":1,"d":1}', '{"ranks":[1]}', 2),
         ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[1]', 2),
+        ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[1]}\n{"features":[Infinity],"ranks":[1]}', 3),
+        ('{"k":1,"d":1}', '{"features":[NaN],"ranks":[1]}', 2),
+        ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[-1]}', 2),
     ])
     def test_malformed_header_or_row_names_the_line(self, tmp_path, header, row, line):
         path = tmp_path / "bad.jsonl"
