@@ -2,10 +2,14 @@
 
 CRPC learns one logit per unordered item pair over the K real classes
 plus one virtual label; the virtual label's vote score is the split
-point between predicted positives and negatives.  LSEP learns a score
-head and a threshold head of size K each; ranking is trained first via a
-log-sum-exp pairwise loss, then the thresholds alone are trained for
-classification with the rest of the network frozen.
+point between predicted positives and negatives.  As in calibrated
+label ranking (Fürnkranz et al., 2008), both modes train the virtual
+label below every positive and above every negative; weak mode drops
+only the order among positives, the same rule as gmlr's and lsep's.
+
+LSEP learns a score head and a threshold head of size K each; ranking is
+trained first via a log-sum-exp pairwise loss, then the thresholds alone
+are trained for classification with the rest of the network frozen.
 
 Slot layout for pairwise logits: pairs (u, v) with u < v over items
 0..K (index K is the virtual label), in the row-major upper-triangle
@@ -44,10 +48,10 @@ def crpc_loss(logits, ranks, mode: str):
     The supervision ranks the K+1 items by the augmented ranks
     [2 * ranks, 1], which put the virtual label between the lowest
     positive and the negatives.  Strong mode orders the classes by rank,
-    weak mode only positives over negatives.  Each slot whose two items
-    are ordered adds -log sigmoid(winner-over-loser logit); a slot of
-    tied items adds nothing.  Weak mode also never trains a negative
-    below the virtual label.
+    weak mode only positives over negatives, so in both modes every
+    positive is trained above the virtual label and every negative below
+    it.  Each slot whose two items are ordered adds -log sigmoid
+    (winner-over-loser logit); a slot of tied items adds nothing.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -56,8 +60,6 @@ def crpc_loss(logits, ranks, mode: str):
     levels = ranks if mode == "strong" else (ranks > 0).astype(int)
     augmented = np.concatenate([2 * levels, np.ones((len(levels), 1), dtype=int)], axis=1)
     order = pair_mask(augmented, "strong")
-    if mode == "weak":
-        order[:, k, :] = False
     u, v = crpc_slots(k)
     sign = order[:, u, v].astype(float) - order[:, v, u]
     x = sign * logits

@@ -11,9 +11,10 @@ bucket order is the product of P(z_u >= z_v) over exactly those pairs.
 force: it enumerates every complete orientation of the tied pairs and
 sums the full pairwise products.
 
-Training reads the same strict relation as a boolean pair mask over a
-batch of rank vectors (``pair_mask``); ``BucketOrder`` is the
-per-instance form that the likelihood and its oracle take.
+Training reads the strict relation as a boolean pair mask over a batch
+of rank vectors (``pair_mask``).  ``BucketOrder`` is the per-instance
+form that the likelihood and its oracle take; it holds its rank vector
+and reads its strict pairs from the same mask.
 
 Class indices are 0-based.  Pair orientation is (u, v) = "u outranks v"
 throughout.
@@ -65,17 +66,18 @@ class RankedInstance:
 
 @dataclass(frozen=True)
 class BucketOrder:
-    """Disjoint non-empty sets of class indices, highest rank first.
+    """Disjoint non-empty sets of class indices, highest rank first, that
+    cover all ``num_classes`` classes.
 
-    ``buckets`` may cover only a subset of the ``num_classes`` classes;
-    pair extraction uses the listed buckets only.  Orders built by
-    :func:`bucket_order_from_ranks` always cover every class.
+    ``ranks`` is the order's rank vector, the last bucket at rank 0; the
+    strict pairs are those of ``pair_mask(ranks, "strong")``, taken once
+    at construction.
     """
 
     buckets: tuple[frozenset[int], ...]
     num_classes: int
-    _pairs_u: np.ndarray = field(repr=False, compare=False, default=None)
-    _pairs_v: np.ndarray = field(repr=False, compare=False, default=None)
+    ranks: np.ndarray = field(init=False, repr=False, compare=False)
+    _pairs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         buckets = tuple(frozenset(b) for b in self.buckets)
@@ -88,27 +90,22 @@ class BucketOrder:
             if any(c < 0 or c >= self.num_classes for c in b):
                 raise ValueError("class index out of range")
             seen |= b
+        if len(seen) != self.num_classes:
+            raise ValueError("buckets must cover every class")
+        ranks = np.zeros(self.num_classes, dtype=int)
+        for level, b in enumerate(reversed(buckets)):
+            ranks[list(b)] = level
         object.__setattr__(self, "buckets", buckets)
-        pairs_u, pairs_v = [], []
-        for k in range(len(buckets)):
-            for j in range(k + 1, len(buckets)):
-                for u in sorted(buckets[k]):
-                    for v in sorted(buckets[j]):
-                        pairs_u.append(u)
-                        pairs_v.append(v)
-        object.__setattr__(self, "_pairs_u", np.asarray(pairs_u, dtype=int))
-        object.__setattr__(self, "_pairs_v", np.asarray(pairs_v, dtype=int))
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "_pairs", np.nonzero(pair_mask(ranks, "strong")))
 
     @property
     def num_strict_pairs(self) -> int:
-        return int(self._pairs_u.size)
+        return int(self._pairs[0].size)
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(winners, losers) index arrays in deterministic order."""
-        return self._pairs_u, self._pairs_v
-
-    def covered_classes(self) -> list[int]:
-        return sorted(c for b in self.buckets for c in b)
+        return self._pairs
 
 
 def bucket_order_from_ranks(ranks) -> BucketOrder:
@@ -191,8 +188,7 @@ def bucket_likelihood_oracle(mu, sigma, b: BucketOrder) -> float:
     sigma = np.asarray(sigma, dtype=float)
     if mu.shape != (b.num_classes,) or sigma.shape != (b.num_classes,):
         raise ValueError("parameter length does not match class count")
-    covered = b.covered_classes()
-    if len(covered) > ENUMERATION_BOUND:
+    if b.num_classes > ENUMERATION_BOUND:
         raise ValueError("enumeration bound exceeded")
 
     # P(z_u >= z_v) for every ordered pair (u, v).

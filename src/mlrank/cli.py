@@ -1,11 +1,13 @@
 """Command-line harness: dataset generation, training, evaluation, and
 the behavioural experiments.
 
-Every command takes a declarative JSON config (``--config``) whose keys
-individual flags may override, requires an output directory, and writes
-a ``resolved_config.json`` echo next to its outputs; re-running any
-command with the same resolved config and seed reproduces its output
-files byte for byte.
+Every command takes a declarative JSON config (``--config``), lays each
+flag given on the command line over it (``_settings``), and refuses any
+key the command does not read.  ``adjust-exp`` and ``calib-exp`` read
+one shared key set, so one config file serves both.  Every command
+requires an output directory and writes a ``resolved_config.json``
+echo next to its outputs; re-running any command with the same
+resolved config and seed reproduces its output files byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.
 """
@@ -67,15 +69,6 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _merge_flags(cfg: dict, args, keys) -> dict:
-    merged = dict(cfg)
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 def _require(cfg: dict, key: str):
     if cfg.get(key) is None:
         raise UsageError(f"missing required setting '{key}' (config key or flag)")
@@ -108,6 +101,17 @@ def _refuse_unknown(cfg: dict, known, what: str) -> None:
         raise UsageError(f"unknown {what} config keys: {sorted(unknown)}")
 
 
+def _settings(args, known) -> dict:
+    """The ``--config`` file with every flag given on the command line
+    laid over it; a key outside ``known`` is a usage error."""
+    cfg = _load_config(args.config)
+    for key, value in vars(args).items():
+        if key not in ("command", "func", "config") and value is not None:
+            cfg[key] = value
+    _refuse_unknown(cfg, known, args.command)
+    return cfg
+
+
 def _canvas_config(d: dict, seed: int) -> CanvasConfig:
     _refuse_unknown(d, (f.name for f in dataclasses.fields(CanvasConfig)), "canvas")
     kwargs = dict(d)
@@ -118,9 +122,13 @@ def _canvas_config(d: dict, seed: int) -> CanvasConfig:
     return CanvasConfig(**kwargs)
 
 
+_TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+# adjust-exp and calib-exp read one config file, so they share one key set.
+_PROBE_KEYS = ("seed", "out", "checkpoint", "canvas", "n", "n_sequences", "steps")
+
+
 def _train_config(cfg: dict) -> TrainConfig:
-    kwargs = {k: v for k, v in cfg.items() if k not in ("dataset", "out")}
-    _refuse_unknown(kwargs, (f.name for f in dataclasses.fields(TrainConfig)), "train")
+    kwargs = {k: cfg[k] for k in _TRAIN_FIELDS if k in cfg}
     if "hidden" in kwargs:
         kwargs["hidden"] = tuple(kwargs["hidden"])
     return TrainConfig(**kwargs)
@@ -174,10 +182,7 @@ def _probe_setup(cfg: dict):
 
 
 def cmd_generate(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args, ("seed", "out", "n", "kind"))
-    if args.dump_images:
-        cfg["dump_images"] = True
-    _refuse_unknown(cfg, ("seed", "out", "n", "kind", "dump_images", "canvas", "feature"), "generate")
+    cfg = _settings(args, ("seed", "out", "n", "kind", "dump_images", "canvas", "feature"))
     seed = int(_require(cfg, "seed"))
     n = int(_require(cfg, "n"))
     kind = cfg.get("kind", "canvas")
@@ -211,11 +216,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _merge_flags(
-        _load_config(args.config),
-        args,
-        ("seed", "out", "dataset", "method", "mode", "epochs", "batch_size", "learning_rate"),
-    )
+    cfg = _settings(args, ("dataset", "out", *_TRAIN_FIELDS))
     cfg["seed"] = int(_require(cfg, "seed"))
     tc = _train_config(cfg)
     out = _out_dir(cfg)
@@ -243,9 +244,7 @@ _METRIC_COLUMNS = ("tau_b", "s_rho", "gamma", "hl", "m1", "f1")
 
 
 def cmd_eval(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args, ("out", "checkpoint", "dataset"))
-    if args.raw:
-        cfg["raw"] = True
+    cfg = _settings(args, ("out", "checkpoint", "dataset", "raw"))
     raw = bool(cfg.get("raw", False))
     out = _out_dir(cfg)
     params, x, ranks = _load_model_and_data(cfg)
@@ -278,7 +277,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_adjust_exp(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args, ("seed", "out", "checkpoint"))
+    cfg = _settings(args, _PROBE_KEYS)
     seed, out, params, canvas = _probe_setup(cfg)
     n_sequences = int(cfg.get("n_sequences", 50))
     steps = int(cfg.get("steps", 50))
@@ -307,7 +306,7 @@ def cmd_adjust_exp(args) -> int:
 
 
 def cmd_calib_exp(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args, ("seed", "out", "checkpoint"))
+    cfg = _settings(args, _PROBE_KEYS)
     seed, out, params, canvas = _probe_setup(cfg)
     n = int(cfg.get("n", 50))
     samples = generate_calibration_set(canvas, n)
@@ -341,9 +340,7 @@ def cmd_calib_exp(args) -> int:
 
 
 def cmd_extract_sig(args) -> int:
-    cfg = _merge_flags(
-        _load_config(args.config), args, ("out", "checkpoint", "dataset", "class_index", "n_checkpoints")
-    )
+    cfg = _settings(args, ("out", "checkpoint", "dataset", "class_index", "n_checkpoints"))
     out = _out_dir(cfg)
     params, x, _ = _load_model_and_data(cfg)
     class_index = int(_require(cfg, "class_index"))
@@ -395,7 +392,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--n", type=int, help="number of instances")
     p.add_argument("--kind", choices=("canvas", "feature", "small-variance"))
-    p.add_argument("--dump-images", action="store_true", dest="dump_images")
+    p.add_argument("--dump-images", action="store_true", default=None, dest="dump_images")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a model on a JSONL dataset")
@@ -412,7 +409,7 @@ def _build_parser() -> _Parser:
     common(p, seed=False)
     p.add_argument("--checkpoint")
     p.add_argument("--dataset")
-    p.add_argument("--raw", action="store_true", help="emit [0,1] scale instead of x100")
+    p.add_argument("--raw", action="store_true", default=None, help="emit [0,1] scale instead of x100")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("adjust-exp", help="averaged scores along factor sweeps")

@@ -11,7 +11,8 @@ Gaussian with N(mu_u - mu_v, sigma_u^2 + sigma_v^2).
 
 ``q_prob`` and ``q_grads`` are the one array API: a ``GaussianParam``
 holds scalars or equally shaped arrays of any shape, and the losses
-evaluate every class or pair of a batch in one call.
+evaluate every class or pair of a batch in one call.  ``q_grads``
+returns Q beside its two gradients, so a loss evaluates erfc once.
 
 Probabilities are clamped to [P_EPS, 1 - P_EPS] before any logarithm so
 that losses and their gradients stay finite for arbitrarily extreme
@@ -56,11 +57,12 @@ def q_prob(g: GaussianParam):
     Computed as 0.5 * erfc(-mu / (sigma * sqrt(2))), which keeps full
     relative accuracy in both tails.
     """
-    return np.minimum(np.maximum(_q_raw(g), P_EPS), 1.0 - P_EPS)
+    return _clamp(_q_raw(g))
 
 
 def q_grads(g: GaussianParam):
-    """(dQ/dmu, dQ/dsigma) of the clamped q_prob, elementwise.
+    """(Q, dQ/dmu, dQ/dsigma) of the clamped q_prob, elementwise, from
+    one erfc evaluation; Q equals ``q_prob(g)`` bit for bit.
 
     With t = mu / sigma and pdf the standard normal density:
 
@@ -79,10 +81,14 @@ def q_grads(g: GaussianParam):
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * t * t)
     dmu = np.where(inside, pdf / sigma, 0.0)
     dsigma = np.where(inside, -t * pdf / sigma, 0.0)
-    return dmu, dsigma
+    return _clamp(raw), dmu, dsigma
 
 
 def _q_raw(g: GaussianParam):
     mu = np.asarray(g.mu, dtype=float)
     sigma = np.asarray(g.sigma, dtype=float)
     return 0.5 * _erfc(-mu / (sigma * _SQRT2))
+
+
+def _clamp(p):
+    return np.minimum(np.maximum(p, P_EPS), 1.0 - P_EPS)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .buckets import head_batch, pair_mask
-from .gaussian import GaussianParam, q_grads, q_prob
+from .gaussian import GaussianParam, q_grads
 
 
 def classification_loss(mu, log_var, ranks):
@@ -39,9 +39,7 @@ def classification_loss(mu, log_var, ranks):
     sigma = np.exp(0.5 * log_var)
     sgn = np.where(np.asarray(ranks) > 0, 1.0, -1.0)
     # Per class the active term is -log Q(sgn * mu, sigma).
-    g = GaussianParam(sgn * mu, sigma)
-    q = q_prob(g)
-    dq_dm, dq_ds = q_grads(g)
+    q, dq_dm, dq_ds = q_grads(GaussianParam(sgn * mu, sigma))
     grad_sigma = -dq_ds / q
     return -np.sum(np.log(q), axis=1), -sgn * dq_dm / q, 0.5 * sigma * grad_sigma
 
@@ -58,9 +56,7 @@ def ranking_loss(mu, log_var, mask):
     sigma = np.exp(0.5 * log_var)
     m = mu[:, :, None] - mu[:, None, :]
     s = np.hypot(sigma[:, :, None], sigma[:, None, :])
-    g = GaussianParam(m, s)
-    q = q_prob(g)
-    dq_dm, dq_ds = q_grads(g)
+    q, dq_dm, dq_ds = q_grads(GaussianParam(m, s))
     loss = np.sum(np.where(mask, -np.log(q), 0.0), axis=(1, 2))
     dl_dm = np.where(mask, -dq_dm / q, 0.0)
     # d s / d sigma_u = sigma_u / s, then d sigma_u / d log_var_u = sigma_u / 2.

@@ -429,21 +429,17 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
     return header, np.stack(rows), np.array(rank_rows, dtype=int)
 
 
-def write_pgm(path, img: np.ndarray) -> None:
-    """Binary PGM (P5) from a 2-d array in [0, 1]."""
-    data = np.clip(np.round(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
-    h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+# (magic number, file suffix) per channel count.
+_PNM = {1: ("P5", "pgm"), 3: ("P6", "ppm")}
 
 
-def write_ppm(path, img: np.ndarray) -> None:
-    """Binary PPM (P6) from an (h, w, 3) array in [0, 1]."""
+def write_pnm(path, img: np.ndarray) -> None:
+    """Binary PGM (P5) from an (h, w, 1) array or PPM (P6) from an
+    (h, w, 3) array, with values in [0, 1]."""
     data = np.clip(np.round(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
-    h, w, _ = data.shape
+    h, w, c = data.shape
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(f"{_PNM[c][0]}\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
 
@@ -456,13 +452,8 @@ def dump_images(directory, samples) -> None:
     sidecar = os.path.join(directory, "labels.jsonl")
     with open(sidecar, "w", encoding="ascii", newline="\n") as fh:
         for i, sample in enumerate(samples):
-            img = sample.pixels.reshape(sample.image_shape)
-            if img.shape[2] == 3:
-                name = f"{i:05d}.ppm"
-                write_ppm(os.path.join(directory, name), img)
-            else:
-                name = f"{i:05d}.pgm"
-                write_pgm(os.path.join(directory, name), img[:, :, 0])
+            name = f"{i:05d}.{_PNM[sample.image_shape[2]][1]}"
+            write_pnm(os.path.join(directory, name), sample.pixels.reshape(sample.image_shape))
             row = {
                 "image": name,
                 "ranks": sample.ranks.tolist(),

@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  Training-backed
 criteria (5-8) share module-scoped fixtures; their dataset shapes are
 fixed here and their training configs were calibrated once by pilot runs
-and frozen.
+and frozen.  They take minutes and are marked ``slow``, so
+``pytest -m "not slow"`` skips them.
 """
 
 import math
@@ -220,6 +221,7 @@ def test_criterion_04_metric_oracles():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_strong_beats_weak(feature_split, feature_models):
     start = time.time()
     _, test_ds = feature_split
@@ -242,6 +244,7 @@ def test_criterion_05_strong_beats_weak(feature_split, feature_models):
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_calibration_monotonicity(canvas_model):
     calib = generate_calibration_set(CanvasConfig(seed=CALIB_SEED, **CANVAS_CFG), 50)
     collected = {lv: [] for lv in CALIBRATION_SCALES}
@@ -267,6 +270,7 @@ def test_criterion_06_calibration_monotonicity(canvas_model):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_adjusting_effects(canvas_model):
     seqs = generate_adjust_sequences(
         CanvasConfig(seed=ADJUST_SEED, **CANVAS_CFG), n_sequences=50, steps=50
@@ -292,6 +296,7 @@ def test_criterion_07_adjusting_effects(canvas_model):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_classification_quality(feature_split, feature_models):
     _, test_ds = feature_split
     params = feature_models["strong"]

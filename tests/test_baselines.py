@@ -104,23 +104,17 @@ class TestCrpcLoss:
         assert loss == pytest.approx(6 * LOG2, abs=1e-12)
 
     def test_weak_inactive_pairs_contribute_nothing(self):
-        # both-positive, both-negative, and negative-virtual slots carry no loss
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=6)
-        loss, grad = crpc_one(values, [1, 2, 0], "weak")
-        active = []
-        for s, (u, v) in enumerate(slots(3)):
-            pos_u = u < 3 and [1, 2, 0][u] > 0
-            pos_v = v < 3 and [1, 2, 0][v] > 0
-            virt_v = v == 3
-            if pos_u and (virt_v or not pos_v):
-                active.append(s)
-            elif pos_v and not pos_u:
-                active.append(s)
-        inactive = [s for s in range(6) if s not in active]
-        assert all(grad[s] == 0.0 for s in inactive)
-        # slot (0,1) is a positive-positive pair: excluded in weak mode
-        assert slot(3, 0, 1) in inactive
+        # Calibrated label ranking: positives over the virtual label (item 4)
+        # over negatives; positive-positive and negative-negative slots
+        # carry no loss.
+        ranks = [1, 2, 0, 0]
+        signs = np.array(order_signs([[0, 1], [4], [2, 3]], 4))
+        assert trained_order(ranks, "weak") == signs.tolist()
+        values = np.random.default_rng(0).normal(size=10)
+        loss, grad = crpc_one(values, ranks, "weak")
+        assert np.array_equal(grad == 0.0, signs == 0)
+        expected = sum(math.log1p(math.exp(-x)) for x in (signs * values)[signs != 0])
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(4)

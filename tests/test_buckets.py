@@ -167,6 +167,17 @@ class TestOracle:
             b = bucket_likelihood_oracle(mu, sigma, order)
             assert abs(a - b) <= 1e-9 * max(abs(b), 1e-300)
 
+    @pytest.mark.parametrize("blocks", [[range(7), [7]], [[0], range(1, 8)]])
+    def test_chunked_enumeration_matches_product_formula(self, blocks):
+        # 21 tied pairs: more than 16, so the orientations are enumerated in chunks
+        order = BucketOrder(tuple(frozenset(b) for b in blocks), 8)
+        rng = np.random.default_rng(17)
+        mu = rng.normal(size=8)
+        sigma = rng.uniform(0.3, 3, size=8)
+        a = bucket_likelihood(mu, sigma, order)
+        b = bucket_likelihood_oracle(mu, sigma, order)
+        assert abs(a - b) <= 1e-9 * abs(b)
+
     def test_enumeration_bound(self):
         order = bucket_order_from_ranks(list(range(1, 10)))
         with pytest.raises(ValueError, match="enumeration bound exceeded"):
@@ -212,6 +223,17 @@ class TestBucketOrderValidation:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             BucketOrder((frozenset({5}),), 3)
+
+    def test_uncovered_class(self):
+        with pytest.raises(ValueError, match="cover every class"):
+            BucketOrder((frozenset({0}), frozenset({2})), 3)
+
+    def test_ranks_round_trip(self):
+        for k in (1, 2, 3, 4):
+            for blocks in ordered_partitions(range(k)):
+                order = BucketOrder(tuple(frozenset(b) for b in blocks), k)
+                assert order.ranks[list(blocks[-1])].tolist() == [0] * len(blocks[-1])
+                assert bucket_order_from_ranks(order.ranks).buckets == order.buckets
 
     def test_weak_order_shape(self):
         # weak supervision is the two-bucket order: positives over negatives

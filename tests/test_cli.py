@@ -63,6 +63,15 @@ def make_affine_gmlr_checkpoint(path, k=3, bias=-0.25):
     return params
 
 
+SMALL_CANVAS = {"canvas_size": 32, "glyph_size": 8, "setup": "S"}
+
+
+def make_plain_canvas_checkpoint(path):
+    """An untrained plain MLP over the pixels of one 32x32 gray canvas."""
+    params = init_model(32 * 32, 10, "gmlr", hidden=(4,), seed=0)
+    save_checkpoint(path, params, meta={"mode": "strong"})
+
+
 class TestGenerate:
     def test_feature_count_and_rerun_identical(self, tmp_path):
         out = tmp_path / "gen"
@@ -460,6 +469,18 @@ class TestExperiments:
         got = np.array([[float(v) for v in r[1:]] for r in read_csv(out / "adjust.csv")[1:]])
         np.testing.assert_allclose(got, want / 3, rtol=1e-12, atol=1e-14)
 
+    def test_one_config_serves_both_probe_commands(self, tmp_path):
+        # shaped like the benchmark's probe.json: keys of both commands
+        ckpt = tmp_path / "ckpt.json"
+        make_plain_canvas_checkpoint(ckpt)
+        cfgp = tmp_path / "probe.json"
+        cfgp.write_text(json.dumps({"canvas": SMALL_CANVAS, "n_sequences": 2, "steps": 3, "n": 4}))
+        for command, csv_name in (("adjust-exp", "adjust.csv"), ("calib-exp", "calibration.csv")):
+            out = tmp_path / command
+            assert run(command, "--config", str(cfgp), "--checkpoint", str(ckpt),
+                       "--seed", "5", "--out", str(out)) == 0
+            assert (out / csv_name).exists()
+
     def test_setup_mismatch_warning(self, tmp_path, capsys):
         ckpt = self._canvas_checkpoint(tmp_path)
         cfgp = tmp_path / "a.json"
@@ -554,6 +575,63 @@ class TestExitCodes:
         assert run("generate", "--config", str(cfgp), "--n", "3", "--seed", "1", "--out", str(out)) == 1
         assert repr(key) in capsys.readouterr().err
         assert not (out / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "extract-sig", "adjust-exp", "calib-exp"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, command):
+        # every other setting is valid; the misspelt key alone is refused
+        ckpt = tmp_path / "ckpt.json"
+        if command in ("adjust-exp", "calib-exp"):
+            make_plain_canvas_checkpoint(ckpt)
+            setting = {"canvas": SMALL_CANVAS, "n_sequences": 1, "steps": 2, "n": 2, "seed": 1}
+        else:
+            make_affine_gmlr_checkpoint(ckpt)
+            make_identity_dataset(tmp_path / "d.jsonl")
+            setting = {"dataset": str(tmp_path / "d.jsonl")}
+            if command == "extract-sig":
+                setting["class_index"] = 0
+        setting["n_checkpoint"] = 3
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(setting))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfgp), "--checkpoint", str(ckpt), "--out", str(out)) == 1
+        assert "'n_checkpoint'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, "[1, 2]"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, content):
+        cfgp = tmp_path / "c.json"
+        if content is not None:
+            cfgp.write_text(content)
+        assert run("generate", "--config", str(cfgp), "--kind", "feature", "--n", "3",
+                   "--seed", "1", "--out", str(tmp_path / "gen")) == 1
+        assert str(cfgp) in capsys.readouterr().err
+
+    def test_header_without_rows_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "empty.jsonl"
+        ds.write_text('{"d":2,"generator":{},"k":2}\n')
+        out = tmp_path / "run"
+        assert run("train", "--dataset", str(ds), "--method", "gmlr", "--mode", "strong",
+                   "--epochs", "1", "--seed", "1", "--out", str(out)) == 2
+        assert str(ds) in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
+    def test_class_index_out_of_range_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds, k=6)
+        ckpt = tmp_path / "ckpt.json"
+        make_affine_gmlr_checkpoint(ckpt, k=6)
+        assert run("extract-sig", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                   "--class-index", "6", "--out", str(tmp_path / "s")) == 2
+        assert "class index 6" in capsys.readouterr().err
+
+    def test_canvas_size_other_than_checkpoint_is_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        make_plain_canvas_checkpoint(ckpt)
+        cfgp = tmp_path / "a.json"
+        cfgp.write_text(json.dumps({"canvas": {**SMALL_CANVAS, "canvas_size": 48}, "steps": 2}))
+        assert run("adjust-exp", "--config", str(cfgp), "--checkpoint", str(ckpt),
+                   "--seed", "1", "--out", str(tmp_path / "adj")) == 2
+        assert "feature-length mismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [{"batch_size": 0}, {"batch_size": -1}, {"epochs": -1}])
     def test_bad_batch_size_or_epochs_is_data_error(self, tmp_path, capsys, setting):

@@ -129,7 +129,7 @@ class TestQGrads:
         h = 1e-5
         for sigma in (0.2, 0.5, 1.0, 2.0, 5.0):
             for mu in np.arange(-4.0, 4.0 + 1e-9, 0.5):
-                dmu, dsigma = q_grads(GaussianParam(mu, sigma))
+                _, dmu, dsigma = q_grads(GaussianParam(mu, sigma))
                 fd_mu = (
                     q_prob(GaussianParam(mu + h, sigma)) - q_prob(GaussianParam(mu - h, sigma))
                 ) / (2 * h)
@@ -144,5 +144,16 @@ class TestQGrads:
                         assert abs(a - f) / abs(f) <= 1e-5
 
     def test_zero_in_clamped_region(self):
-        dmu, dsigma = q_grads(GaussianParam(-20.0, 0.5))
+        _, dmu, dsigma = q_grads(GaussianParam(-20.0, 0.5))
         assert dmu == 0.0 and dsigma == 0.0
+
+    def test_value_is_q_prob_bit_for_bit(self):
+        # tails on both sides of the clamp, scalars and a (3, 4, 4) batch
+        rng = np.random.default_rng(8)
+        for g in (
+            GaussianParam(-20.0, 0.5),
+            GaussianParam(0.3, 1.7),
+            GaussianParam(rng.normal(scale=12.0, size=(3, 4, 4)), rng.uniform(0.1, 3.0, size=(3, 4, 4))),
+        ):
+            q, _, _ = q_grads(g)
+            assert np.array_equal(q, q_prob(g))

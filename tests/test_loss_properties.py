@@ -77,15 +77,11 @@ def crpc_brute(row, ranks, mode):
     for slot, (u, v) in enumerate(itertools.combinations(range(k + 1), 2)):
         if mode == "strong":
             sign = (level[u] > level[v]) - (level[v] > level[u])
+        elif v == k:
+            # weak: positives above the virtual label, negatives below it
+            sign = 1 if ranks[u] > 0 else -1
         else:
-            pos_u = ranks[u] > 0
-            pos_v = v < k and ranks[v] > 0
-            if pos_u and (v == k or not pos_v):
-                sign = 1
-            elif v < k and pos_v and not pos_u:
-                sign = -1
-            else:
-                sign = 0
+            sign = int(ranks[u] > 0) - int(ranks[v] > 0)
         if sign:
             x = sign * row[slot]
             loss += softplus(-x)

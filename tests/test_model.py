@@ -110,7 +110,7 @@ class TestBackward:
         out = forward(params, x)
         mu, sigma = float(out.mu[0]), float(out.sigma[0])
         q = float(q_prob(GaussianParam(mu, sigma)))
-        dq_dmu, dq_dsigma = q_grads(GaussianParam(mu, sigma))
+        _, dq_dmu, dq_dsigma = q_grads(GaussianParam(mu, sigma))
         dl_dmu = -float(dq_dmu) / q
         dl_dlv = -float(dq_dsigma) / q * 0.5 * sigma
         grads = backward(params, x, np.array([dl_dmu, dl_dlv]))

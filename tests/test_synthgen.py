@@ -20,8 +20,7 @@ from mlrank.synthgen import (
     iter_adjust_sequences,
     read_dataset_jsonl,
     write_dataset_jsonl,
-    write_pgm,
-    write_ppm,
+    write_pnm,
 )
 
 
@@ -503,11 +502,11 @@ class TestIdx:
 
 class TestImageDump:
     def test_pgm_ppm_headers(self, tmp_path):
-        write_pgm(tmp_path / "x.pgm", np.zeros((4, 6)))
+        write_pnm(tmp_path / "x.pgm", np.zeros((4, 6, 1)))
         data = (tmp_path / "x.pgm").read_bytes()
         assert data.startswith(b"P5\n6 4\n255\n")
         assert len(data) == len(b"P5\n6 4\n255\n") + 24
-        write_ppm(tmp_path / "x.ppm", np.zeros((4, 6, 3)))
+        write_pnm(tmp_path / "x.ppm", np.zeros((4, 6, 3)))
         data = (tmp_path / "x.ppm").read_bytes()
         assert data.startswith(b"P6\n6 4\n255\n")
         assert len(data) == len(b"P6\n6 4\n255\n") + 72
