@@ -49,12 +49,16 @@ from .predict import Prediction
 from .synthgen import (
     CanvasConfig,
     GeneratedSample,
+    canvas_arrays,
+    dataset_arrays,
     generate_adjust_sequences,
     generate_calibration_set,
     generate_canvas_dataset,
     generate_feature_dataset,
     generate_small_variance_dataset,
     iter_adjust_sequences,
+    iter_canvas_samples,
+    iter_feature_rows,
     read_dataset_jsonl,
     write_dataset_jsonl,
 )

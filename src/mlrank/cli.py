@@ -36,13 +36,13 @@ from .model import (
 from .synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
-    dump_images,
+    canvas_arrays,
+    dataset_arrays,
     generate_calibration_set,
-    generate_canvas_dataset,
-    generate_feature_dataset,
-    generate_small_variance_dataset,
     iter_adjust_sequences,
+    iter_feature_rows,
     read_dataset_jsonl,
+    small_variance_config,
     write_dataset_jsonl,
 )
 
@@ -192,20 +192,18 @@ def cmd_generate(args) -> int:
     image_shape = None
     if kind in ("canvas", "small-variance"):
         canvas = _canvas_config(cfg.get("canvas", {}), seed)
-        generator = generate_small_variance_dataset if kind == "small-variance" else generate_canvas_dataset
-        samples = generator(canvas, n)
-        x = np.stack([s.pixels for s in samples])
-        ranks = np.stack([s.ranks for s in samples])
-        image_shape = canvas.image_shape
         resolved["canvas"] = canvas.to_dict()
+        image_dir = None
         if cfg.get("dump_images"):
-            dump_images(os.path.join(out, "images"), samples)
+            image_dir = os.path.join(out, "images")
             resolved["dump_images"] = True
+        drawn = small_variance_config(canvas) if kind == "small-variance" else canvas
+        x, ranks = canvas_arrays(drawn, n, image_dir)
+        image_shape = canvas.image_shape
     elif kind == "feature":
-        resolved["feature"] = _feature_config(cfg.get("feature", {}))
-        records = generate_feature_dataset(n=n, seed=seed, **resolved["feature"])
-        x = np.stack([r.features for r in records])
-        ranks = np.stack([r.ranks for r in records])
+        feature = resolved["feature"] = _feature_config(cfg.get("feature", {}))
+        rows = iter_feature_rows(n=n, seed=seed, **feature)
+        x, ranks = dataset_arrays(rows, n, feature["dim"], feature["num_classes"])
     else:
         raise UsageError(f"unknown dataset kind {kind!r}")
     path = os.path.join(out, "dataset.jsonl")

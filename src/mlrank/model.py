@@ -53,14 +53,17 @@ CANVAS_CONVS = ((8, 4, 8), (3, 2, 16), (3, 1, 32))
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a batch loss turns non-finite."""
+    """Raised when a batch loss turns non-finite; ``cause`` names what
+    blew up ("variance head overflow", "non-finite network output", or
+    "non-finite loss" when only the loss itself did)."""
 
-    def __init__(self, epoch: int, batch: int, param_norm: float):
+    def __init__(self, epoch: int, batch: int, param_norm: float, cause: str):
         self.epoch = epoch
         self.batch = batch
         self.param_norm = param_norm
+        self.cause = cause
         super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch} (parameter norm {param_norm:.6g})"
+            f"{cause} at epoch {epoch}, batch {batch} (parameter norm {param_norm:.6g})"
         )
 
 
@@ -370,7 +373,9 @@ def batch_objective(params: ModelParams, x, ranks_matrix, method, mode):
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite network output")
     if params.head == "gmlr":
-        sigma = np.exp(0.5 * out[:, params.num_classes :])
+        # An overflow to inf is caught right below, so it need not warn.
+        with np.errstate(over="ignore"):
+            sigma = np.exp(0.5 * out[:, params.num_classes :])
         if not np.all(np.isfinite(sigma)) or not np.all(sigma > 0):
             raise FloatingPointError("variance head overflow")
     if method == "gmlr":
@@ -434,13 +439,14 @@ def _run_stage(params, values, objective, n, cfg: TrainConfig, stage, epochs, rn
         epoch_sum = 0.0
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
+            cause = "non-finite loss"
             try:
                 loss, grads = objective(idx)
-            except FloatingPointError:
-                loss = float("nan")
+            except FloatingPointError as exc:  # raised with the name of what blew up
+                loss, cause = float("nan"), str(exc)
             if not np.isfinite(loss):
                 norm = float(np.sqrt(sum(float(np.sum(v * v)) for v in params.value_list())))
-                raise TrainingDiverged(epoch=epoch_offset + epoch, batch=b, param_norm=norm)
+                raise TrainingDiverged(epoch=epoch_offset + epoch, batch=b, param_norm=norm, cause=cause)
             adam_step(values, grads, state, lr, cfg.weight_decay)
             epoch_sum += loss * len(idx)
         log.append((epoch_offset + epoch, stage, epoch_sum / n, lr))
@@ -546,8 +552,8 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
         doc["version"] = FRONT_END_CHECKPOINT_VERSION
         doc["front_end"] = params.front_end.to_dict()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        # json.dumps, unlike json.dump, encodes with the C encoder.
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:

@@ -23,7 +23,8 @@ image front end; every following line is one instance {"features":
 shape's sizes and the ranks must be JSON integers: ``1.7``, ``1.0`` and
 ``true`` are data errors, not truncated or cast.  Features must be
 finite and ranks non-negative.  The reader returns, and the writer
-takes, the (n, d) features and (n, k) ranks as arrays.  Canvas files
+takes, the (n, d) features and (n, k) ranks as arrays, and neither holds
+a second copy of them.  Canvas files
 written before the header declared ``image_shape`` read as feature data
 and must be regenerated.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,19 +239,32 @@ def _one_canvas_sample(cfg: CanvasConfig, bank: GlyphBank, rng) -> GeneratedSamp
     return _sample(cfg, bank, placed, rng)
 
 
-def generate_canvas_dataset(cfg: CanvasConfig, n: int) -> list[GeneratedSample]:
-    """n canvas samples; digit count uniform over the configured range,
-    digits unique per image, ranks induced by the setup's named factor."""
+def iter_canvas_samples(cfg: CanvasConfig, n: int):
+    """Yields n canvas samples; digit count uniform over the configured
+    range, digits unique per image, ranks induced by the setup's named
+    factor.  Each sample is drawn only when it is asked for."""
     bank = _glyph_bank(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    return [_one_canvas_sample(cfg, bank, rng) for _ in range(n)]
+    for _ in range(n):
+        yield _one_canvas_sample(cfg, bank, rng)
+
+
+def small_variance_config(cfg: CanvasConfig) -> CanvasConfig:
+    """The small-variance dataset's config: a scale-ranked setup with its
+    scale range narrowed to [1, 1.5]."""
+    if not cfg.setup.startswith("S"):
+        raise ValueError("setup mismatch: small-variance dataset requires a scale-ranked setup")
+    return dataclasses.replace(cfg, scale_range=(1.0, 1.5))
+
+
+def generate_canvas_dataset(cfg: CanvasConfig, n: int) -> list[GeneratedSample]:
+    """Every sample of ``iter_canvas_samples``, as a list."""
+    return list(iter_canvas_samples(cfg, n))
 
 
 def generate_small_variance_dataset(cfg: CanvasConfig, n: int) -> list[GeneratedSample]:
-    """Scale-ranked canvas dataset with the scale range narrowed to [1, 1.5]."""
-    if not cfg.setup.startswith("S"):
-        raise ValueError("setup mismatch: small-variance dataset requires a scale-ranked setup")
-    return generate_canvas_dataset(dataclasses.replace(cfg, scale_range=(1.0, 1.5)), n)
+    """Every sample of ``iter_canvas_samples`` on ``small_variance_config``, as a list."""
+    return list(iter_canvas_samples(small_variance_config(cfg), n))
 
 
 def generate_calibration_set(cfg: CanvasConfig, n: int = 50) -> list[GeneratedSample]:
@@ -311,17 +326,18 @@ def iter_adjust_sequences(cfg: CanvasConfig, n_sequences: int = 50, steps: int =
         yield AdjustSequence(digits=digits, samples=tuple(samples))
 
 
-def generate_feature_dataset(
+def iter_feature_rows(
     num_classes: int,
     dim: int,
     n: int,
     factor_range: tuple[float, float] = (0.5, 3.0),
     seed: int = 0,
     noise: float = 0.05,
-) -> list[RankedInstance]:
-    """Linear surrogate dataset: every class owns a fixed random unit
-    direction; an instance is the sum of factor * direction over its
-    present classes plus Gaussian noise, ranked by factor.
+):
+    """Yields the n (features, ranks) rows of the linear surrogate
+    dataset: every class owns a fixed random unit direction; an instance
+    is the sum of factor * direction over its present classes plus
+    Gaussian noise, ranked by factor.
 
     Class presence is a uniform random subset, redrawn when empty so
     every instance has at least one positive.
@@ -333,7 +349,6 @@ def generate_feature_dataset(
     rng = np.random.Generator(np.random.PCG64(seed))
     directions = rng.standard_normal((num_classes, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    instances = []
     for _ in range(n):
         mask = rng.integers(0, 2, size=num_classes).astype(bool)
         while not mask.any():
@@ -346,9 +361,33 @@ def generate_feature_dataset(
         values = factors[present]
         if len(set(values.tolist())) != len(values):
             raise RuntimeError("tied factors; ranks would not be dense")
-        ranks = _ranks_from_factors(num_classes, present.tolist(), values.tolist())
-        instances.append(RankedInstance(features=features, ranks=ranks))
-    return instances
+        yield features, _ranks_from_factors(num_classes, present.tolist(), values.tolist())
+
+
+def generate_feature_dataset(*args, **kwargs) -> list[RankedInstance]:
+    """Every row of ``iter_feature_rows``, as a list of records."""
+    return [RankedInstance(features=f, ranks=r) for f, r in iter_feature_rows(*args, **kwargs)]
+
+
+def dataset_arrays(rows, n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One preallocated (n, d) float matrix and (n, k) int matrix whose
+    row i is the i-th (features, ranks) pair of ``rows``.  A pair is
+    dropped once it is copied, so the dataset is held once."""
+    x = np.empty((n, d))
+    ranks = np.empty((n, k), dtype=int)
+    for i, (features, row_ranks) in enumerate(rows):
+        x[i] = features
+        ranks[i] = row_ranks
+    return x, ranks
+
+
+def canvas_arrays(cfg: CanvasConfig, n: int, image_dir=None) -> tuple[np.ndarray, np.ndarray]:
+    """``dataset_arrays`` of ``iter_canvas_samples``; with ``image_dir``,
+    each sample's image and labels row are written in the same pass."""
+    samples = iter_canvas_samples(cfg, n)
+    if image_dir is not None:
+        samples = _dumped(image_dir, samples)
+    return dataset_arrays(((s.pixels, s.ranks) for s in samples), n, cfg.feature_length, cfg.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +411,32 @@ def _checked_header(header) -> tuple[int, int]:
     return k, d
 
 
+# Float text is deduplicated within blocks of about this many values;
+# a block's text is held while it is written, so it stays small.
+_WRITE_BLOCK_VALUES = 1 << 13
+
+
+def _float_rows(block: np.ndarray) -> list[str]:
+    """Each row of a C-contiguous float block as the comma-joined text
+    json.dumps gives its values.  ``float.__repr__`` runs once per
+    distinct bit pattern; keying on the bits, not the values, keeps -0.0
+    apart from 0.0."""
+    bits = block.view(np.int64)
+    # A sort, not np.unique: its hash table is many times slower here.
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    if distinct.size == bits.size:  # nothing repeats, so nothing to look up
+        return [",".join(map(float.__repr__, row)) for row in block.tolist()]
+    text = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return [",".join(row) for row in text[np.searchsorted(distinct, bits)].tolist()]
+
+
 def write_dataset_jsonl(path, x, ranks, generator: dict | None = None, image_shape=None) -> None:
     """Write the (n, d) features and (n, k) ranks behind a {"k", "d",
     "generator"} header, plus "image_shape" when the features are images.
-    What the reader would refuse is refused before anything is written."""
-    x = np.asarray(x, dtype=float)
+    What the reader would refuse is refused before anything is written.
+    Each row is the line ``json.dumps`` writes for it, byte for byte."""
+    x = np.ascontiguousarray(x, dtype=float)
     ranks = np.asarray(ranks)
     if x.ndim != 2 or ranks.ndim != 2 or len(x) != len(ranks) or not len(x):
         raise ValueError(f"need (n, d) features and (n, k) ranks, n >= 1; got {x.shape}, {ranks.shape}")
@@ -386,12 +446,27 @@ def write_dataset_jsonl(path, x, ranks, generator: dict | None = None, image_sha
     if image_shape is not None:
         header["image_shape"] = list(image_shape)
     _checked_header(header)
+    step = max(1, _WRITE_BLOCK_VALUES // x.shape[1])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        # Row by row: x.tolist() would hold every value as a Python float.
-        for feats, row_ranks in zip(x, ranks):
-            row = {"features": feats.tolist(), "ranks": row_ranks.tolist()}
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+        for start in range(0, len(x), step):
+            block_ranks = ranks[start : start + step].tolist()
+            for feats, row_ranks in zip(_float_rows(x[start : start + step]), block_ranks):
+                fh.write('{"features":[' + feats + '],"ranks":[' + ",".join(map(str, row_ranks)) + "]}\n")
+
+
+def _line_count(path) -> int:
+    """The lines text-mode reading splits ``path`` into: each LF, CR or
+    CR LF ends one, and so does the end of a file that ends in another
+    byte.  Counted on bytes, a block at a time."""
+    count, last = 0, b""
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            count += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block.startswith(b"\n"):
+                count -= 1
+            last = block[-1:]
+    return count + (last not in (b"", b"\n", b"\r"))
 
 
 def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -399,34 +474,41 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
     features and the (n, k) int ranks.
 
     A malformed header or row, a non-finite feature or a negative rank is
-    a ValueError that names ``file:line``.  A row's features become an
-    array as its line is read, so they are never all Python floats at once.
+    a ValueError that names ``file:line``.  The rows are counted first,
+    so each one is parsed straight into its slot of the two matrices and
+    the dataset is never held twice.
     """
-    rows, rank_rows = [], []
+    n = _line_count(path) - 1
     with open(path, "r", encoding="ascii") as fh:
         lineno = 1
         try:
             header = json.loads(fh.readline())
             k, d = _checked_header(header)
+            # A valid row spends over 2(d + k) bytes on its values and
+            # commas, so a header cannot make room for more rows than the
+            # file could hold: a row past that room fails its checks.
+            n = min(n, os.path.getsize(path) // (2 * (d + k)))
+            x = np.empty((n, d))
+            ranks = np.empty((n, k), dtype=int)
             for lineno, line in enumerate(fh, start=2):
                 row = json.loads(line)
                 if not isinstance(row, dict):
                     raise ValueError(f"an instance must be a JSON object, got {type(row).__name__}")
-                ranks = row.get("ranks")
-                if not isinstance(ranks, list) or not all(type(r) is int and r >= 0 for r in ranks):
-                    raise ValueError(f"ranks must be a list of non-negative JSON integers, got {ranks!r}")
+                row_ranks = row.get("ranks")
+                if not isinstance(row_ranks, list) or not all(type(r) is int and r >= 0 for r in row_ranks):
+                    raise ValueError(f"ranks must be a list of non-negative JSON integers, got {row_ranks!r}")
                 feats = np.asarray(row.get("features"), dtype=float)
-                if feats.ndim != 1 or feats.size != d or len(ranks) != k:
+                if feats.ndim != 1 or feats.size != d or len(row_ranks) != k:
                     raise ValueError("instance shape does not match header")
                 if not np.all(np.isfinite(feats)):
                     raise ValueError("features must be finite")
-                rows.append(feats)
-                rank_rows.append(ranks)
+                x[lineno - 2] = feats
+                ranks[lineno - 2] = row_ranks
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
+    if not n:
         raise ValueError(f"{path}: dataset has a header but no instances")
-    return header, np.stack(rows), np.array(rank_rows, dtype=int)
+    return header, x, ranks
 
 
 # (magic number, file suffix) per channel count.
@@ -443,14 +525,12 @@ def write_pnm(path, img: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
-def dump_images(directory, samples) -> None:
-    """One PPM (3 channels) or PGM (1 channel) per sample plus a
-    labels.jsonl sidecar with ranks and the per-digit factor records."""
-    import os
-
+def _dumped(directory, samples):
+    """Passes ``samples`` through, writing each one's PPM (3 channels) or
+    PGM (1 channel) and its labels.jsonl row (ranks and the per-digit
+    factor records) into ``directory`` as it goes by."""
     os.makedirs(directory, exist_ok=True)
-    sidecar = os.path.join(directory, "labels.jsonl")
-    with open(sidecar, "w", encoding="ascii", newline="\n") as fh:
+    with open(os.path.join(directory, "labels.jsonl"), "w", encoding="ascii", newline="\n") as fh:
         for i, sample in enumerate(samples):
             name = f"{i:05d}.{_PNM[sample.image_shape[2]][1]}"
             write_pnm(os.path.join(directory, name), sample.pixels.reshape(sample.image_shape))
@@ -460,3 +540,4 @@ def dump_images(directory, samples) -> None:
                 "factors": [pf.to_dict() for pf in sample.factors],
             }
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            yield sample

@@ -542,7 +542,7 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run("generate", "--frobnicate") == 1
 
-    def test_numeric_abort_is_exit_3(self, tmp_path):
+    def test_numeric_abort_is_exit_3(self, tmp_path, capsys):
         # features large enough to overflow the first matmul
         ds = tmp_path / "huge.jsonl"
         write_dataset_jsonl(ds, np.full((4, 8), 1e308), np.tile([1, 0], (4, 1)))
@@ -550,6 +550,16 @@ class TestExitCodes:
         code = run("train", "--dataset", str(ds), "--method", "gmlr", "--mode", "weak",
                    "--epochs", "1", "--seed", "1", "--out", str(out))
         assert code == 3
+        assert "numeric abort: variance head overflow at epoch 0, batch 0" in capsys.readouterr().err
+
+    def test_trailing_blank_line_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "blank.jsonl"
+        write_dataset_jsonl(ds, np.zeros((3, 4)), np.tile([1, 0], (3, 1)))
+        ds.write_text(ds.read_text() + "\n")
+        code = run("train", "--dataset", str(ds), "--method", "gmlr", "--mode", "strong",
+                   "--epochs", "1", "--seed", "1", "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"{ds}:5: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["1.7", "1.0", "true", "false"])
     def test_non_integer_rank_is_data_error(self, tmp_path, capsys, bad):

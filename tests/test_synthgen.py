@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,17 @@ from mlrank.synthgen import (
     BRIGHTNESS_FLOOR,
     CALIBRATION_SCALES,
     CanvasConfig,
+    canvas_arrays,
+    dataset_arrays,
     generate_adjust_sequences,
     generate_calibration_set,
     generate_canvas_dataset,
     generate_feature_dataset,
     generate_small_variance_dataset,
     iter_adjust_sequences,
+    iter_feature_rows,
     read_dataset_jsonl,
+    small_variance_config,
     write_dataset_jsonl,
     write_pnm,
 )
@@ -191,6 +196,17 @@ class TestCanvasDataset:
         rho = spearman_rho(np.array(ranks), np.array(other))
         assert abs(rho) <= 0.1
 
+    @pytest.mark.parametrize("cfg", [small_cfg(setup="B-mix", color_mode="color"),
+                                     small_variance_config(small_cfg())])
+    def test_arrays_are_the_stacked_samples(self, tmp_path, cfg):
+        samples = generate_canvas_dataset(cfg, 6)
+        x, ranks = canvas_arrays(cfg, 6, image_dir=tmp_path / "images")
+        np.testing.assert_array_equal(x, np.stack([s.pixels for s in samples]))
+        np.testing.assert_array_equal(ranks, np.stack([s.ranks for s in samples]))
+        labels = (tmp_path / "images" / "labels.jsonl").read_text().splitlines()
+        assert [json.loads(row)["ranks"] for row in labels] == ranks.tolist()
+        assert len(list((tmp_path / "images").glob("0000[0-5].p?m"))) == 6
+
 
 class TestSmallVariance:
     def test_scale_window(self):
@@ -336,6 +352,12 @@ class TestFeatureDataset:
         with pytest.raises(ValueError):
             generate_feature_dataset(6, 4, 10)
 
+    def test_arrays_are_the_stacked_records(self):
+        records = generate_feature_dataset(4, 6, 30, seed=9)
+        x, ranks = dataset_arrays(iter_feature_rows(4, 6, 30, seed=9), 30, 6, 4)
+        np.testing.assert_array_equal(x, np.stack([r.features for r in records]))
+        np.testing.assert_array_equal(ranks, np.stack([r.ranks for r in records]))
+
 
 def feature_arrays(*args, **kwargs):
     records = generate_feature_dataset(*args, **kwargs)
@@ -425,12 +447,73 @@ class TestJsonl:
         ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[1]}\n{"features":[Infinity],"ranks":[1]}', 3),
         ('{"k":1,"d":1}', '{"features":[NaN],"ranks":[1]}', 2),
         ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[-1]}', 2),
+        ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[1]}\n', 3),
+        # A header larger than the file could hold makes no room for it.
+        ('{"k":1,"d":1000000000000}', '{"features":[0.1],"ranks":[1]}', 2),
     ])
     def test_malformed_header_or_row_names_the_line(self, tmp_path, header, row, line):
         path = tmp_path / "bad.jsonl"
         path.write_text(f"{header}\n{row}\n")
         with pytest.raises(ValueError, match=f"bad.jsonl:{line}: "):
             read_dataset_jsonl(path)
+
+    def test_rows_are_written_as_json_dumps(self, tmp_path):
+        # Write blocks of 8192 values hold 8 of these rows.  The first
+        # block's values repeat, so their text is looked up; the second
+        # block's are all distinct.  Both blocks hold 0.0 and -0.0.
+        rng = np.random.default_rng(8)
+        x = np.round(rng.uniform(-1, 1, size=(12, 1000)), 1)
+        x[8:] = rng.uniform(size=(4, 1000))
+        x[:9, :2] = [0.0, -0.0]
+        assert len(np.unique(x[8:].view(np.int64))) == x[8:].size
+        ranks = np.arange(24).reshape(12, 2)
+        path = tmp_path / "z.jsonl"
+        write_dataset_jsonl(path, x, ranks)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [
+            json.dumps({"features": f, "ranks": r}, separators=(",", ":"))
+            for f, r in zip(x.tolist(), ranks.tolist())
+        ]
+        _, back, _ = read_dataset_jsonl(path)
+        assert back.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_endings_and_a_missing_last_one_read_the_same(self, tmp_path, newline):
+        lf = tmp_path / "lf.jsonl"
+        write_dataset_jsonl(lf, *feature_arrays(3, 5, 4, seed=1))
+        want = read_dataset_jsonl(lf)
+        text = lf.read_text().replace("\n", newline)
+        for i, body in enumerate((text, text[: -len(newline)])):
+            path = tmp_path / f"{i}.jsonl"
+            path.write_bytes(body.encode("ascii"))
+            header, x, ranks = read_dataset_jsonl(path)
+            assert header == want[0]
+            np.testing.assert_array_equal(x, want[1])
+            np.testing.assert_array_equal(ranks, want[2])
+
+    def test_dataset_is_held_once(self, tmp_path):
+        cfg = CanvasConfig(canvas_size=64, glyph_size=18, scale_range=(1.0, 2.5), seed=4)
+        path = tmp_path / "c.jsonl"
+        canvas_arrays(cfg, 2)  # the glyph bank's caches are not the dataset's
+
+        def peak_of(step):
+            """What ``step`` allocated at its peak, and its result."""
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = step()
+            return tracemalloc.get_traced_memory()[1] - start, result
+
+        tracemalloc.start()
+        try:
+            generate_peak, (x, ranks) = peak_of(lambda: canvas_arrays(cfg, 200))
+            write_dataset_jsonl(path, x, ranks, image_shape=cfg.image_shape)
+            del x, ranks
+            read_peak, (_, x, _) = peak_of(lambda: read_dataset_jsonl(path))
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes == 200 * 64 * 64 * 8
+        assert generate_peak < 1.5 * x.nbytes
+        assert read_peak < 1.5 * x.nbytes
 
 
 class TestIdx:
