@@ -372,12 +372,19 @@ def generate_feature_dataset(*args, **kwargs) -> list[RankedInstance]:
 def dataset_arrays(rows, n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """One preallocated (n, d) float matrix and (n, k) int matrix whose
     row i is the i-th (features, ranks) pair of ``rows``.  A pair is
-    dropped once it is copied, so the dataset is held once."""
+    dropped once it is copied, so the dataset is held once.  ``rows``
+    must yield exactly n pairs."""
     x = np.empty((n, d))
     ranks = np.empty((n, k), dtype=int)
-    for i, (features, row_ranks) in enumerate(rows):
-        x[i] = features
-        ranks[i] = row_ranks
+    count = 0
+    for features, row_ranks in rows:
+        if count == n:
+            raise ValueError(f"rows yields more than n={n} pairs")
+        x[count] = features
+        ranks[count] = row_ranks
+        count += 1
+    if count != n:
+        raise ValueError(f"rows yields {count} pairs, not n={n}")
     return x, ranks
 
 
@@ -425,8 +432,6 @@ def _float_rows(block: np.ndarray) -> list[str]:
     # A sort, not np.unique: its hash table is many times slower here.
     ordered = np.sort(bits, axis=None)
     distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    if distinct.size == bits.size:  # nothing repeats, so nothing to look up
-        return [",".join(map(float.__repr__, row)) for row in block.tolist()]
     text = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     return [",".join(row) for row in text[np.searchsorted(distinct, bits)].tolist()]
 

@@ -358,6 +358,13 @@ class TestFeatureDataset:
         np.testing.assert_array_equal(x, np.stack([r.features for r in records]))
         np.testing.assert_array_equal(ranks, np.stack([r.ranks for r in records]))
 
+    def test_arrays_refuse_a_row_count_other_than_n(self):
+        rows = list(iter_feature_rows(4, 6, 3, seed=9))
+        with pytest.raises(ValueError, match="yields 2 pairs, not n=3"):
+            dataset_arrays(iter(rows[:2]), 3, 6, 4)
+        with pytest.raises(ValueError, match="more than n=2"):
+            dataset_arrays(iter(rows), 2, 6, 4)
+
 
 def feature_arrays(*args, **kwargs):
     records = generate_feature_dataset(*args, **kwargs)
@@ -459,8 +466,8 @@ class TestJsonl:
 
     def test_rows_are_written_as_json_dumps(self, tmp_path):
         # Write blocks of 8192 values hold 8 of these rows.  The first
-        # block's values repeat, so their text is looked up; the second
-        # block's are all distinct.  Both blocks hold 0.0 and -0.0.
+        # block's values repeat; the second block's are all distinct.
+        # Both blocks hold 0.0 and -0.0.
         rng = np.random.default_rng(8)
         x = np.round(rng.uniform(-1, 1, size=(12, 1000)), 1)
         x[8:] = rng.uniform(size=(4, 1000))
