@@ -234,12 +234,18 @@ def init_model(
     )
 
 
-def _patches(h: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+def _patches(h: np.ndarray, kernel: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
     """(n, H, W, C) maps -> (n, Ho, Wo, kernel * kernel * C) unpadded
-    patches, entries ordered (row, column, channel)."""
+    patches, entries ordered (row, column, channel), copied into ``out``
+    when that is an array of this shape (made by this function), else
+    into a new array."""
     win = np.lib.stride_tricks.sliding_window_view(h, (kernel, kernel), axis=(1, 2))
     win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
-    return win.reshape(*win.shape[:3], -1)
+    shape = (*win.shape[:3], kernel * kernel * h.shape[-1])
+    if out is None or out.shape != shape:
+        out = np.empty(shape)
+    np.copyto(out.reshape(win.shape), win)
+    return out
 
 
 def _input_grad(dz: np.ndarray, w: np.ndarray, in_shape, kernel: int, stride: int) -> np.ndarray:
@@ -260,14 +266,16 @@ def _input_grad(dz: np.ndarray, w: np.ndarray, in_shape, kernel: int, stride: in
     return grad
 
 
-def _front_end_forward(params: ModelParams, x: np.ndarray, inputs, pre):
+def _front_end_forward(params: ModelParams, x: np.ndarray, inputs, pre, work: dict):
     """Convolutions and pooling; appends per-conv caches, returns the
-    pooled features and the max positions."""
+    pooled features and the max positions.  Each convolution's patch
+    matrix is kept in ``work``, and the next batch of the same size
+    writes into it."""
     fe = params.front_end
     n = x.shape[0]
     h = x.reshape(n, *fe.image_shape)
-    for (kernel, stride, out), w, b in zip(fe.convs, params.weights, params.biases):
-        cols = _patches(h, kernel, stride)
+    for j, ((kernel, stride, out), w, b) in enumerate(zip(fe.convs, params.weights, params.biases)):
+        cols = work[j] = _patches(h, kernel, stride, work.get(j))
         spatial = cols.shape[1:3]
         cols = cols.reshape(-1, cols.shape[-1])
         z = (cols @ w + b).reshape(n, *spatial, out)
@@ -300,11 +308,14 @@ def _front_end_backward(params: ModelParams, d_pooled, pre, inputs, argmax, grad
             dh = _input_grad(dz, params.weights[j], pre[j - 1].shape, kernel, stride)
 
 
-def _forward_batch(params: ModelParams, x: np.ndarray):
+def _forward_batch(params: ModelParams, x: np.ndarray, work: dict | None = None):
     """Returns (head output, cache for ``backward``).
 
     The cache holds, per weight matrix, the 2-D input it multiplied and
-    its pre-activation, plus the front end's max-pool positions.
+    its pre-activation, plus the front end's max-pool positions.  A
+    ``work`` dict kept across a training run's batches lets each batch
+    reuse the front end's patch buffers instead of allocating them; a
+    cache is then only good until the next pass with the same ``work``.
     """
     if x.shape[-1] != params.input_dim:
         raise ValueError("feature length does not match first layer")
@@ -312,7 +323,7 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
     inputs, pre = [], []
     argmax = None
     if params.front_end is not None:
-        h, argmax = _front_end_forward(params, x, inputs, pre)
+        h, argmax = _front_end_forward(params, x, inputs, pre, {} if work is None else work)
     last = len(params.weights) - 1
     for i in range(params.n_convs, last + 1):
         inputs.append(h)
@@ -365,11 +376,12 @@ def backward(params: ModelParams, features, head_grads, cache=None):
     return grads
 
 
-def batch_objective(params: ModelParams, x, ranks_matrix, method, mode):
-    """Mean per-instance loss over the batch plus parameter gradients."""
+def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, work: dict | None = None):
+    """Mean per-instance loss over the batch plus parameter gradients;
+    ``work`` as in ``_forward_batch``."""
     x = np.asarray(x, dtype=float)
     ranks_matrix = np.asarray(ranks_matrix, dtype=int)
-    out, cache = _forward_batch(params, x)
+    out, cache = _forward_batch(params, x, work)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite network output")
     if params.head == "gmlr":
@@ -452,6 +464,18 @@ def _run_stage(params, values, objective, n, cfg: TrainConfig, stage, epochs, rn
         log.append((epoch_offset + epoch, stage, epoch_sum / n, lr))
 
 
+def _packed(params: ModelParams) -> np.ndarray:
+    """Copies every weight and bias, in ``value_list`` order, into one
+    flat vector and rebinds ``params.weights`` and ``params.biases`` as
+    views into it, so one elementwise Adam update covers them all."""
+    values = params.value_list()
+    flat = np.concatenate([v.ravel() for v in values])
+    parts = np.split(flat, np.cumsum([v.size for v in values])[:-1])
+    views = [part.reshape(v.shape) for part, v in zip(parts, values)]
+    params.weights, params.biases = views[0::2], views[1::2]
+    return flat
+
+
 def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None, init_params: ModelParams | None = None):
     """Train a model on the (n, d) features and (n, K) ranks; returns
     (params, log).
@@ -479,11 +503,14 @@ def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None, init_params: Mode
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
     log: list[tuple[int, int, float, float]] = []
 
-    def ranking(idx):
-        loss, grads = batch_objective(params, x[idx], ranks_matrix[idx], cfg.method, cfg.mode)
-        return loss, [g for dw_db in grads for g in dw_db]
+    flat = _packed(params)
+    work: dict = {}
 
-    _run_stage(params, params.value_list(), ranking, len(x), cfg, 1, cfg.epochs, rng, log, 0)
+    def ranking(idx):
+        loss, grads = batch_objective(params, x[idx], ranks_matrix[idx], cfg.method, cfg.mode, work)
+        return loss, [np.concatenate([g.ravel() for dw_db in grads for g in dw_db])]
+
+    _run_stage(params, [flat], ranking, len(x), cfg, 1, cfg.epochs, rng, log, 0)
     if cfg.method == "lsep":
         # Views into the final layer: only the threshold slice trains.
         thresholds = [params.weights[-1][:, num_classes:], params.biases[-1][num_classes:]]

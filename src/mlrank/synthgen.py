@@ -22,15 +22,17 @@ image front end; every following line is one instance {"features":
 [...], "ranks": [...]} with 0-based class positions.  ``k``, ``d``, the
 shape's sizes and the ranks must be JSON integers: ``1.7``, ``1.0`` and
 ``true`` are data errors, not truncated or cast.  Features must be
-finite and ranks non-negative.  The reader returns, and the writer
-takes, the (n, d) features and (n, k) ranks as arrays, and neither holds
-a second copy of them.  Canvas files
-written before the header declared ``image_shape`` read as feature data
-and must be regenerated.
+finite JSON numbers (a string or ``true`` is a data error, not cast),
+ranks non-negative, and every number must fit its float64 or int64
+slot.  The reader returns, and the writer takes, the (n, d) features
+and (n, k) ranks as arrays, and neither holds a second copy of them.
+Canvas files written before the header declared ``image_shape`` read as
+feature data and must be regenerated.
 """
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import json
 import os
@@ -474,20 +476,41 @@ def _line_count(path) -> int:
     return count + (last not in (b"", b"\n", b"\r"))
 
 
+def _json_line(line: str):
+    """``json.loads`` of one line of a dataset file, which is ASCII."""
+    if not line.isascii():
+        raise ValueError("dataset files are ASCII; this line is not")
+    return json.loads(line)
+
+
+def _check_finite(path, x, start, stop) -> None:
+    """A ValueError naming the line of the first row of ``x[start:stop]``
+    that holds a non-finite value (row i is line i + 2), if any does."""
+    bad = np.flatnonzero(~np.isfinite(x[start:stop]).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{start + int(bad[0]) + 2}: features must be finite")
+
+
 def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
     """Read a JSONL dataset; returns (header, x, ranks), the (n, d) float
     features and the (n, k) int ranks.
 
-    A malformed header or row, a non-finite feature or a negative rank is
-    a ValueError that names ``file:line``.  The rows are counted first,
-    so each one is parsed straight into its slot of the two matrices and
-    the dataset is never held twice.
+    A malformed header or row, a feature that is not a JSON number or is
+    not finite, a negative rank or a number too large for its array is a
+    ValueError that names the first such line as ``file:line``.  The rows
+    are counted first, so each one is parsed straight into its slot of
+    the two matrices and the dataset is never held twice.  Finiteness is
+    checked once per block of filled rows, blocks of about the writer's
+    size, and the rows before a malformed line are checked before it is
+    named.
     """
     n = _line_count(path) - 1
-    with open(path, "r", encoding="ascii") as fh:
-        lineno = 1
+    # Latin-1 decodes any byte, so a non-ASCII one fails on its own line
+    # and not on the line where the decoder's read-ahead meets it.
+    with open(path, "r", encoding="latin-1") as fh:
+        lineno, checked = 1, 0
         try:
-            header = json.loads(fh.readline())
+            header = _json_line(fh.readline())
             k, d = _checked_header(header)
             # A valid row spends over 2(d + k) bytes on its values and
             # commas, so a header cannot make room for more rows than the
@@ -495,22 +518,44 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
             n = min(n, os.path.getsize(path) // (2 * (d + k)))
             x = np.empty((n, d))
             ranks = np.empty((n, k), dtype=int)
+            step = max(1, _WRITE_BLOCK_VALUES // d)
             for lineno, line in enumerate(fh, start=2):
-                row = json.loads(line)
+                row = _json_line(line)
                 if not isinstance(row, dict):
                     raise ValueError(f"an instance must be a JSON object, got {type(row).__name__}")
                 row_ranks = row.get("ranks")
                 if not isinstance(row_ranks, list) or not all(type(r) is int and r >= 0 for r in row_ranks):
                     raise ValueError(f"ranks must be a list of non-negative JSON integers, got {row_ranks!r}")
-                feats = np.asarray(row.get("features"), dtype=float)
-                if feats.ndim != 1 or feats.size != d or len(row_ranks) != k:
+                values = row.get("features")
+                try:
+                    # Takes real numbers only, so strings, null and nested
+                    # lists fail here; a bool passes and is refused below.
+                    feats = array.array("d", values)
+                except (TypeError, OverflowError) as exc:
+                    raise ValueError(f"features must be a list of JSON numbers that fit float64: {exc}") from None
+                if len(feats) != d or len(row_ranks) != k:
                     raise ValueError("instance shape does not match header")
-                if not np.all(np.isfinite(feats)):
-                    raise ValueError("features must be finite")
+                # Only a line with an 'l' (false) or two 'u's can hold a
+                # boolean feature: true has one 'u' and the "features" key
+                # another, also when escaped (\u0075).  Both are memchr
+                # scans; the exact test runs only behind them.
+                if ("l" in line or line.find("u", line.find("u") + 1) >= 0) and bool in map(type, values):
+                    raise ValueError("features must be JSON numbers, not true or false")
                 x[lineno - 2] = feats
-                ranks[lineno - 2] = row_ranks
+                try:
+                    ranks[lineno - 2] = row_ranks
+                except OverflowError:
+                    raise ValueError(f"ranks must fit int64, got {row_ranks!r}") from None
+                if lineno - 1 - checked == step:
+                    if not np.isfinite(x[checked : lineno - 1]).all():
+                        break
+                    checked = lineno - 1
         except (TypeError, ValueError) as exc:
+            if lineno > 2:
+                _check_finite(path, x, checked, lineno - 2)
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    # Rows [checked, lineno - 1) are filled; a break left a bad one there.
+    _check_finite(path, x, checked, lineno - 1)
     if not n:
         raise ValueError(f"{path}: dataset has a header but no instances")
     return header, x, ranks

@@ -680,6 +680,11 @@ class TestExitCodes:
         ('{"d":2,"generator":{},"k":2.9}', '{"features":[0.1,0.2],"ranks":[1,0]}', 1),
         ('5', '{"features":[0.1,0.2],"ranks":[1,0]}', 1),
         ('{"d":2,"generator":{},"k":2}', '[[0.1,0.2],[1,0]]', 2),
+        ('{"d":2,"generator":{},"k":2}', '{"features":["0.1",0.2],"ranks":[1,0]}', 2),
+        ('{"d":2,"generator":{},"k":2}', '{"features":[0.1,true],"ranks":[1,0]}', 2),
+        ('{"d":2,"generator":{},"k":2}', '{"features":[0.1,0.2],"ranks":[100000000000000000000,0]}', 2),
+        pytest.param('{"d":2,"generator":{},"k":2}', '{"features":[0.1,' + "9" * 400 + '],"ranks":[1,0]}', 2,
+                     id="400-digit-feature"),
     ])
     def test_malformed_header_or_row_is_data_error(self, tmp_path, capsys, header, row, line):
         ds = tmp_path / "bad.jsonl"

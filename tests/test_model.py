@@ -169,6 +169,25 @@ class TestAdam:
         assert s1.t == s2.t
 
 
+    def test_one_flat_step_equals_per_array_steps(self):
+        # Adam is elementwise, so one update of the concatenated values
+        # must give every array the bits its own update gives it.
+        rng = np.random.default_rng(3)
+        shapes = [(5, 4), (4,), (4, 7), (7,), (7, 2), (2,)]
+        arrays = [rng.normal(size=s) for s in shapes]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        per_array, one = AdamState.for_values(arrays), AdamState.for_values([flat])
+        for step in range(60):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-8, 3), size=s) for s in shapes]
+            lr = 0.01 * 0.9 ** (step // 6)
+            adam_step(arrays, grads, per_array, lr, weight_decay=1e-3)
+            adam_step([flat], [np.concatenate([g.ravel() for g in grads])], one, lr, weight_decay=1e-3)
+        assert flat.tobytes() == np.concatenate([a.ravel() for a in arrays]).tobytes()
+        assert one.m[0].tobytes() == np.concatenate([m.ravel() for m in per_array.m]).tobytes()
+        assert one.v[0].tobytes() == np.concatenate([v.ravel() for v in per_array.v]).tobytes()
+        assert one.t == per_array.t == 60
+
+
 class TestTrain:
     def setup_method(self):
         self.dataset = generate_feature_dataset(3, 6, 60, seed=17)
@@ -211,6 +230,17 @@ class TestTrain:
         np.testing.assert_array_equal(full.weights[-1][:, :k], stage1_only.weights[-1][:, :k])
         np.testing.assert_array_equal(full.biases[-1][:k], stage1_only.biases[-1][:k])
         assert not np.array_equal(full.weights[-1][:, k:], stage1_only.weights[-1][:, k:])
+
+    @pytest.mark.parametrize("method", ["gmlr", "lsep"])
+    def test_parameters_are_views_of_one_flat_vector(self, method):
+        cfg = TrainConfig(method=method, mode="strong", epochs=1, hidden=(4, 5), seed=2)
+        params, _ = train(self.dataset, cfg)
+        values = params.value_list()
+        flat = values[0].base
+        assert flat is not None and flat.ndim == 1 and flat.size == sum(v.size for v in values)
+        assert all(v.base is flat for v in values)
+        offsets = [v.__array_interface__["data"][0] - flat.__array_interface__["data"][0] for v in values]
+        assert offsets == list(np.cumsum([0] + [v.nbytes for v in values[:-1]]))
 
     def test_nan_abort_diagnostic(self):
         params = init_model(6, 3, "gmlr", (4,), seed=1)
@@ -347,6 +377,25 @@ class TestFrontEnd:
         fd = fd_gradient(loss_at, base.copy())
         set_values(params, base)
         assert max_rel_error(flatten(grads), fd) <= 1e-4
+
+    def test_work_buffers_give_the_unbuffered_batches(self):
+        # Batches of 5, 3 and 5 rows: the 3-row batch must not write into
+        # the 5-row buffers, and the second 5-row batch reuses them.
+        fe = FrontEnd((32, 32, 3))
+        params = init_model(fe.input_dim, 3, "gmlr", hidden=(4,), seed=1, front_end=fe)
+        rng = np.random.default_rng(6)
+        work = {}
+        for n in (5, 3, 5):
+            x = rng.uniform(size=(n, fe.input_dim))
+            ranks = rng.integers(0, 3, size=(n, 3))
+            loss, grads = batch_objective(params, x, ranks, "gmlr", "strong", work)
+            want_loss, want = batch_objective(params, x, ranks, "gmlr", "strong")
+            assert loss == want_loss
+            assert flatten(grads).tobytes() == flatten(want).tobytes()
+            assert [work[j].shape[0] for j in range(params.n_convs)] == [n] * params.n_convs
+        kept = [work[j] for j in range(params.n_convs)]
+        batch_objective(params, x, ranks, "gmlr", "strong", work)
+        assert all(work[j] is kept[j] for j in range(params.n_convs))
 
     def test_layout(self):
         fe = FrontEnd((64, 64, 3))

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import math
+import os
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mlrank.buckets import bucket_order_from_ranks
 from mlrank.glyphs import bilinear_resize, load_idx_glyphs, rasterize_digit
@@ -371,6 +376,39 @@ def feature_arrays(*args, **kwargs):
     return np.stack([r.features for r in records]), np.stack([r.ranks for r in records])
 
 
+BAD_ROWS = [
+    "non-finite", "negative rank", "rank overflow", "wrong length", "broken JSON",
+    "string feature", "boolean feature",
+]
+
+
+def reference_read(path):
+    """The reader's contract, one line at a time: (header, x, ranks), or
+    the number of the first line that breaks it.  The header is taken as
+    valid."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")[:-1]
+    header = json.loads(lines[0])
+    xs, rs = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            row = json.loads(line)
+        except ValueError:
+            return lineno
+        features = row.get("features") if isinstance(row, dict) else None
+        row_ranks = row.get("ranks") if isinstance(row, dict) else None
+        if not (
+            isinstance(features, list) and len(features) == header["d"]
+            and all(type(v) in (int, float) and math.isfinite(v) for v in features)
+            and isinstance(row_ranks, list) and len(row_ranks) == header["k"]
+            and all(type(r) is int and 0 <= r < 2**63 for r in row_ranks)
+        ):
+            return lineno
+        xs.append(features)
+        rs.append(row_ranks)
+    return header, np.array(xs, dtype=float), np.array(rs)
+
+
 class TestJsonl:
     def test_round_trip_and_byte_determinism(self, tmp_path):
         x, ranks = feature_arrays(3, 5, 12, seed=1)
@@ -457,12 +495,100 @@ class TestJsonl:
         ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[1]}\n', 3),
         # A header larger than the file could hold makes no room for it.
         ('{"k":1,"d":1000000000000}', '{"features":[0.1],"ranks":[1]}', 2),
+        # Features are JSON numbers: no string or boolean is cast.
+        ('{"k":1,"d":1}', '{"features":["1.5"],"ranks":[1]}', 2),
+        ('{"k":1,"d":2}', '{"features":[0.5,true],"ranks":[1]}', 2),
+        ('{"k":1,"d":1}', '{"features":[false],"ranks":[1]}', 2),
+        ('{"k":1,"d":1}', '{"feat\\u0075res":[true],"ranks":[1]}', 2),
+        ('{"k":1,"d":1}', '{"features":[null],"ranks":[1]}', 2),
+        # Numbers too large for their float64 or int64 slot.
+        ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[100000000000000000000]}', 2),
+        pytest.param('{"k":1,"d":1}', '{"features":[' + "7" * 400 + '],"ranks":[1]}', 2, id="400-digit-feature"),
+        # A non-finite row is named before a later malformed one.
+        ('{"k":1,"d":1}', '{"features":[0.1],"ranks":[1]}\n{"features":[NaN],"ranks":[1]}\n[', 3),
     ])
     def test_malformed_header_or_row_names_the_line(self, tmp_path, header, row, line):
         path = tmp_path / "bad.jsonl"
         path.write_text(f"{header}\n{row}\n")
         with pytest.raises(ValueError, match=f"bad.jsonl:{line}: "):
             read_dataset_jsonl(path)
+
+    def test_a_non_ascii_byte_is_named_on_its_line(self, tmp_path):
+        # The byte sits far past the first text block a decoder reads.
+        rows = ['{"features":[0.5],"ranks":[0]}'] * 2000
+        rows[1500] = '{"features":[0.5],"ranks":[0],"note":"\u00e9"}'
+        path = tmp_path / "na.jsonl"
+        path.write_text('{"k":1,"d":1}\n' + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="na.jsonl:1502: .*ASCII"):
+            read_dataset_jsonl(path)
+
+    def test_non_finite_rows_are_named_in_any_block(self, tmp_path):
+        # 8192 // 3000 = 2 rows per finiteness block.
+        x, ranks = np.zeros((7, 3000)), np.ones((7, 1), dtype=int)
+        path = tmp_path / "wide.jsonl"
+        write_dataset_jsonl(path, x, ranks)
+        lines = path.read_text().splitlines()
+        for row in range(7):
+            bad = list(lines)
+            bad[row + 1] = bad[row + 1].replace("0.0]", "-Infinity]")
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(ValueError, match=f"wide.jsonl:{row + 2}: features must be finite"):
+                read_dataset_jsonl(path)
+
+    # d = 3000 and 8193 put 2 rows and 1 row in each finiteness block.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.sampled_from([1, 3, 24, 700, 3000, 8193]),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(BAD_ROWS)), max_size=2),
+    )
+    # A non-finite row above a malformed one, in the same unchecked block
+    # and in an earlier, checked block.
+    @example(d=3, n=5, seed=0, bad=[(1, "non-finite"), (3, "broken JSON")])
+    @example(d=3000, n=5, seed=0, bad=[(4, "wrong length"), (2, "non-finite")])
+    @example(d=1, n=1, seed=0, bad=[(0, "wrong length"), (0, "rank overflow")])
+    def test_reader_matches_a_per_line_reference(self, d, n, seed, bad):
+        rng = np.random.default_rng(seed)
+        rows = [
+            {"features": (rng.integers(-9, 10, size=d) / 4).tolist(), "ranks": rng.integers(0, 4, size=2).tolist()}
+            for _ in range(n)
+        ]
+        lines = [json.dumps(r) for r in rows]
+        for row, kind in bad:
+            row, col = row % n, int(rng.integers(d))
+            features, row_ranks = rows[row]["features"], rows[row]["ranks"]
+            if kind == "broken JSON":
+                lines[row] = lines[row][:-1]
+                continue
+            if kind == "non-finite":
+                features[col] = [np.inf, -np.inf, np.nan][col % 3]
+            elif kind == "negative rank":  # slices: a row may have lost a rank
+                row_ranks[:1] = [-1]
+            elif kind == "rank overflow":
+                row_ranks[-1:] = [2**63]
+            elif kind == "wrong length" and col % 2:
+                features.append(0.5)
+            elif kind == "wrong length":
+                row_ranks.pop()
+            elif kind == "string feature":
+                features[col] = str(features[col])
+            elif kind == "boolean feature":
+                features[col] = bool(col % 2)
+            lines[row] = json.dumps(rows[row])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.jsonl")
+            with open(path, "w") as fh:
+                fh.write("\n".join([json.dumps({"k": 2, "d": d}), *lines]) + "\n")
+            want = reference_read(path)
+            if isinstance(want, int):
+                with pytest.raises(ValueError, match=f"r.jsonl:{want}: "):
+                    read_dataset_jsonl(path)
+            else:
+                header, x, ranks = read_dataset_jsonl(path)
+                assert header == want[0]
+                assert x.tobytes() == want[1].tobytes()
+                np.testing.assert_array_equal(ranks, want[2])
 
     def test_rows_are_written_as_json_dumps(self, tmp_path):
         # Write blocks of 8192 values hold 8 of these rows.  The first
