@@ -543,8 +543,8 @@ class TestJsonl:
         seed=st.integers(0, 2**32 - 1),
         bad=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(BAD_ROWS)), max_size=2),
     )
-    # A non-finite row above a malformed one, in the same unchecked block
-    # and in an earlier, checked block.
+    # A non-finite row above a malformed one, in the malformed row's
+    # finiteness block and in an earlier block.
     @example(d=3, n=5, seed=0, bad=[(1, "non-finite"), (3, "broken JSON")])
     @example(d=3000, n=5, seed=0, bad=[(4, "wrong length"), (2, "non-finite")])
     @example(d=1, n=1, seed=0, bad=[(0, "wrong length"), (0, "rank overflow")])
