@@ -14,9 +14,8 @@ from .buckets import (
     bucket_likelihood_oracle,
     bucket_order_from_ranks,
     pair_mask,
-    strict_pairs,
 )
-from .gaussian import GaussianParam, q_grads, q_prob
+from .gaussian import q_grads, q_prob
 from .gmlr import classification_loss, gmlr_objective, ranking_loss
 from .metrics import (
     MetricReport,
@@ -36,11 +35,9 @@ from .model import (
     TrainingDiverged,
     adam_step,
     backward,
-    forward,
     init_model,
     load_checkpoint,
     predict_batch,
-    predict_with,
     save_checkpoint,
     train,
     train_arrays,
@@ -55,7 +52,6 @@ from .synthgen import (
     generate_calibration_set,
     generate_canvas_dataset,
     generate_feature_dataset,
-    generate_small_variance_dataset,
     iter_adjust_sequences,
     iter_canvas_samples,
     iter_feature_rows,

@@ -13,8 +13,9 @@ sums the full pairwise products.
 
 Training reads the strict relation as a boolean pair mask over a batch
 of rank vectors (``pair_mask``).  ``BucketOrder`` is the per-instance
-form that the likelihood and its oracle take; it holds its rank vector
-and reads its strict pairs from the same mask.
+form that the likelihood and its oracle take; it holds its rank vector,
+reads its strict pairs from the same mask and lists each bucket's tied
+pairs, all once at construction.
 
 Class indices are 0-based.  Pair orientation is (u, v) = "u outranks v"
 throughout.
@@ -22,13 +23,12 @@ throughout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import GaussianParam, q_prob
+from .gaussian import q_prob
 
 ENUMERATION_BOUND = 8
 MODES = ("weak", "strong")
@@ -59,10 +59,6 @@ class RankedInstance:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "ranks", ranks)
 
-    @property
-    def positive_mask(self) -> np.ndarray:
-        return self.ranks > 0
-
 
 @dataclass(frozen=True)
 class BucketOrder:
@@ -70,14 +66,17 @@ class BucketOrder:
     cover all ``num_classes`` classes.
 
     ``ranks`` is the order's rank vector, the last bucket at rank 0; the
-    strict pairs are those of ``pair_mask(ranks, "strong")``, taken once
-    at construction.
+    strict pairs are those of ``pair_mask(ranks, "strong")``.
+    ``tied_pairs`` holds, per bucket of two or more classes, highest
+    first, the (u, v) index arrays of its pairs u < v in lexicographic
+    order.  All three are taken once at construction.
     """
 
     buckets: tuple[frozenset[int], ...]
     num_classes: int
     ranks: np.ndarray = field(init=False, repr=False, compare=False)
     _pairs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    tied_pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         buckets = tuple(frozenset(b) for b in self.buckets)
@@ -98,10 +97,13 @@ class BucketOrder:
         object.__setattr__(self, "buckets", buckets)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "_pairs", np.nonzero(pair_mask(ranks, "strong")))
-
-    @property
-    def num_strict_pairs(self) -> int:
-        return int(self._pairs[0].size)
+        tied = []
+        for b in buckets:
+            members = np.array(sorted(b))
+            u, v = np.triu_indices(members.size, 1)
+            if u.size:
+                tied.append((members[u], members[v]))
+        object.__setattr__(self, "tied_pairs", tuple(tied))
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(winners, losers) index arrays in deterministic order."""
@@ -125,12 +127,6 @@ def bucket_order_from_ranks(ranks) -> BucketOrder:
         frozenset(int(c) for c in np.flatnonzero(ranks == lv)) for lv in levels
     )
     return BucketOrder(buckets=buckets, num_classes=int(ranks.size))
-
-
-def strict_pairs(b: BucketOrder) -> list[tuple[int, int]]:
-    """All ordered pairs (u, v) with u in a strictly higher bucket than v."""
-    pu, pv = b.pair_arrays()
-    return list(zip(pu.tolist(), pv.tolist()))
 
 
 def pair_mask(ranks, mode: str) -> np.ndarray:
@@ -161,16 +157,26 @@ def head_batch(out, ranks, width: int):
     return out, ranks
 
 
-def bucket_likelihood(mu, sigma, b: BucketOrder) -> float:
-    """Product over strict pairs of P(z_u >= z_v); 1.0 for an empty pair set."""
+def _checked_params(mu, sigma, b: BucketOrder) -> tuple[np.ndarray, np.ndarray]:
+    """(K,) float means and standard deviations for ``b``; ValueError
+    unless both have its class count, every mean is finite and every
+    deviation finite and positive."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if mu.shape != (b.num_classes,) or sigma.shape != (b.num_classes,):
         raise ValueError("parameter length does not match class count")
+    if not (np.isfinite(mu).all() and ((sigma > 0) & (sigma < np.inf)).all()):
+        raise ValueError("the likelihood requires finite mu and finite sigma > 0")
+    return mu, sigma
+
+
+def bucket_likelihood(mu, sigma, b: BucketOrder) -> float:
+    """Product over strict pairs of P(z_u >= z_v); 1.0 for an empty pair set."""
+    mu, sigma = _checked_params(mu, sigma, b)
     pu, pv = b.pair_arrays()
     if pu.size == 0:
         return 1.0
-    return float(q_prob(GaussianParam(mu[pu] - mu[pv], np.hypot(sigma[pu], sigma[pv]))).prod())
+    return float(q_prob(mu[pu] - mu[pv], np.hypot(sigma[pu], sigma[pv])).prod())
 
 
 def bucket_likelihood_oracle(mu, sigma, b: BucketOrder) -> float:
@@ -184,26 +190,20 @@ def bucket_likelihood_oracle(mu, sigma, b: BucketOrder) -> float:
     the sum, the total collapses onto the strict-pair product formula,
     which is exactly what this function exists to verify numerically.
     """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if mu.shape != (b.num_classes,) or sigma.shape != (b.num_classes,):
-        raise ValueError("parameter length does not match class count")
+    mu, sigma = _checked_params(mu, sigma, b)
     if b.num_classes > ENUMERATION_BOUND:
         raise ValueError("enumeration bound exceeded")
 
     # P(z_u >= z_v) for every ordered pair (u, v).
-    p = q_prob(GaussianParam(mu[:, None] - mu[None, :], np.hypot(sigma[:, None], sigma[None, :])))
+    p = q_prob(mu[:, None] - mu[None, :], np.hypot(sigma[:, None], sigma[None, :]))
     # Cross-bucket pairs carry the same orientation in every term.
     pu, pv = b.pair_arrays()
     total = float(p[pu, pv].prod())
     # Tied pairs of distinct buckets never interact, so the orientation
     # sum factorizes per bucket.
-    for bucket in b.buckets:
-        pairs = list(itertools.combinations(sorted(bucket), 2))
-        t = len(pairs)
-        if t == 0:
-            continue
-        tied = p[tuple(np.array(pairs).T)]
+    for tu, tv in b.tied_pairs:
+        tied = p[tu, tv]
+        t = tied.size
         bucket_sum = 0.0
         chunk = 1 << 16
         for start in range(0, 1 << t, chunk):

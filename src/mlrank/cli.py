@@ -185,6 +185,8 @@ def cmd_generate(args) -> int:
     cfg = _settings(args, ("seed", "out", "n", "kind", "dump_images", "canvas", "feature"))
     seed = int(_require(cfg, "seed"))
     n = int(_require(cfg, "n"))
+    if n < 1:
+        raise ValueError(f"'n' must be at least 1, got {n}")
     kind = cfg.get("kind", "canvas")
     out = _out_dir(cfg)
     # No ``out`` in the header's echo: the bytes must not depend on it.
@@ -278,6 +280,8 @@ def cmd_adjust_exp(args) -> int:
     cfg = _settings(args, _PROBE_KEYS)
     seed, out, params, canvas = _probe_setup(cfg)
     n_sequences = int(cfg.get("n_sequences", 50))
+    if n_sequences < 1:
+        raise ValueError(f"'n_sequences' must be at least 1 to average over, got {n_sequences}")
     steps = int(cfg.get("steps", 50))
     sums = np.zeros((steps, 3))
     # One sequence in memory at a time, its steps predicted as one batch.
@@ -307,6 +311,9 @@ def cmd_calib_exp(args) -> int:
     cfg = _settings(args, _PROBE_KEYS)
     seed, out, params, canvas = _probe_setup(cfg)
     n = int(cfg.get("n", 50))
+    if n < 2:
+        # Every sample puts one digit at each level; a std needs two.
+        raise ValueError(f"'n' must be at least 2 for a per-level std, got {n}")
     samples = generate_calibration_set(canvas, n)
     out_heads, pred = predict_batch(params, np.stack([sample.pixels for sample in samples]))
     # gmlr's second head is the log-variance; other methods have no sigma.

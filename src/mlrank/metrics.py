@@ -7,6 +7,10 @@ predicted score vector over all K classes.  Classification metrics
 are arithmetic means of the per-instance values; instances on which a
 metric is undefined are skipped for that metric and counted.
 
+Every metric is computed over (n, K) arrays: ``evaluate_dataset``
+takes a batched ``Prediction`` and the (n, K) ground-truth ranks, and
+the per-instance functions below are the n = 1 case.
+
 Pair-counting notation, over all K(K-1)/2 unordered pairs:
 N_c concordant, N_d discordant, N_1 tied in the prediction, N_2 tied in
 the ground truth (pairs tied on both sides count toward both N_1 and
@@ -162,35 +166,26 @@ def f1_score(gt_positive, pred_positive) -> float:
     return _one(_f1_values, gt_positive, pred_positive, "", bool, bool)
 
 
-def _stack_predictions(predictions):
-    """(n, K) scores and masks from a batched ``Prediction`` or from an
-    iterable of per-instance objects or (scores, mask) pairs."""
-    if hasattr(predictions, "scores") and np.ndim(predictions.scores) == 2:
-        return np.asarray(predictions.scores, dtype=float), np.asarray(predictions.positive_mask, dtype=bool)
-    rows = [(p.scores, p.positive_mask) if hasattr(p, "scores") else p for p in predictions]
-    if not rows:
-        return np.zeros((0, 0)), np.zeros((0, 0), bool)
-    scores, masks = zip(*rows)
-    return np.asarray(scores, dtype=float), np.asarray(masks, dtype=bool)
-
-
 def evaluate_dataset(predictions, ground_truth_ranks) -> MetricReport:
     """Average the six metrics over aligned predictions and rank vectors.
 
-    ``predictions`` is a batched ``Prediction`` of (n, K) arrays, or
-    yields (scores, positive_mask) pairs or objects with those
-    attributes.  Every metric is computed over the stacked (n, K)
-    arrays.  Undefined correlations and undefined Max-1 values are
-    skipped per instance and counted; a metric undefined on every
-    instance averages to NaN.  Sums are compensated (math.fsum) so the
-    result does not depend on accumulation order.
+    ``predictions`` is a ``Prediction`` of (n, K) arrays and
+    ``ground_truth_ranks`` the (n, K) ranks.  Undefined correlations and
+    undefined Max-1 values are skipped per instance and counted; a
+    metric undefined on every instance averages to NaN.  Sums are
+    compensated (math.fsum) so the result does not depend on
+    accumulation order.
     """
-    scores, masks = _stack_predictions(predictions)
-    gt = np.asarray(list(ground_truth_ranks), dtype=int)
-    if not len(scores) or len(scores) != len(gt):
-        raise ValueError("predictions and ground truths must align and be non-empty")
+    scores = np.asarray(predictions.scores, dtype=float)
+    masks = np.asarray(predictions.positive_mask, dtype=bool)
+    gt = np.asarray(ground_truth_ranks, dtype=int)
     if gt.ndim != 2 or scores.shape != gt.shape or masks.shape != gt.shape:
-        raise ValueError("prediction and ground-truth vectors must share one length")
+        raise ValueError(
+            f"predictions of shape {scores.shape} and ground-truth ranks of shape "
+            f"{gt.shape} must be aligned (n, K) arrays"
+        )
+    if not len(gt):
+        raise ValueError("predictions and ground truths must be non-empty")
     gt_pos = gt > 0
     gt_float = gt.astype(float)
     per = {

@@ -18,8 +18,12 @@ through the same kernels, and its last layer's 32-pixel receptive field
 spans most of a scaled digit, so it can tell which digit is how large.
 ``train_arrays`` builds the front end from its ``image_shape`` argument
 alone, which a JSONL dataset declares in its header; ``train`` takes it
-from RankedInstance records.  The model takes flat feature vectors
-everywhere.
+from RankedInstance records.
+
+Every pass takes a batch, an (n, d) matrix of flat feature vectors:
+``_forward_batch`` returns the (n, width) head output and a cache,
+``backward`` reads that cache, and ``predict_batch`` is the one
+inference path.  One instance is the n = 1 case.
 
 Training is seeded and single-threaded: given the same dataset and
 config it reproduces bit-identical parameters.  LSEP trains in two
@@ -35,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import crpc_loss, lsep_class_loss, lsep_rank_loss
-from .gaussian import GaussianParam
 from .gmlr import gmlr_objective
-from .predict import Prediction, decide, first_row
+from .predict import Prediction, decide
 
 METHODS = ("gmlr", "lsep", "crpc")
 # Rows per forward pass at inference.  Small enough that a chunk of
@@ -333,38 +336,17 @@ def _forward_batch(params: ModelParams, x: np.ndarray, work: dict | None = None)
     return h, (pre, inputs, argmax)
 
 
-def forward(params: ModelParams, features):
-    """Single-instance forward pass: the (width,) head output, or for
-    gmlr a ``GaussianParam`` of the per-class means and standard
-    deviations."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("features must be a 1-d vector")
-    out = _forward_batch(params, x[None, :])[0][0]
-    if params.head == "gmlr":
-        k = params.num_classes
-        return GaussianParam(mu=out[:k], sigma=np.exp(0.5 * out[k:]))
-    return out
+def backward(params: ModelParams, head_grads, cache):
+    """Gradients of sum_i <head_grads[i], out_i> w.r.t. every parameter,
+    for the (n, width) head gradients of the batch whose
+    ``_forward_batch`` returned ``cache``.
 
-
-def backward(params: ModelParams, features, head_grads, cache=None):
-    """Gradients of sum_i <head_grads[i], out_i> w.r.t. every parameter.
-
-    Returns [(dW, db), ...] aligned with the layers.  ``cache`` may
-    carry the cache of a matching ``_forward_batch`` to skip recompute.
+    Returns [(dW, db), ...] aligned with the layers.
     """
-    x = np.asarray(features, dtype=float)
-    g = np.asarray(head_grads, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-        g = g[None, :]
-    if cache is None:
-        _, cache = _forward_batch(params, x)
     pre, inputs, argmax = cache
     first = params.n_convs
     grads = [None] * len(params.weights)
-    dz = g
+    dz = head_grads
     for i in range(len(params.weights) - 1, first - 1, -1):
         grads[i] = (inputs[i].T @ dz, dz.sum(axis=0))
         if i > first:
@@ -397,7 +379,7 @@ def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, work: di
     else:
         losses, head_grads = lsep_rank_loss(out, ranks_matrix, mode)
     n = x.shape[0]
-    grads = backward(params, x, head_grads / n, cache=cache)
+    grads = backward(params, head_grads / n, cache)
     return float(np.sum(losses)) / n, grads
 
 
@@ -548,14 +530,6 @@ def predict_batch(params: ModelParams, x) -> tuple[np.ndarray, Prediction]:
     for start in range(0, x.shape[0], PREDICT_CHUNK):
         out[start : start + PREDICT_CHUNK] = _forward_batch(params, x[start : start + PREDICT_CHUNK])[0]
     return out, decide(params.head, out, params.num_classes)
-
-
-def predict_with(params: ModelParams, features) -> Prediction:
-    """``predict_batch`` for one feature vector."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("features must be a 1-d vector")
-    return first_row(predict_batch(params, x[None, :])[1])
 
 
 # ---------------------------------------------------------------------------

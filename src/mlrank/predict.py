@@ -11,8 +11,9 @@ Predicted ranks are dense 1..m over the positives, higher score means
 higher rank, and exact score ties always break by ascending class index
 so outputs are reproducible.
 
-The rules act on (n, width) head-output arrays; ``decide`` is the one
-code path.
+The rules act on (n, width) head-output arrays and give (n, K)
+arrays; ``decide`` is the one code path, and one instance is the n = 1
+case.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .baselines import crpc_slots
 
 @dataclass(frozen=True)
 class Prediction:
-    """Scores, bipartition and ranks: (K,) arrays for one instance or
-    (n, K) arrays for a batch."""
+    """Scores, bipartition and ranks of a batch, each an (n, K) array."""
 
     scores: np.ndarray
     positive_mask: np.ndarray
@@ -81,7 +81,3 @@ def decide(head: str, out: np.ndarray, num_classes: int) -> Prediction:
         scores = tally[:, :k]
         mask = scores > tally[:, k:]
     return Prediction(scores=scores, positive_mask=mask, predicted_ranks=ranks_from_scores(scores, mask))
-
-
-def first_row(batch: Prediction) -> Prediction:
-    return Prediction(batch.scores[0], batch.positive_mask[0], batch.predicted_ranks[0])

@@ -264,11 +264,6 @@ def generate_canvas_dataset(cfg: CanvasConfig, n: int) -> list[GeneratedSample]:
     return list(iter_canvas_samples(cfg, n))
 
 
-def generate_small_variance_dataset(cfg: CanvasConfig, n: int) -> list[GeneratedSample]:
-    """Every sample of ``iter_canvas_samples`` on ``small_variance_config``, as a list."""
-    return list(iter_canvas_samples(small_variance_config(cfg), n))
-
-
 def generate_calibration_set(cfg: CanvasConfig, n: int = 50) -> list[GeneratedSample]:
     """Samples with exactly 4 positive digits whose scales are a random
     bijection onto {1.0, 1.5, 2.0, 2.5}; ranks follow the scale levels."""

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from mlrank.buckets import BucketOrder, bucket_likelihood, bucket_likelihood_oracle
-from mlrank.gaussian import GaussianParam, q_prob
+from mlrank.gaussian import q_prob
 from mlrank.metrics import (
     evaluate_dataset,
     goodman_kruskal_gamma,
     kendall_tau_b,
     spearman_rho,
 )
-from mlrank.model import TrainConfig, batch_objective, init_model, predict_with, train, forward
+from mlrank.model import TrainConfig, batch_objective, init_model, predict_batch, train
 from mlrank.synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
@@ -96,9 +96,9 @@ def canvas_model():
 
 
 def positive_pair_accuracy(params, dataset):
+    _, preds = predict_batch(params, np.stack([inst.features for inst in dataset]))
     correct = total = 0
-    for inst in dataset:
-        scores = predict_with(params, inst.features).scores
+    for inst, scores in zip(dataset, preds.scores):
         positives = np.flatnonzero(inst.ranks > 0)
         for u in positives:
             for v in positives:
@@ -178,7 +178,7 @@ def test_criterion_03_q_accuracy():
     worst = 0.0
     for sigma in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         for mu in np.arange(-5.0, 5.0 + 1e-9, 0.25):
-            got = float(q_prob(GaussianParam(float(mu), sigma)))
+            got = float(q_prob(float(mu), sigma))
             want = q_prob_quadrature(float(mu), sigma)
             worst = max(worst, abs(got - min(max(want, 1e-12), 1 - 1e-12)))
     report(3, "Q probability accuracy", worst <= 1e-6, f"worst abs err {worst:.2e}")
@@ -229,8 +229,8 @@ def test_criterion_05_strong_beats_weak(feature_split, feature_models):
     ppas = {}
     for mode in ("strong", "weak"):
         params = feature_models[mode]
-        preds = [predict_with(params, inst.features) for inst in test_ds]
-        rep = evaluate_dataset(preds, [inst.ranks for inst in test_ds])
+        _, preds = predict_batch(params, np.stack([inst.features for inst in test_ds]))
+        rep = evaluate_dataset(preds, np.stack([inst.ranks for inst in test_ds]))
         taus[mode] = rep.tau_b * 100
         ppas[mode] = positive_pair_accuracy(params, test_ds)
     gap = taus["strong"] - taus["weak"]
@@ -247,13 +247,16 @@ def test_criterion_05_strong_beats_weak(feature_split, feature_models):
 @pytest.mark.slow
 def test_criterion_06_calibration_monotonicity(canvas_model):
     calib = generate_calibration_set(CanvasConfig(seed=CALIB_SEED, **CANVAS_CFG), 50)
+    # mu and sigma from the head output, as calib-exp reads them
+    out, _ = predict_batch(canvas_model, np.stack([sample.pixels for sample in calib]))
+    k = canvas_model.num_classes
+    mu, sigma = out[:, :k], np.exp(0.5 * out[:, k:])
     collected = {lv: [] for lv in CALIBRATION_SCALES}
     sigmas = {lv: [] for lv in CALIBRATION_SCALES}
-    for sample in calib:
-        out = forward(canvas_model, sample.pixels)
+    for i, sample in enumerate(calib):
         for pf in sample.factors:
-            collected[pf.scale].append(float(out.mu[pf.digit]))
-            sigmas[pf.scale].append(float(out.sigma[pf.digit]))
+            collected[pf.scale].append(float(mu[i, pf.digit]))
+            sigmas[pf.scale].append(float(sigma[i, pf.digit]))
     means = [float(np.mean(collected[lv])) for lv in CALIBRATION_SCALES]
     increasing = all(a < b for a, b in zip(means, means[1:]))
     mean_sig = [float(np.mean(sigmas[lv])) for lv in CALIBRATION_SCALES]
@@ -276,11 +279,10 @@ def test_criterion_07_adjusting_effects(canvas_model):
         CanvasConfig(seed=ADJUST_SEED, **CANVAS_CFG), n_sequences=50, steps=50
     )
     sums = np.zeros((50, 3))
+    # one batch per sequence, as adjust-exp predicts it
     for seq in seqs:
-        for si, sample in enumerate(seq.samples):
-            scores = predict_with(canvas_model, sample.pixels).scores
-            for role in range(3):
-                sums[si, role] += scores[seq.digits[role]]
+        _, pred = predict_batch(canvas_model, np.stack([sample.pixels for sample in seq.samples]))
+        sums += pred.scores[:, list(seq.digits)]
     means = sums / len(seqs)
     steps = np.arange(1, 51)
     rho_low = spearman_rho(steps, means[:, 0])
@@ -300,8 +302,8 @@ def test_criterion_07_adjusting_effects(canvas_model):
 def test_criterion_08_classification_quality(feature_split, feature_models):
     _, test_ds = feature_split
     params = feature_models["strong"]
-    preds = [predict_with(params, inst.features) for inst in test_ds]
-    rep = evaluate_dataset(preds, [inst.ranks for inst in test_ds])
+    _, preds = predict_batch(params, np.stack([inst.features for inst in test_ds]))
+    rep = evaluate_dataset(preds, np.stack([inst.ranks for inst in test_ds]))
     f1 = rep.f1 * 100
     hl = rep.hamming_loss * 100
     report(

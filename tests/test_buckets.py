@@ -11,7 +11,6 @@ from mlrank.buckets import (
     bucket_likelihood_oracle,
     bucket_order_from_ranks,
     pair_mask,
-    strict_pairs,
 )
 
 from oracles import ordered_partitions
@@ -31,7 +30,7 @@ class TestBucketOrderFromRanks:
     def test_all_negative(self):
         order = bucket_order_from_ranks([0, 0, 0])
         assert buckets_of(order) == [[0, 1, 2]]
-        assert strict_pairs(order) == []
+        assert mask_pairs(order.ranks) == set()
 
     def test_gaps_and_zero_bucket(self):
         assert buckets_of(bucket_order_from_ranks([3, 1, 0, 1])) == [[0], [1, 3], [2]]
@@ -48,13 +47,13 @@ class TestBucketOrderFromRanks:
 
 class TestStrictPairs:
     def test_tied_example(self):
-        assert set(strict_pairs(bucket_order_from_ranks([1, 2, 1]))) == {(1, 0), (1, 2)}
+        assert mask_pairs([1, 2, 1]) == {(1, 0), (1, 2)}
 
     def test_single_bucket(self):
-        assert strict_pairs(BucketOrder((frozenset({0, 1, 2}),), 3)) == []
+        assert mask_pairs(BucketOrder((frozenset({0, 1, 2}),), 3).ranks) == set()
 
     def test_total_order(self):
-        assert set(strict_pairs(bucket_order_from_ranks([3, 2, 1]))) == {(0, 1), (0, 2), (1, 2)}
+        assert mask_pairs([3, 2, 1]) == {(0, 1), (0, 2), (1, 2)}
 
     def test_pair_count_formula(self):
         order = bucket_order_from_ranks([2, 2, 1, 0, 0, 0])
@@ -62,7 +61,15 @@ class TestStrictPairs:
         expected = sum(
             sizes[k] * sizes[j] for k in range(len(sizes)) for j in range(k + 1, len(sizes))
         )
-        assert order.num_strict_pairs == expected
+        assert order.pair_arrays()[0].size == expected
+
+    def test_tied_pairs_are_each_buckets_combinations(self):
+        for k in (1, 2, 3, 4, 5):
+            for blocks in ordered_partitions(range(k)):
+                order = BucketOrder(tuple(frozenset(b) for b in blocks), k)
+                want = [list(itertools.combinations(sorted(b), 2)) for b in order.buckets]
+                got = [list(zip(u.tolist(), v.tolist())) for u, v in order.tied_pairs]
+                assert got == [pairs for pairs in want if pairs]
 
 
 def weak_pairs(ranks):
@@ -90,15 +97,14 @@ class TestWeakPairs:
             k = int(rng.integers(1, 7))
             ranks = rng.integers(0, 4, size=k)
             weak = set(weak_pairs(ranks))
-            strict = set(strict_pairs(bucket_order_from_ranks(ranks)))
-            assert weak <= strict
+            assert weak <= mask_pairs(ranks)
 
 
 class TestRoundTrip:
     def test_exhaustive_small(self):
         for k in (1, 2, 3, 4):
             for ranks in itertools.product(range(4), repeat=k):
-                got = set(strict_pairs(bucket_order_from_ranks(list(ranks))))
+                got = mask_pairs(bucket_order_from_ranks(list(ranks)).ranks)
                 want = {
                     (u, v) for u in range(k) for v in range(k) if ranks[u] > ranks[v]
                 }
@@ -110,7 +116,7 @@ class TestRoundTrip:
         for _ in range(200):
             k = int(rng.integers(5, 9))
             ranks = rng.integers(0, 5, size=k)
-            got = set(strict_pairs(bucket_order_from_ranks(ranks)))
+            got = mask_pairs(bucket_order_from_ranks(ranks).ranks)
             want = {(u, v) for u in range(k) for v in range(k) if ranks[u] > ranks[v]}
             assert got == want
             assert mask_pairs(ranks) == want
@@ -134,6 +140,22 @@ class TestBucketLikelihood:
         order = bucket_order_from_ranks([1, 0])
         with pytest.raises(ValueError):
             bucket_likelihood(np.zeros(3), np.ones(3), order)
+
+    @pytest.mark.parametrize("likelihood", [bucket_likelihood, bucket_likelihood_oracle])
+    @pytest.mark.parametrize(
+        "mu, sigma",
+        [
+            ([np.nan, 0.0], [1.0, 1.0]),
+            ([np.inf, 0.0], [1.0, 1.0]),
+            ([0.0, 0.0], [0.0, 1.0]),
+            ([0.0, 0.0], [1.0, -2.0]),
+            ([0.0, 0.0], [1.0, np.inf]),
+            ([0.0, 0.0], [np.nan, 1.0]),
+        ],
+    )
+    def test_refuses_non_finite_mean_or_bad_sigma(self, likelihood, mu, sigma):
+        with pytest.raises(ValueError, match="finite mu and finite sigma > 0"):
+            likelihood(np.array(mu), np.array(sigma), bucket_order_from_ranks([1, 0]))
 
     def test_power_law_for_total_order(self):
         # equal means make every pair probability 0.5
@@ -198,10 +220,6 @@ class TestOracle:
 
 
 class TestRankedInstance:
-    def test_positive_mask(self):
-        inst = RankedInstance(features=np.zeros(2), ranks=np.array([2, 0]))
-        assert inst.positive_mask.tolist() == [True, False]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RankedInstance(features=np.zeros(2), ranks=np.array([-1, 0]))
@@ -238,4 +256,4 @@ class TestBucketOrderValidation:
     def test_weak_order_shape(self):
         # weak supervision is the two-bucket order: positives over negatives
         order = BucketOrder((frozenset({0, 1}), frozenset({2, 3})), 4)
-        assert set(weak_pairs([2, 1, 0, 0])) == set(strict_pairs(order))
+        assert set(weak_pairs([2, 1, 0, 0])) == mask_pairs(order.ranks)

@@ -14,7 +14,7 @@ from mlrank.model import (
     TrainConfig,
     init_model,
     load_checkpoint,
-    predict_with,
+    predict_batch,
     save_checkpoint,
     train,
 )
@@ -465,7 +465,7 @@ class TestExperiments:
         want = np.zeros((5, 3))
         for seq in seqs:
             for step, sample in enumerate(seq.samples):
-                want[step] += predict_with(params, sample.pixels).scores[list(seq.digits)]
+                want[step] += predict_batch(params, sample.pixels[None])[1].scores[0, list(seq.digits)]
         got = np.array([[float(v) for v in r[1:]] for r in read_csv(out / "adjust.csv")[1:]])
         np.testing.assert_allclose(got, want / 3, rtol=1e-12, atol=1e-14)
 
@@ -705,6 +705,29 @@ class TestExitCodes:
         assert run("generate", "--config", str(cfgp), "--n", "5", "--seed", "1",
                    "--out", str(tmp_path / "x")) == 2
         assert "degenerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_too_few_instances_is_data_error(self, tmp_path, capsys, n):
+        out = tmp_path / "gen"
+        assert run("generate", "--kind", "feature", "--n", n, "--seed", "1", "--out", str(out)) == 2
+        assert f"'n' must be at least 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, setting, message", [
+        ("calib-exp", {"n": 1}, "'n' must be at least 2"),
+        ("calib-exp", {"n": 0}, "'n' must be at least 2"),
+        ("adjust-exp", {"n_sequences": 0}, "'n_sequences' must be at least 1"),
+    ], ids=["calib-n-1", "calib-n-0", "adjust-n_sequences-0"])
+    def test_too_small_probe_count_is_data_error(self, tmp_path, capsys, command, setting, message):
+        ckpt = tmp_path / "ckpt.json"
+        make_plain_canvas_checkpoint(ckpt)
+        cfgp = tmp_path / "probe.json"
+        cfgp.write_text(json.dumps({"canvas": SMALL_CANVAS, "steps": 3, **setting}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfgp), "--checkpoint", str(ckpt),
+                   "--seed", "1", "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_infeasible_canvas_is_data_error(self, tmp_path):
         cfgp = tmp_path / "g.json"

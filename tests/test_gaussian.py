@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlrank.buckets import pair_mask
-from mlrank.gaussian import P_EPS, GaussianParam, q_grads, q_prob
+from mlrank.gaussian import P_EPS, q_grads, q_prob
 from mlrank.gmlr import classification_loss, ranking_loss
 
 from oracles import erf_quadrature, q_prob_quadrature
@@ -17,22 +17,21 @@ PHI_INV_SQRT2 = 0.7602499389065233
 
 def erf(x):
     """erf through Q's erfc form: erf(x) = 2 Q(sqrt(2) x, 1) - 1."""
-    return 2.0 * q_prob(GaussianParam(math.sqrt(2.0) * np.asarray(x, dtype=float), 1.0)) - 1.0
+    return 2.0 * q_prob(math.sqrt(2.0) * np.asarray(x, dtype=float), 1.0) - 1.0
 
 
-def log_q_prob(g):
+def log_q_prob(mu, sigma):
     """log Q as the classification loss takes it: minus the loss of one
     positive class."""
-    mu = np.array([[float(g.mu)]])
-    log_var = np.array([[2.0 * math.log(float(g.sigma))]])
-    return -classification_loss(mu, log_var, np.array([[1]]))[0][0]
+    log_var = np.array([[2.0 * math.log(sigma)]])
+    return -classification_loss(np.array([[float(mu)]]), log_var, np.array([[1]]))[0][0]
 
 
 def diff_q(u, v):
-    """Q of z_u - z_v as the ranking loss takes it: exp(-loss) of the
-    single pair "u outranks v"."""
-    mu = np.array([[u.mu, v.mu]], dtype=float)
-    log_var = 2.0 * np.log(np.array([[u.sigma, v.sigma]], dtype=float))
+    """Q of z_u - z_v, each given as (mu, sigma), as the ranking loss
+    takes it: exp(-loss) of the single pair "u outranks v"."""
+    mu = np.array([[u[0], v[0]]], dtype=float)
+    log_var = 2.0 * np.log(np.array([[u[1], v[1]]], dtype=float))
     return math.exp(-ranking_loss(mu, log_var, pair_mask([[1, 0]], "strong"))[0][0])
 
 
@@ -57,70 +56,64 @@ class TestErf:
 
 class TestQProb:
     def test_zero_mean(self):
-        assert q_prob(GaussianParam(0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
-        assert q_prob(GaussianParam(0.0, 7.3)) == pytest.approx(0.5, abs=1e-12)
+        assert q_prob(0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert q_prob(0.0, 7.3) == pytest.approx(0.5, abs=1e-12)
 
     def test_value(self):
-        assert abs(q_prob(GaussianParam(1.0, 1.0)) - PHI_1) <= 1e-6
+        assert abs(q_prob(1.0, 1.0) - PHI_1) <= 1e-6
 
     def test_clamp(self):
-        assert q_prob(GaussianParam(-60.0, 1.0)) == P_EPS
-        assert q_prob(GaussianParam(60.0, 1.0)) == 1.0 - P_EPS
+        assert q_prob(-60.0, 1.0) == P_EPS
+        assert q_prob(60.0, 1.0) == 1.0 - P_EPS
 
     def test_symmetric_sum(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             mu = rng.uniform(-4, 4)
             sigma = rng.uniform(0.7, 5)  # keeps |mu|/sigma <= 6
-            total = q_prob(GaussianParam(mu, sigma)) + q_prob(GaussianParam(-mu, sigma))
+            total = q_prob(mu, sigma) + q_prob(-mu, sigma)
             assert abs(total - 1.0) <= 1e-9
 
     def test_monotone_in_mu(self):
         for sigma in (0.2, 1.0, 3.0, 10.0):
             mus = np.linspace(-30, 30, 301)
-            vals = q_prob(GaussianParam(mus, np.full_like(mus, sigma)))
+            vals = q_prob(mus, np.full_like(mus, sigma))
             assert np.all(np.diff(vals) >= 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GaussianParam(0.0, 0.0)
-        with pytest.raises(ValueError):
-            GaussianParam(np.nan, 1.0)
 
 
 class TestLogQProb:
     def test_half(self):
-        assert log_q_prob(GaussianParam(0.0, 1.0)) == pytest.approx(-math.log(2), abs=1e-12)
+        assert log_q_prob(0.0, 1.0) == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_value(self):
-        assert abs(log_q_prob(GaussianParam(1.0, 1.0)) - (-0.1727537790234499)) <= 1e-5
+        assert abs(log_q_prob(1.0, 1.0) - (-0.1727537790234499)) <= 1e-5
 
     def test_clamp_floor(self):
-        assert log_q_prob(GaussianParam(-40.0, 1.0)) >= math.log(1e-12) - 1e-9
+        assert log_q_prob(-40.0, 1.0) >= math.log(1e-12) - 1e-9
 
     def test_matches_log_of_q(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            g = GaussianParam(rng.uniform(-4, 4), rng.uniform(0.3, 4))
-            q = float(q_prob(g))
+            mu, sigma = rng.uniform(-4, 4), rng.uniform(0.3, 4)
+            q = float(q_prob(mu, sigma))
             if 1e-6 <= q <= 1 - 1e-6:
-                assert abs(float(log_q_prob(g)) - math.log(q)) <= 1e-9
+                assert abs(float(log_q_prob(mu, sigma)) - math.log(q)) <= 1e-9
 
 
 class TestDiffParam:
     """z_u - z_v ~ N(mu_u - mu_v, sigma_u^2 + sigma_v^2) inside the ranking loss."""
 
     def test_symmetric(self):
-        assert diff_q(GaussianParam(0.0, 1.0), GaussianParam(0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+        assert diff_q((0.0, 1.0), (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
         # only the variance sum matters at equal means
-        assert diff_q(GaussianParam(0.0, 0.3), GaussianParam(0.0, 4.0)) == pytest.approx(0.5, abs=1e-12)
+        assert diff_q((0.0, 0.3), (0.0, 4.0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_direct(self):
-        want = float(q_prob(GaussianParam(2.0, math.sqrt(8))))
-        assert diff_q(GaussianParam(3.0, 2.0), GaussianParam(1.0, 2.0)) == pytest.approx(want, rel=1e-12)
+        want = float(q_prob(2.0, math.sqrt(8)))
+        assert diff_q((3.0, 2.0), (1.0, 2.0)) == pytest.approx(want, rel=1e-12)
 
     def test_through_q(self):
-        assert abs(diff_q(GaussianParam(1.0, 1.0), GaussianParam(0.0, 1.0)) - PHI_INV_SQRT2) <= 1e-6
+        assert abs(diff_q((1.0, 1.0), (0.0, 1.0)) - PHI_INV_SQRT2) <= 1e-6
         assert abs(PHI_INV_SQRT2 - q_prob_quadrature(1.0, math.sqrt(2))) <= 1e-9
 
 
@@ -129,12 +122,12 @@ class TestQGrads:
         h = 1e-5
         for sigma in (0.2, 0.5, 1.0, 2.0, 5.0):
             for mu in np.arange(-4.0, 4.0 + 1e-9, 0.5):
-                _, dmu, dsigma = q_grads(GaussianParam(mu, sigma))
+                _, dmu, dsigma = q_grads(mu, sigma)
                 fd_mu = (
-                    q_prob(GaussianParam(mu + h, sigma)) - q_prob(GaussianParam(mu - h, sigma))
+                    q_prob(mu + h, sigma) - q_prob(mu - h, sigma)
                 ) / (2 * h)
                 fd_sg = (
-                    q_prob(GaussianParam(mu, sigma + h)) - q_prob(GaussianParam(mu, sigma - h))
+                    q_prob(mu, sigma + h) - q_prob(mu, sigma - h)
                 ) / (2 * h)
                 for a, f in ((dmu, fd_mu), (dsigma, fd_sg)):
                     if abs(f) < 1e-7:
@@ -144,16 +137,16 @@ class TestQGrads:
                         assert abs(a - f) / abs(f) <= 1e-5
 
     def test_zero_in_clamped_region(self):
-        _, dmu, dsigma = q_grads(GaussianParam(-20.0, 0.5))
+        _, dmu, dsigma = q_grads(-20.0, 0.5)
         assert dmu == 0.0 and dsigma == 0.0
 
     def test_value_is_q_prob_bit_for_bit(self):
         # tails on both sides of the clamp, scalars and a (3, 4, 4) batch
         rng = np.random.default_rng(8)
-        for g in (
-            GaussianParam(-20.0, 0.5),
-            GaussianParam(0.3, 1.7),
-            GaussianParam(rng.normal(scale=12.0, size=(3, 4, 4)), rng.uniform(0.1, 3.0, size=(3, 4, 4))),
+        for mu, sigma in (
+            (-20.0, 0.5),
+            (0.3, 1.7),
+            (rng.normal(scale=12.0, size=(3, 4, 4)), rng.uniform(0.1, 3.0, size=(3, 4, 4))),
         ):
-            q, _, _ = q_grads(g)
-            assert np.array_equal(q, q_prob(g))
+            q, _, _ = q_grads(mu, sigma)
+            assert np.array_equal(q, q_prob(mu, sigma))

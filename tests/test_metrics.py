@@ -159,17 +159,16 @@ class TestClassificationMetrics:
                 assert f1_score(mask, mask) == 1.0
 
 
-class FakePred:
-    def __init__(self, scores, positive_mask):
-        self.scores = np.asarray(scores, dtype=float)
-        self.positive_mask = np.asarray(positive_mask, dtype=bool)
+def batch(score_rows, mask_rows) -> Prediction:
+    """A ``Prediction`` of (n, K) arrays from row lists."""
+    scores = np.asarray(score_rows, dtype=float)
+    masks = np.asarray(mask_rows, dtype=bool)
+    return Prediction(scores, masks, ranks_from_scores(scores, masks))
 
 
 class TestEvaluateDataset:
     def test_single_instance(self):
-        report = evaluate_dataset(
-            [FakePred(WORKED_SCORES, [1, 1, 0, 0])], [np.array(WORKED_GT)]
-        )
+        report = evaluate_dataset(batch([WORKED_SCORES], [[1, 1, 0, 0]]), [WORKED_GT])
         assert report.tau_b == pytest.approx(5 / math.sqrt(30), abs=1e-12)
         assert report.spearman_rho == pytest.approx(0.95, abs=1e-12)
         assert report.gamma == pytest.approx(1.0)
@@ -179,22 +178,19 @@ class TestEvaluateDataset:
         assert report.n_instances == 1
 
     def test_mean_of_two(self):
-        preds = [
-            FakePred([0.9, 0.5, 0.1], [1, 1, 0]),
-            FakePred([0.1, 0.9, 0.5], [1, 1, 0]),
-        ]
-        gts = [np.array([2, 1, 0]), np.array([2, 1, 0])]
+        preds = batch([[0.9, 0.5, 0.1], [0.1, 0.9, 0.5]], [[1, 1, 0], [1, 1, 0]])
+        gts = [[2, 1, 0], [2, 1, 0]]
         report = evaluate_dataset(preds, gts)
         t1 = kendall_tau_b([2, 1, 0], [0.9, 0.5, 0.1])
         t2 = kendall_tau_b([2, 1, 0], [0.1, 0.9, 0.5])
         assert report.tau_b == pytest.approx((t1 + t2) / 2, abs=1e-12)
 
     def test_degenerate_instance_skipped_per_metric(self):
-        preds = [
-            FakePred([0.9, 0.5, 0.1], [1, 1, 0]),
-            FakePred([0.4, 0.4, 0.4], [0, 0, 0]),  # constant scores
-        ]
-        gts = [np.array([2, 1, 0]), np.array([2, 1, 0])]
+        preds = batch(
+            [[0.9, 0.5, 0.1], [0.4, 0.4, 0.4]],  # the second row's scores are constant
+            [[1, 1, 0], [0, 0, 0]],
+        )
+        gts = [[2, 1, 0], [2, 1, 0]]
         report = evaluate_dataset(preds, gts)
         assert report.skipped_tau_b == 1
         assert report.skipped_spearman_rho == 1
@@ -205,14 +201,13 @@ class TestEvaluateDataset:
         assert report.hamming_loss == pytest.approx((0.0 + 2 / 3) / 2)
 
     def test_all_skipped_is_nan(self):
-        preds = [FakePred([0.5, 0.5], [0, 0])]
-        report = evaluate_dataset(preds, [np.array([1, 0])])
+        report = evaluate_dataset(batch([[0.5, 0.5]], [[0, 0]]), [[1, 0]])
         assert math.isnan(report.tau_b)
         assert report.skipped_tau_b == 1
 
     def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            evaluate_dataset([], [])
+        with pytest.raises(ValueError, match="non-empty"):
+            evaluate_dataset(batch(np.zeros((0, 3)), np.zeros((0, 3))), np.zeros((0, 3), dtype=int))
 
 
 def oracle_report(score_rows, mask_rows, gt_rows):
@@ -262,7 +257,7 @@ class TestBatchedAgainstOracles:
     @given(tied_datasets())
     def test_means_and_skip_counts(self, data):
         scores, masks, gt = data
-        report = evaluate_dataset(list(zip(scores, masks)), list(gt))
+        report = evaluate_dataset(batch(scores, masks), gt)
         want, skipped = oracle_report(scores, masks, gt)
         got = {
             "tau_b": report.tau_b, "rho": report.spearman_rho, "gamma": report.gamma,
@@ -277,16 +272,10 @@ class TestBatchedAgainstOracles:
                 report.skipped_max1) == (skipped["tau_b"], skipped["rho"], skipped["gamma"], skipped["m1"])
         assert report.n_instances == len(gt)
 
-    @settings(max_examples=100, deadline=None)
-    @given(tied_datasets())
-    def test_batched_prediction_equals_instance_list(self, data):
-        scores, masks, gt = data
-        batched = Prediction(scores, masks, ranks_from_scores(scores, masks))
-        # repr: exact floats, and NaN equals NaN.
-        assert repr(evaluate_dataset(batched, gt)) == repr(evaluate_dataset(list(zip(scores, masks)), list(gt)))
-
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_dataset([FakePred([0.1, 0.2], [1, 0])], [np.array([1, 0, 0])])
-        with pytest.raises(ValueError):
-            evaluate_dataset([FakePred([0.1, 0.2], [1, 0])] * 2, [np.array([1, 0])])
+        with pytest.raises(ValueError, match="aligned"):
+            evaluate_dataset(batch([[0.1, 0.2]], [[1, 0]]), [[1, 0, 0]])
+        with pytest.raises(ValueError, match="aligned"):
+            evaluate_dataset(batch([[0.1, 0.2]] * 2, [[1, 0]] * 2), [[1, 0]])
+        with pytest.raises(ValueError, match="aligned"):
+            evaluate_dataset(batch([0.1, 0.2], [1, 0]), [1, 0])

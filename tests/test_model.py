@@ -10,7 +10,7 @@ import pytest
 import mlrank
 from mlrank.baselines import lsep_class_loss
 from mlrank.buckets import RankedInstance
-from mlrank.gaussian import GaussianParam, q_grads, q_prob
+from mlrank.gaussian import q_grads, q_prob
 from mlrank.model import (
     AdamState,
     FrontEnd,
@@ -21,12 +21,11 @@ from mlrank.model import (
     backward,
     _forward_batch,
     batch_objective,
-    forward,
     head_width,
     init_model,
     load_checkpoint,
     lsep_threshold_objective,
-    predict_with,
+    predict_batch,
     save_checkpoint,
     train,
 )
@@ -65,41 +64,43 @@ class TestForward:
         params = init_model(4, 3, "gmlr", hidden=(5,), seed=0)
         for w in params.weights:
             w[...] = 0.0
-        pred = forward(params, np.ones(4))
-        assert isinstance(pred, GaussianParam)
-        assert not pred.mu.any()
-        np.testing.assert_array_equal(pred.sigma, 1.0)
+        out, pred = predict_batch(params, np.ones((1, 4)))
+        # zero means and zero log-variances: sigma = 1
+        np.testing.assert_array_equal(out, np.zeros((1, 6)))
+        np.testing.assert_array_equal(pred.scores, np.zeros((1, 3)))
 
     def test_affine_no_hidden(self):
         params = init_model(3, 2, "lsep", hidden=(), seed=1)
-        x = np.array([0.3, -1.0, 2.0])
-        out = forward(params, x)
+        x = np.array([[0.3, -1.0, 2.0]])
+        out, _ = predict_batch(params, x)
         expect = x @ params.weights[0] + params.biases[0]
         np.testing.assert_allclose(out, expect)
 
-    def test_crpc_head_type(self):
+    def test_crpc_head_width(self):
         params = init_model(3, 3, "crpc", hidden=(4,), seed=2)
-        out = forward(params, np.zeros(3))
-        assert isinstance(out, np.ndarray)
-        assert out.shape == (6,)
+        out, _ = predict_batch(params, np.zeros((1, 3)))
+        assert out.shape == (1, 6)
 
     def test_deterministic(self):
         params = init_model(5, 2, "gmlr", hidden=(7,), seed=3)
-        x = np.random.default_rng(0).normal(size=5)
-        a = forward(params, x)
-        b = forward(params, x)
-        np.testing.assert_array_equal(a.mu, b.mu)
+        x = np.random.default_rng(0).normal(size=(1, 5))
+        a, _ = predict_batch(params, x)
+        b, _ = predict_batch(params, x)
+        np.testing.assert_array_equal(a, b)
 
     def test_dim_mismatch(self):
         params = init_model(5, 2, "gmlr", hidden=(), seed=3)
         with pytest.raises(ValueError):
-            forward(params, np.zeros(4))
+            predict_batch(params, np.zeros((1, 4)))
+        with pytest.raises(ValueError):
+            predict_batch(params, np.zeros(5))
 
 
 class TestBackward:
     def test_zero_head_grad(self):
         params = init_model(4, 2, "gmlr", hidden=(6,), seed=5)
-        grads = backward(params, np.ones(4), np.zeros(4))
+        _, cache = _forward_batch(params, np.ones((1, 4)))
+        grads = backward(params, np.zeros((1, 4)), cache)
         assert all(not dw.any() and not db.any() for dw, db in grads)
 
     def test_linear_gmlr_closed_form(self):
@@ -107,13 +108,13 @@ class TestBackward:
         # through mu and log-variance is hand-derivable
         params = init_model(3, 1, "gmlr", hidden=(), seed=6)
         x = np.array([0.5, -1.2, 2.0])
-        out = forward(params, x)
-        mu, sigma = float(out.mu[0]), float(out.sigma[0])
-        q = float(q_prob(GaussianParam(mu, sigma)))
-        _, dq_dmu, dq_dsigma = q_grads(GaussianParam(mu, sigma))
+        out, cache = _forward_batch(params, x[None, :])
+        mu, sigma = float(out[0, 0]), float(np.exp(0.5 * out[0, 1]))
+        q = float(q_prob(mu, sigma))
+        _, dq_dmu, dq_dsigma = q_grads(mu, sigma)
         dl_dmu = -float(dq_dmu) / q
         dl_dlv = -float(dq_dsigma) / q * 0.5 * sigma
-        grads = backward(params, x, np.array([dl_dmu, dl_dlv]))
+        grads = backward(params, np.array([[dl_dmu, dl_dlv]]), cache)
         np.testing.assert_allclose(grads[0][0][:, 0], dl_dmu * x)
         np.testing.assert_allclose(grads[0][0][:, 1], dl_dlv * x)
         np.testing.assert_allclose(grads[0][1], [dl_dmu, dl_dlv])
@@ -272,7 +273,7 @@ class TestLsepThresholdObjective:
         params, x, ranks = lsep_model(kind)
         out, cache = _forward_batch(params, x)
         losses, head_grads = lsep_class_loss(out, ranks)
-        full = backward(params, x, head_grads / len(x), cache=cache)
+        full = backward(params, head_grads / len(x), cache)
         loss, (dw, db) = lsep_threshold_objective(params, x, ranks)
         assert loss == np.sum(losses) / len(x)
         assert np.max(np.abs(dw - full[-1][0][:, 3:])) <= 1e-15
@@ -334,13 +335,13 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestPredictWith:
+class TestPredictBatch:
     def test_dispatch(self):
         for method in ("gmlr", "lsep", "crpc"):
             params = init_model(4, 3, method, hidden=(), seed=3)
-            pred = predict_with(params, np.zeros(4))
-            assert pred.scores.shape == (3,)
-            assert pred.positive_mask.shape == (3,)
+            _, pred = predict_batch(params, np.zeros((1, 4)))
+            assert pred.scores.shape == (1, 3)
+            assert pred.positive_mask.shape == (1, 3)
 
 
 def small_canvases(n=8, color_mode="gray"):
@@ -416,10 +417,10 @@ class TestFrontEnd:
         x = np.random.default_rng(0).uniform(size=(3, 1024))
         out, _ = batch_objective(params, x, np.array([[1, 0, 0]] * 3), "gmlr", "strong")
         assert np.isfinite(out)
-        single = forward(params, x[1])
-        assert isinstance(single, GaussianParam) and single.mu.shape == (3,)
+        single, _ = predict_batch(params, x[1:2])
+        assert single.shape == (1, 6)
         with pytest.raises(ValueError):
-            forward(params, np.zeros(1023))
+            predict_batch(params, np.zeros((1, 1023)))
 
 
 class TestFrontEndSelection:
@@ -548,11 +549,11 @@ class TestFrontEndCheckpoint:
         assert loaded.front_end == params.front_end
         for a, b in zip(params.value_list(), loaded.value_list()):
             np.testing.assert_array_equal(a, b)
-        for inst in data:
-            want = predict_with(params, inst.features)
-            got = predict_with(loaded, inst.features)
-            np.testing.assert_array_equal(got.scores, want.scores)
-            np.testing.assert_array_equal(got.positive_mask, want.positive_mask)
+        x = np.stack([inst.features for inst in data])
+        _, want = predict_batch(params, x)
+        _, got = predict_batch(loaded, x)
+        np.testing.assert_array_equal(got.scores, want.scores)
+        np.testing.assert_array_equal(got.positive_mask, want.positive_mask)
 
     def test_mlp_checkpoint_stays_version_1(self, tmp_path):
         params = init_model(2, 1, "gmlr", hidden=(), seed=0)
@@ -567,7 +568,7 @@ class TestFrontEndCheckpoint:
         }))
         loaded, _ = load_checkpoint(legacy)
         assert loaded.front_end is None and loaded.input_dim == 2
-        assert predict_with(loaded, np.array([2.0, 7.0])).scores.tolist() == [1.5]
+        assert predict_batch(loaded, np.array([[2.0, 7.0]]))[1].scores.tolist() == [[1.5]]
 
     def test_other_convolutions_rejected(self, tmp_path):
         fe = FrontEnd((32, 32, 1))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from mlrank.model import PREDICT_CHUNK, init_model, predict_batch, predict_with
-from mlrank.predict import decide, first_row, ranks_from_scores
+from mlrank.model import PREDICT_CHUNK, init_model, predict_batch
+from mlrank.predict import decide, ranks_from_scores
 
 
 def crpc_scores(values, k):
@@ -23,7 +23,9 @@ def crpc_scores(values, k):
 
 
 def predict_one(head, out, k):
-    return first_row(decide(head, np.asarray(out, dtype=float)[None, :], k))
+    """``decide`` on a one-row batch: the (1, K) scores, mask and ranks
+    of one head-output vector."""
+    return decide(head, np.asarray(out, dtype=float)[None, :], k)
 
 
 def predict_gmlr(mu):
@@ -47,22 +49,22 @@ def crpc_slot(u, v):
 class TestPredictGmlr:
     def test_sign_rule_and_ranks(self):
         pred = predict_gmlr([0.5, -0.2, 1.3])
-        assert pred.positive_mask.tolist() == [True, False, True]
-        assert pred.predicted_ranks.tolist() == [1, 0, 2]
+        assert pred.positive_mask.tolist() == [[True, False, True]]
+        assert pred.predicted_ranks.tolist() == [[1, 0, 2]]
 
     def test_no_positives(self):
         pred = predict_gmlr([-1.0, -2.0])
-        assert pred.predicted_ranks.tolist() == [0, 0]
+        assert pred.predicted_ranks.tolist() == [[0, 0]]
 
     def test_zero_boundary_is_positive(self):
         pred = predict_gmlr([0.0, -0.1])
-        assert pred.positive_mask.tolist() == [True, False]
+        assert pred.positive_mask.tolist() == [[True, False]]
 
 
 class TestPredictLsep:
     def test_threshold_rule(self):
         pred = predict_lsep([1.0, 0.0], [0.0, 1.0])
-        assert pred.positive_mask.tolist() == [True, False]
+        assert pred.positive_mask.tolist() == [[True, False]]
 
     def test_equal_is_negative(self):
         pred = predict_lsep([0.7, 0.7], [0.7, 0.7])
@@ -70,7 +72,7 @@ class TestPredictLsep:
 
     def test_ranks(self):
         pred = predict_lsep([3.0, 2.0, 1.0], [0.0, 0.0, 2.0])
-        assert pred.predicted_ranks.tolist() == [2, 1, 0]
+        assert pred.predicted_ranks.tolist() == [[2, 1, 0]]
 
 
 class TestPredictCrpc:
@@ -83,15 +85,15 @@ class TestPredictCrpc:
         values[crpc_slot(0, 1)] = 10.0
         values[crpc_slot(0, 2)] = 10.0
         pred = predict_crpc(values, 2)
-        assert pred.positive_mask.tolist() == [True, False]
-        assert pred.predicted_ranks[0] == 1
+        assert pred.positive_mask.tolist() == [[True, False]]
+        assert pred.predicted_ranks[0, 0] == 1
 
     def test_matches_scores_recomputation(self):
         rng = np.random.default_rng(2)
         values = rng.normal(size=6)
         pred = predict_crpc(values, 3)
         scores, virtual = crpc_scores(values, 3)
-        np.testing.assert_array_equal(pred.positive_mask, scores > virtual)
+        np.testing.assert_array_equal(pred.positive_mask, [scores > virtual])
 
 
 class TestRankAssignment:
@@ -176,9 +178,9 @@ class TestPredictBatch:
         assert out.shape == (PREDICT_CHUNK + 1, params.weights[-1].shape[1])
         assert batch.scores.shape == batch.positive_mask.shape == batch.predicted_ranks.shape
         for i, row in enumerate(x):
-            single = predict_with(params, row)
+            _, single = predict_batch(params, row[None])
             # One row through BLAS and a chunk of rows may round differently.
-            np.testing.assert_allclose(batch.scores[i], single.scores, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(batch.scores[i], single.scores[0], rtol=1e-12, atol=1e-14)
             # Masks and ranks must agree unless a score sits on its
             # threshold or on another score to within rounding.
             if method == "gmlr":
@@ -187,11 +189,12 @@ class TestPredictBatch:
                 threshold = out[i, k:]
             else:
                 threshold = crpc_scores(out[i], k)[1]
-            margin = np.abs(single.scores - threshold)
-            gaps = np.abs(single.scores[:, None] - single.scores[None, :])[np.triu_indices(k, 1)]
+            scores = single.scores[0]
+            margin = np.abs(scores - threshold)
+            gaps = np.abs(scores[:, None] - scores[None, :])[np.triu_indices(k, 1)]
             assume(margin.min() > 1e-9 and (gaps.size == 0 or gaps.min() > 1e-9))
-            assert batch.positive_mask[i].tolist() == single.positive_mask.tolist()
-            assert batch.predicted_ranks[i].tolist() == single.predicted_ranks.tolist()
+            assert batch.positive_mask[i].tolist() == single.positive_mask[0].tolist()
+            assert batch.predicted_ranks[i].tolist() == single.predicted_ranks[0].tolist()
 
     def test_empty_batch(self):
         params = init_model(3, 2, "gmlr", hidden=(), seed=0)

@@ -24,7 +24,6 @@ from mlrank.synthgen import (
     generate_calibration_set,
     generate_canvas_dataset,
     generate_feature_dataset,
-    generate_small_variance_dataset,
     iter_adjust_sequences,
     iter_feature_rows,
     read_dataset_jsonl,
@@ -215,7 +214,7 @@ class TestCanvasDataset:
 
 class TestSmallVariance:
     def test_scale_window(self):
-        samples = generate_small_variance_dataset(small_cfg(setup="S"), 40)
+        samples = generate_canvas_dataset(small_variance_config(small_cfg(setup="S")), 40)
         for s in samples:
             for pf in s.factors:
                 assert 1.0 <= pf.scale <= 1.5
@@ -224,11 +223,11 @@ class TestSmallVariance:
 
     def test_requires_scale_setup(self):
         with pytest.raises(ValueError, match="setup mismatch"):
-            generate_small_variance_dataset(small_cfg(setup="B"), 5)
+            small_variance_config(small_cfg(setup="B"))
 
     def test_determinism(self):
-        a = generate_small_variance_dataset(small_cfg(), 6)
-        b = generate_small_variance_dataset(small_cfg(), 6)
+        a = generate_canvas_dataset(small_variance_config(small_cfg()), 6)
+        b = generate_canvas_dataset(small_variance_config(small_cfg()), 6)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.pixels, sb.pixels)
 
