@@ -8,11 +8,9 @@ generators, and a CLI harness for the behavioural experiments.
 
 from .baselines import crpc_loss, crpc_slots, lsep_class_loss, lsep_rank_loss
 from .buckets import (
-    BucketOrder,
     RankedInstance,
     bucket_likelihood,
     bucket_likelihood_oracle,
-    bucket_order_from_ranks,
     pair_mask,
 )
 from .gaussian import q_grads, q_prob

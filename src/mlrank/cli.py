@@ -112,12 +112,59 @@ def _settings(args, known) -> dict:
     return cfg
 
 
+def _integer(value, key: str, minimum: int = 0) -> int:
+    """``value`` when it is a JSON integer of at least ``minimum``.  As in
+    the dataset header, a bool or a float such as 1.0 does not count."""
+    if type(value) is not int:
+        raise ValueError(f"'{key}' must be a JSON integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"'{key}' must be at least {minimum}, got {value}")
+    return value
+
+
+def _number(value, key: str):
+    """``value`` when it is a finite JSON number (not a bool)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
+    return value
+
+
+def _flag(value, key: str) -> bool:
+    """``value`` when it is a JSON boolean; a string such as "false" is not."""
+    if type(value) is not bool:
+        raise ValueError(f"'{key}' must be true or false, got {value!r}")
+    return value
+
+
+def _pair(value, key: str, item) -> tuple:
+    """A two-element JSON list as a tuple, each element checked by ``item``."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"'{key}' must be a list of two values, got {value!r}")
+    return tuple(item(v, key) for v in value)
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """The nested settings object ``cfg[key]``, empty when absent."""
+    d = cfg.get(key, {})
+    if not isinstance(d, dict):
+        raise ValueError(f"'{key}' must be a JSON object, got {d!r}")
+    return d
+
+
 def _canvas_config(d: dict, seed: int) -> CanvasConfig:
     _refuse_unknown(d, (f.name for f in dataclasses.fields(CanvasConfig)), "canvas")
     kwargs = dict(d)
-    for key in ("digit_count_range", "scale_range", "brightness_range"):
+    for key in ("canvas_size", "num_classes", "glyph_size"):
         if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+            _integer(kwargs[key], f"canvas.{key}", 1)
+    if "digit_count_range" in kwargs:
+        kwargs["digit_count_range"] = _pair(kwargs["digit_count_range"], "canvas.digit_count_range", _integer)
+    for key in ("scale_range", "brightness_range"):
+        if key in kwargs:
+            kwargs[key] = _pair(kwargs[key], f"canvas.{key}", _number)
+    for key in ("color_mode", "setup", "glyph_source", "idx_images", "idx_labels"):
+        if kwargs.get(key) is not None and not isinstance(kwargs[key], str):
+            raise ValueError(f"'canvas.{key}' must be a string, got {kwargs[key]!r}")
     kwargs["seed"] = seed
     return CanvasConfig(**kwargs)
 
@@ -129,8 +176,16 @@ _PROBE_KEYS = ("seed", "out", "checkpoint", "canvas", "n", "n_sequences", "steps
 
 def _train_config(cfg: dict) -> TrainConfig:
     kwargs = {k: cfg[k] for k in _TRAIN_FIELDS if k in cfg}
+    for key, minimum in (("seed", 0), ("epochs", 0), ("batch_size", 1), ("stage2_epochs", 0)):
+        if kwargs.get(key) is not None:
+            _integer(kwargs[key], key, minimum)
+    for key in ("learning_rate", "weight_decay", "lr_decay_per_epoch"):
+        if key in kwargs:
+            _number(kwargs[key], key)
     if "hidden" in kwargs:
-        kwargs["hidden"] = tuple(kwargs["hidden"])
+        if not isinstance(kwargs["hidden"], list):
+            raise ValueError(f"'hidden' must be a list of layer widths, got {kwargs['hidden']!r}")
+        kwargs["hidden"] = tuple(_integer(width, "hidden", 1) for width in kwargs["hidden"])
     return TrainConfig(**kwargs)
 
 
@@ -139,8 +194,10 @@ def _feature_config(d: dict) -> dict:
     _refuse_unknown(d, defaults, "feature")
     f = {**defaults, **d}
     return {
-        "num_classes": int(f["num_classes"]), "dim": int(f["dim"]),
-        "factor_range": list(f["factor_range"]), "noise": float(f["noise"]),
+        "num_classes": _integer(f["num_classes"], "feature.num_classes", 1),
+        "dim": _integer(f["dim"], "feature.dim", 1),
+        "factor_range": list(_pair(f["factor_range"], "feature.factor_range", _number)),
+        "noise": float(_number(f["noise"], "feature.noise")),
     }
 
 
@@ -159,10 +216,9 @@ def _load_model_and_data(cfg):
 def _probe_setup(cfg: dict):
     """(seed, out, params, canvas) of a probe experiment on a canvas
     checkpoint; warns when the checkpoint was trained on another setup."""
-    seed = int(_require(cfg, "seed"))
-    out = _out_dir(cfg)
+    seed = _integer(_require(cfg, "seed"), "seed")
+    canvas = _canvas_config(_section(cfg, "canvas"), seed)
     params, meta = load_checkpoint(_require(cfg, "checkpoint"))
-    canvas = _canvas_config(cfg.get("canvas", {}), seed)
     trained = meta.get("trained_on", {})
     setup = trained.get("canvas", {}).get("setup") if isinstance(trained, dict) else None
     if setup is not None and setup != canvas.setup:
@@ -174,7 +230,7 @@ def _probe_setup(cfg: dict):
         raise ValueError(
             f"feature-length mismatch: checkpoint expects {params.input_dim}, canvas yields {canvas.feature_length}"
         )
-    return seed, out, params, canvas
+    return seed, _out_dir(cfg), params, canvas
 
 
 # ---------------------------------------------------------------------------
@@ -183,31 +239,32 @@ def _probe_setup(cfg: dict):
 
 def cmd_generate(args) -> int:
     cfg = _settings(args, ("seed", "out", "n", "kind", "dump_images", "canvas", "feature"))
-    seed = int(_require(cfg, "seed"))
-    n = int(_require(cfg, "n"))
-    if n < 1:
-        raise ValueError(f"'n' must be at least 1, got {n}")
+    seed = _integer(_require(cfg, "seed"), "seed")
+    n = _integer(_require(cfg, "n"), "n", 1)
     kind = cfg.get("kind", "canvas")
-    out = _out_dir(cfg)
+    dump_images = _flag(cfg.get("dump_images", False), "dump_images")
     # No ``out`` in the header's echo: the bytes must not depend on it.
     resolved: dict = {"kind": kind, "n": n, "seed": seed}
-    image_shape = None
     if kind in ("canvas", "small-variance"):
-        canvas = _canvas_config(cfg.get("canvas", {}), seed)
+        canvas = _canvas_config(_section(cfg, "canvas"), seed)
         resolved["canvas"] = canvas.to_dict()
+    elif kind == "feature":
+        feature = resolved["feature"] = _feature_config(_section(cfg, "feature"))
+    else:
+        raise UsageError(f"unknown dataset kind {kind!r}")
+    out = _out_dir(cfg)
+    image_shape = None
+    if kind == "feature":
+        rows = iter_feature_rows(n=n, seed=seed, **feature)
+        x, ranks = dataset_arrays(rows, n, feature["dim"], feature["num_classes"])
+    else:
         image_dir = None
-        if cfg.get("dump_images"):
+        if dump_images:
             image_dir = os.path.join(out, "images")
             resolved["dump_images"] = True
         drawn = small_variance_config(canvas) if kind == "small-variance" else canvas
         x, ranks = canvas_arrays(drawn, n, image_dir)
         image_shape = canvas.image_shape
-    elif kind == "feature":
-        feature = resolved["feature"] = _feature_config(cfg.get("feature", {}))
-        rows = iter_feature_rows(n=n, seed=seed, **feature)
-        x, ranks = dataset_arrays(rows, n, feature["dim"], feature["num_classes"])
-    else:
-        raise UsageError(f"unknown dataset kind {kind!r}")
     path = os.path.join(out, "dataset.jsonl")
     write_dataset_jsonl(path, x, ranks, generator=resolved, image_shape=image_shape)
     _write_echo(out, "generate", {**resolved, "out": out})
@@ -217,10 +274,10 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _settings(args, ("dataset", "out", *_TRAIN_FIELDS))
-    cfg["seed"] = int(_require(cfg, "seed"))
+    _require(cfg, "seed")
     tc = _train_config(cfg)
-    out = _out_dir(cfg)
     header, x, ranks = read_dataset_jsonl(_require(cfg, "dataset"))
+    out = _out_dir(cfg)
     params, log = train_arrays(x, ranks, tc, header.get("image_shape"))
     meta = {
         "mode": tc.mode,
@@ -245,9 +302,9 @@ _METRIC_COLUMNS = ("tau_b", "s_rho", "gamma", "hl", "m1", "f1")
 
 def cmd_eval(args) -> int:
     cfg = _settings(args, ("out", "checkpoint", "dataset", "raw"))
-    raw = bool(cfg.get("raw", False))
-    out = _out_dir(cfg)
+    raw = _flag(cfg.get("raw", False), "raw")
     params, x, ranks = _load_model_and_data(cfg)
+    out = _out_dir(cfg)
     _, preds = predict_batch(params, x)
     report = evaluate_dataset(preds, ranks)
     scale = 1.0 if raw else 100.0
@@ -278,11 +335,9 @@ def cmd_eval(args) -> int:
 
 def cmd_adjust_exp(args) -> int:
     cfg = _settings(args, _PROBE_KEYS)
+    n_sequences = _integer(cfg.get("n_sequences", 50), "n_sequences", 1)
+    steps = _integer(cfg.get("steps", 50), "steps", 2)
     seed, out, params, canvas = _probe_setup(cfg)
-    n_sequences = int(cfg.get("n_sequences", 50))
-    if n_sequences < 1:
-        raise ValueError(f"'n_sequences' must be at least 1 to average over, got {n_sequences}")
-    steps = int(cfg.get("steps", 50))
     sums = np.zeros((steps, 3))
     # One sequence in memory at a time, its steps predicted as one batch.
     for seq in iter_adjust_sequences(canvas, n_sequences=n_sequences, steps=steps):
@@ -309,11 +364,9 @@ def cmd_adjust_exp(args) -> int:
 
 def cmd_calib_exp(args) -> int:
     cfg = _settings(args, _PROBE_KEYS)
+    # Every sample puts one digit at each level; a std needs two.
+    n = _integer(cfg.get("n", 50), "n", 2)
     seed, out, params, canvas = _probe_setup(cfg)
-    n = int(cfg.get("n", 50))
-    if n < 2:
-        # Every sample puts one digit at each level; a std needs two.
-        raise ValueError(f"'n' must be at least 2 for a per-level std, got {n}")
     samples = generate_calibration_set(canvas, n)
     out_heads, pred = predict_batch(params, np.stack([sample.pixels for sample in samples]))
     # gmlr's second head is the log-variance; other methods have no sigma.
@@ -346,15 +399,15 @@ def cmd_calib_exp(args) -> int:
 
 def cmd_extract_sig(args) -> int:
     cfg = _settings(args, ("out", "checkpoint", "dataset", "class_index", "n_checkpoints"))
-    out = _out_dir(cfg)
+    class_index = _integer(_require(cfg, "class_index"), "class_index")
+    n_checkpoints = _integer(cfg.get("n_checkpoints", 10), "n_checkpoints", 1)
     params, x, _ = _load_model_and_data(cfg)
-    class_index = int(_require(cfg, "class_index"))
-    n_checkpoints = int(cfg.get("n_checkpoints", 10))
-    if not 0 <= class_index < params.num_classes:
+    if class_index >= params.num_classes:
         raise ValueError(f"class index {class_index} out of range for {params.num_classes} classes")
     n = len(x)
-    if n_checkpoints < 1 or n_checkpoints > n:
+    if n_checkpoints > n:
         raise ValueError("n_checkpoints must lie in 1..n_instances")
+    out = _out_dir(cfg)
     _, pred = predict_batch(params, x)
     scores = pred.scores[:, class_index]
     order = np.argsort(scores, kind="stable")

@@ -589,4 +589,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError("checkpoint kernels do not match its front end")
         if params.weights[params.n_convs].shape[0] != front_end.out_dim:
             raise ValueError("checkpoint first affine layer does not match its front end")
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            layer = f"convolution {i + 1}" if i < params.n_convs else f"affine layer {i - params.n_convs + 1}"
+            raise ValueError(f"checkpoint {layer} holds a non-finite weight or bias")
     return params, doc.get("meta", {})

@@ -101,6 +101,15 @@ def ordered_partitions(items):
             yield sub[:i] + [{first}] + sub[i:]
 
 
+def partition_ranks(blocks, k: int) -> np.ndarray:
+    """(k,) rank vector of an ordered partition, highest block first and
+    the last block at rank 0."""
+    ranks = np.zeros(k, dtype=int)
+    for level, block in enumerate(reversed(blocks)):
+        ranks[list(block)] = level
+    return ranks
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function of a flat array."""
     x = np.asarray(x, dtype=float)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from mlrank.buckets import BucketOrder, bucket_likelihood, bucket_likelihood_oracle
+from mlrank.buckets import bucket_likelihood, bucket_likelihood_oracle
 from mlrank.gaussian import q_prob
 from mlrank.metrics import (
     evaluate_dataset,
@@ -21,13 +21,20 @@ from mlrank.metrics import (
     kendall_tau_b,
     spearman_rho,
 )
-from mlrank.model import TrainConfig, batch_objective, init_model, predict_batch, train
+from mlrank.model import (
+    TrainConfig,
+    batch_objective,
+    init_model,
+    predict_batch,
+    train,
+    train_arrays,
+)
 from mlrank.synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
+    canvas_arrays,
     generate_adjust_sequences,
     generate_calibration_set,
-    generate_canvas_dataset,
     generate_feature_dataset,
 )
 
@@ -37,6 +44,7 @@ from oracles import (
     kendall_tau_b_brute,
     max_rel_error,
     ordered_partitions,
+    partition_ranks,
     q_prob_quadrature,
     spearman_brute,
 )
@@ -89,9 +97,11 @@ def feature_models(feature_split):
 
 @pytest.fixture(scope="module")
 def canvas_model():
+    # The arrays the generate and train commands build, held once.
     cfg = CanvasConfig(seed=CANVAS_SEED, **CANVAS_CFG)
-    dataset = [s.to_instance() for s in generate_canvas_dataset(cfg, CANVAS_N_TRAIN)]
-    params, _ = train(dataset, TrainConfig(method="gmlr", mode="strong", **CANVAS_TRAIN))
+    x, ranks = canvas_arrays(cfg, CANVAS_N_TRAIN)
+    cfg_train = TrainConfig(method="gmlr", mode="strong", **CANVAS_TRAIN)
+    params, _ = train_arrays(x, ranks, cfg_train, cfg.image_shape)
     return params
 
 
@@ -119,15 +129,17 @@ def test_criterion_01_bucket_likelihood_closure():
     worst = 0.0
     for k in range(1, 6):
         for blocks in ordered_partitions(range(k)):
-            order = BucketOrder(tuple(frozenset(b) for b in blocks), k)
-            for _ in range(100):
-                mu = rng.normal(scale=1.5, size=k)
-                sigma = rng.uniform(0.2, 3.0, size=k)
-                a = bucket_likelihood(mu, sigma, order)
-                b = bucket_likelihood_oracle(mu, sigma, order)
-                rel = abs(a - b) / max(abs(b), 1e-300)
-                worst = max(worst, rel)
-                checked += 1
+            mu = np.empty((100, k))
+            sigma = np.empty((100, k))
+            for row in range(100):
+                mu[row] = rng.normal(scale=1.5, size=k)
+                sigma[row] = rng.uniform(0.2, 3.0, size=k)
+            ranks = np.tile(partition_ranks(blocks, k), (100, 1))
+            a = bucket_likelihood(mu, sigma, ranks)
+            b = bucket_likelihood_oracle(mu, sigma, ranks)
+            rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
+            worst = max(worst, float(rel.max()))
+            checked += len(rel)
     elapsed = time.time() - start
     report(
         1, "bucket-likelihood closure",

@@ -643,17 +643,6 @@ class TestExitCodes:
                    "--seed", "1", "--out", str(tmp_path / "adj")) == 2
         assert "feature-length mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", [{"batch_size": 0}, {"batch_size": -1}, {"epochs": -1}])
-    def test_bad_batch_size_or_epochs_is_data_error(self, tmp_path, capsys, setting):
-        ds = tmp_path / "d.jsonl"
-        make_identity_dataset(ds, n=8)
-        cfgp = tmp_path / "t.json"
-        cfgp.write_text(json.dumps({"dataset": str(ds), "method": "gmlr", **setting}))
-        out = tmp_path / "run"
-        assert run("train", "--config", str(cfgp), "--seed", "1", "--out", str(out)) == 2
-        assert next(iter(setting)) in capsys.readouterr().err
-        assert not (out / "checkpoint.json").exists()
-
     @pytest.mark.parametrize("setting", [{"early_stop": True}, {"learning_rat": 0.1}])
     def test_unknown_train_config_key_is_usage_error(self, tmp_path, capsys, setting):
         ds = tmp_path / "d.jsonl"
@@ -737,3 +726,125 @@ class TestExitCodes:
         }))
         assert run("generate", "--config", str(cfgp), "--n", "2", "--seed", "1",
                    "--out", str(tmp_path / "x")) == 2
+
+
+class TestSettingTypes:
+    """Integer settings are JSON integers (not bools, not 1.0), widths are
+    at least 1 and rates and ranges finite numbers; anything else is a
+    data error that names the key, raised before any output."""
+
+    @pytest.mark.parametrize("setting, key", [
+        ({"batch_size": 0}, "batch_size"),
+        ({"batch_size": -1}, "batch_size"),
+        ({"epochs": -1}, "epochs"),
+        ({"seed": 1.9}, "seed"),
+        ({"batch_size": True}, "batch_size"),
+        ({"epochs": 1.5}, "epochs"),
+        ({"epochs": "2"}, "epochs"),
+        ({"method": "lsep", "stage2_epochs": 1.5}, "stage2_epochs"),
+        ({"hidden": [2.5]}, "hidden"),
+        ({"hidden": [0]}, "hidden"),
+        ({"hidden": 4}, "hidden"),
+        ({"learning_rate": "0.1"}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"weight_decay": float("inf")}, "weight_decay"),
+        ({"lr_decay_per_epoch": True}, "lr_decay_per_epoch"),
+    ])
+    def test_train(self, tmp_path, capsys, setting, key):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds, n=8)
+        cfgp = tmp_path / "t.json"
+        cfgp.write_text(json.dumps({"dataset": str(ds), "method": "gmlr", "seed": 1, "epochs": 1, **setting}))
+        out = tmp_path / "run"
+        assert run("train", "--config", str(cfgp), "--out", str(out)) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_learning_rate_flag(self, tmp_path, capsys):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds, n=8)
+        out = tmp_path / "run"
+        assert run("train", "--dataset", str(ds), "--method", "gmlr", "--epochs", "1",
+                   "--seed", "1", "--learning-rate", "nan", "--out", str(out)) == 2
+        assert "'learning_rate'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, key", [
+        ({"n": 2.7}, "n"),
+        ({"seed": True}, "seed"),
+        ({"kind": "feature", "feature": {"num_classes": 6.9}}, "feature.num_classes"),
+        ({"kind": "feature", "feature": {"factor_range": [0.5, float("inf")]}}, "feature.factor_range"),
+        ({"kind": "feature", "feature": 3}, "feature"),
+        ({"canvas": {**SMALL_CANVAS, "canvas_size": 64.5}}, "canvas.canvas_size"),
+        ({"canvas": {**SMALL_CANVAS, "scale_range": 5}}, "canvas.scale_range"),
+        ({"canvas": {**SMALL_CANVAS, "digit_count_range": [1.0, 3]}}, "canvas.digit_count_range"),
+        ({"canvas": {**SMALL_CANVAS, "setup": ["S"]}}, "canvas.setup"),
+        ({"canvas": SMALL_CANVAS, "dump_images": "no"}, "dump_images"),
+    ])
+    def test_generate(self, tmp_path, capsys, setting, key):
+        cfgp = tmp_path / "g.json"
+        cfgp.write_text(json.dumps({"n": 3, "seed": 1, **setting}))
+        out = tmp_path / "gen"
+        assert run("generate", "--config", str(cfgp), "--out", str(out)) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, setting, key", [
+        ("adjust-exp", {"n_sequences": 2.5}, "n_sequences"),
+        ("adjust-exp", {"steps": 3.0}, "steps"),
+        ("calib-exp", {"n": True}, "n"),
+        ("calib-exp", {"seed": 1.5}, "seed"),
+    ])
+    def test_probe(self, tmp_path, capsys, command, setting, key):
+        ckpt = tmp_path / "ckpt.json"
+        make_plain_canvas_checkpoint(ckpt)
+        cfgp = tmp_path / "probe.json"
+        cfgp.write_text(json.dumps({"canvas": SMALL_CANVAS, "seed": 1, "n": 2, "n_sequences": 1,
+                                    "steps": 2, **setting}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfgp), "--checkpoint", str(ckpt), "--out", str(out)) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, key", [
+        ({"class_index": True}, "class_index"),
+        ({"n_checkpoints": 3.9}, "n_checkpoints"),
+    ])
+    def test_extract_sig(self, tmp_path, capsys, setting, key):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds)
+        ckpt = tmp_path / "ckpt.json"
+        make_affine_gmlr_checkpoint(ckpt)
+        cfgp = tmp_path / "s.json"
+        cfgp.write_text(json.dumps({"class_index": 0, **setting}))
+        out = tmp_path / "s"
+        assert run("extract-sig", "--config", str(cfgp), "--checkpoint", str(ckpt),
+                   "--dataset", str(ds), "--out", str(out)) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_raw_string(self, tmp_path, capsys):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds)
+        ckpt = tmp_path / "ckpt.json"
+        make_affine_gmlr_checkpoint(ckpt)
+        cfgp = tmp_path / "e.json"
+        cfgp.write_text(json.dumps({"raw": "false"}))
+        out = tmp_path / "e"
+        assert run("eval", "--config", str(cfgp), "--checkpoint", str(ckpt),
+                   "--dataset", str(ds), "--out", str(out)) == 2
+        assert "'raw'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds)
+        ckpt = tmp_path / "ckpt.json"
+        make_affine_gmlr_checkpoint(ckpt)
+        doc = json.loads(ckpt.read_text())
+        doc["weights"][0][1][1] = float("nan")
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "e"
+        assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
+        assert "checkpoint affine layer 1 holds a non-finite" in capsys.readouterr().err
+        assert not out.exists()

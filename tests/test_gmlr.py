@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlrank.buckets import pair_mask
+from mlrank.buckets import bucket_likelihood, pair_mask
 from mlrank.gmlr import classification_loss, gmlr_objective, ranking_loss
 
 from oracles import fd_gradient, max_rel_error
@@ -82,6 +82,16 @@ class TestRankingLoss:
         gaps = np.linspace(-3, 3, 25)
         losses = [rank_loss([g, 0.0], [1, 0])[0] for g in gaps]
         assert all(a > b for a, b in zip(losses, losses[1:]))
+
+    def test_is_minus_log_bucket_likelihood(self):
+        # the ranking term is -log of the likelihood criterion 01 verifies
+        rng = np.random.default_rng(21)
+        mu = rng.normal(scale=1.5, size=(500, 6))
+        log_var = rng.uniform(-2.0, 2.0, size=(500, 6))
+        ranks = rng.integers(0, 4, size=(500, 6))
+        loss, _, _ = ranking_loss(mu, log_var, pair_mask(ranks, "strong"))
+        want = -np.log(bucket_likelihood(mu, np.exp(log_var / 2), ranks))
+        assert max_rel_error(loss, want, floor=1e-300) <= 1e-12
 
 
 class TestObjective:

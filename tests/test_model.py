@@ -327,6 +327,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("front_end, array, index, layer", [
+        (False, "weights", 1, "affine layer 2"),
+        (False, "biases", 0, "affine layer 1"),
+        (True, "weights", 0, "convolution 1"),
+        (True, "biases", 3, "affine layer 1"),
+    ])
+    def test_refuses_non_finite_parameters(self, tmp_path, bad, front_end, array, index, layer):
+        fe = FrontEnd((32, 32, 1)) if front_end else None
+        params = init_model(32 * 32 if front_end else 4, 2, "gmlr", hidden=(3,), seed=1, front_end=fe)
+        getattr(params, array)[index].flat[0] = bad
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params)
+        with pytest.raises(ValueError, match=f"checkpoint {layer} holds a non-finite"):
+            load_checkpoint(path)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         params = init_model(4, 2, "gmlr", hidden=(3,), seed=10)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
