@@ -580,17 +580,41 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         num_classes=int(doc["num_classes"]),
         front_end=front_end,
     )
-    expected = head_width(params.head, params.num_classes)
-    if params.weights[-1].shape[1] != expected:
-        raise ValueError("checkpoint head width does not match its method")
-    if front_end is not None:
-        shapes = [w.shape for w in params.weights[: params.n_convs]]
-        if len(params.weights) <= params.n_convs or shapes != front_end.kernel_shapes():
-            raise ValueError("checkpoint kernels do not match its front end")
-        if params.weights[params.n_convs].shape[0] != front_end.out_dim:
-            raise ValueError("checkpoint first affine layer does not match its front end")
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            layer = f"convolution {i + 1}" if i < params.n_convs else f"affine layer {i - params.n_convs + 1}"
-            raise ValueError(f"checkpoint {layer} holds a non-finite weight or bias")
+    _check_layers(params, doc.get("input_dim"))
     return params, doc.get("meta", {})
+
+
+def _check_layers(params: ModelParams, input_dim) -> None:
+    """Refuses, naming the layer, a loaded checkpoint whose layers do not
+    chain: every weight a matrix with one bias of its width, the front
+    end's kernels in its shapes, each affine layer taking the width
+    before it (the checkpoint's ``input_dim``, or the front end's pooled
+    width, for the first), the last one the method's head width, and
+    every value finite."""
+    n_convs, front_end = params.n_convs, params.front_end
+    if len(params.weights) != len(params.biases):
+        raise ValueError(
+            f"checkpoint holds {len(params.weights)} weight matrices but {len(params.biases)} biases"
+        )
+    if len(params.weights) <= n_convs:
+        raise ValueError("checkpoint has no affine layer")
+    kernels, width, before = [], input_dim, "its input_dim"
+    if front_end is not None:
+        kernels, width, before = front_end.kernel_shapes(), front_end.out_dim, "the front end's out_dim"
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        layer = f"convolution {i + 1}" if i < n_convs else f"affine layer {i - n_convs + 1}"
+        if w.ndim != 2:
+            raise ValueError(f"checkpoint {layer} weight has shape {w.shape}, not a matrix's")
+        if i < n_convs and w.shape != kernels[i]:
+            raise ValueError(f"checkpoint {layer} has kernels of shape {w.shape}, not its front end's {kernels[i]}")
+        if i >= n_convs:
+            # The input_dim counts only as a JSON integer, as in the dataset header.
+            if type(width) is not int or w.shape[0] != width:
+                raise ValueError(f"checkpoint {layer} takes {w.shape[0]} inputs, not {before} {width!r}")
+            width, before = w.shape[1], f"{layer}'s width"
+        if b.shape != (w.shape[1],):
+            raise ValueError(f"checkpoint {layer} bias has shape {b.shape}, not its width ({w.shape[1]},)")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"checkpoint {layer} holds a non-finite weight or bias")
+    if width != head_width(params.head, params.num_classes):
+        raise ValueError(f"checkpoint head width {width} does not match its method {params.head!r}")

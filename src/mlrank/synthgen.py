@@ -28,13 +28,22 @@ slot.  The reader returns, and the writer takes, the (n, d) features
 and (n, k) ranks as arrays, and neither holds a second copy of them.
 Canvas files written before the header declared ``image_shape`` read as
 feature data and must be regenerated.
+
+Beside each dataset file the writer puts a binary copy, ``<file>.npy``:
+three ``np.save`` records, the sha256 of the dataset file's bytes, the
+features as float64 and the ranks as int64.  The reader takes the arrays
+from it only while that digest matches the file; otherwise it parses the
+file, so the copy is a cache that can be deleted and is never named as
+input.
 """
 
 from __future__ import annotations
 
 import array
 import dataclasses
+import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -433,28 +442,49 @@ def _float_rows(block: np.ndarray) -> list[str]:
     return [",".join(row) for row in text[np.searchsorted(distinct, bits)].tolist()]
 
 
+def _sidecar(path) -> str:
+    """The binary copy of the dataset file at ``path`` (module docstring)."""
+    return os.fspath(path) + ".npy"
+
+
 def write_dataset_jsonl(path, x, ranks, generator: dict | None = None, image_shape=None) -> None:
     """Write the (n, d) features and (n, k) ranks behind a {"k", "d",
-    "generator"} header, plus "image_shape" when the features are images.
-    What the reader would refuse is refused before anything is written.
-    Each row is the line ``json.dumps`` writes for it, byte for byte."""
+    "generator"} header, plus "image_shape" when the features are images,
+    then the binary copy bound to the file's sha256.  What the reader
+    would refuse is refused before anything is written.  Each row is the
+    line ``json.dumps`` writes for it, byte for byte."""
     x = np.ascontiguousarray(x, dtype=float)
     ranks = np.asarray(ranks)
     if x.ndim != 2 or ranks.ndim != 2 or len(x) != len(ranks) or not len(x):
         raise ValueError(f"need (n, d) features and (n, k) ranks, n >= 1; got {x.shape}, {ranks.shape}")
-    if not np.issubdtype(ranks.dtype, np.integer) or np.any(ranks < 0) or not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite and ranks non-negative integers")
+    if (
+        not np.issubdtype(ranks.dtype, np.integer) or np.any(ranks < 0)
+        or np.any(ranks > np.iinfo(np.int64).max) or not np.all(np.isfinite(x))
+    ):
+        raise ValueError("features must be finite and ranks non-negative integers that fit int64")
     header = {"k": ranks.shape[1], "d": x.shape[1], "generator": generator or {}}
     if image_shape is not None:
         header["image_shape"] = list(image_shape)
     _checked_header(header)
     step = max(1, _WRITE_BLOCK_VALUES // x.shape[1])
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def emit(text: str) -> None:
+            data = text.encode("ascii")
+            digest.update(data)
+            fh.write(data)
+
+        emit(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for start in range(0, len(x), step):
             block_ranks = ranks[start : start + step].tolist()
-            for feats, row_ranks in zip(_float_rows(x[start : start + step]), block_ranks):
-                fh.write('{"features":[' + feats + '],"ranks":[' + ",".join(map(str, row_ranks)) + "]}\n")
+            emit("".join(
+                '{"features":[' + feats + '],"ranks":[' + ",".join(map(str, row_ranks)) + "]}\n"
+                for feats, row_ranks in zip(_float_rows(x[start : start + step]), block_ranks)
+            ))
+    with open(_sidecar(path), "wb") as fh:
+        for record in (np.frombuffer(digest.digest(), dtype=np.uint8), x, ranks.astype(np.int64)):
+            np.save(fh, record, allow_pickle=False)
 
 
 def _line_count(path) -> int:
@@ -489,9 +519,65 @@ def _check_finite(path, x, stop) -> None:
             raise ValueError(f"{path}:{start + int(bad[0]) + 2}: features must be finite")
 
 
+def _sha256(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.digest()
+
+
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _npy_record(fh, dtype, shape) -> np.ndarray | None:
+    """The next ``np.save`` record of ``fh`` if it is a C-order array of
+    exactly ``dtype`` and ``shape`` (None matches any size) whose data the
+    file holds, else None.  The record's header is checked before any of
+    its data is read or allocated."""
+    read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+    if read_header is None:
+        return None
+    got, fortran_order, got_dtype = read_header(fh)
+    if fortran_order or got_dtype != dtype or len(got) != len(shape):
+        return None
+    if any(want is not None and size != want for size, want in zip(got, shape)):
+        return None
+    if math.prod(got) * got_dtype.itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
+        return None
+    out = np.empty(got, dtype)
+    return out if fh.readinto(out) == out.nbytes else None
+
+
+def _sidecar_arrays(path, k: int, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(x, ranks) from the binary copy of ``path`` when it holds the sha256
+    of the file's bytes, C-order float64 (n, d) features and int64 (n, k)
+    ranks, n >= 1, and nothing the JSON path refuses; else None."""
+    try:
+        with open(_sidecar(path), "rb") as fh:
+            stored = _npy_record(fh, np.dtype(np.uint8), (32,))
+            if stored is None or stored.tobytes() != _sha256(path):
+                return None
+            x = _npy_record(fh, np.dtype(np.float64), (None, d))
+            ranks = None if x is None else _npy_record(fh, np.dtype(np.int64), (len(x), k))
+            if ranks is None or not len(x) or fh.read(1) or np.any(ranks < 0):
+                return None
+        _check_finite(path, x, len(x))
+    except (OSError, ValueError):
+        return None
+    return x, ranks
+
+
 def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Read a JSONL dataset; returns (header, x, ranks), the (n, d) float
-    features and the (n, k) int ranks.
+    """Read a JSONL dataset; returns (header, x, ranks), the (n, d) float64
+    features and the (n, k) int64 ranks.
+
+    The header line is always parsed and checked.  The arrays then come
+    from the binary copy ``write_dataset_jsonl`` puts beside the file
+    when it holds the sha256 of the file's bytes and arrays of the
+    header's k and d that pass the row checks below.  In every other case
+    (no copy, a stale digest, an unreadable or mismatched copy) the
+    file's rows are parsed, so both ways return the same arrays.
 
     A malformed header or row, a feature that is not a JSON number or is
     not finite, a negative rank or a number too large for its array is a
@@ -501,7 +587,6 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
     checked once over the filled rows, after the last row or before a
     malformed line is named.
     """
-    n = _line_count(path) - 1
     # Latin-1 decodes any byte, so a non-ASCII one fails on its own line
     # and not on the line where the decoder's read-ahead meets it.
     with open(path, "r", encoding="latin-1") as fh:
@@ -509,12 +594,15 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
         try:
             header = _json_line(fh.readline())
             k, d = _checked_header(header)
+            stored = _sidecar_arrays(path, k, d)
+            if stored is not None:
+                return (header, *stored)
             # A valid row spends over 2(d + k) bytes on its values and
             # commas, so a header cannot make room for more rows than the
             # file could hold: a row past that room fails its checks.
-            n = min(n, os.path.getsize(path) // (2 * (d + k)))
+            n = min(_line_count(path) - 1, os.path.getsize(path) // (2 * (d + k)))
             x = np.empty((n, d))
-            ranks = np.empty((n, k), dtype=int)
+            ranks = np.empty((n, k), dtype=np.int64)
             for lineno, line in enumerate(fh, start=2):
                 row = _json_line(line)
                 if not isinstance(row, dict):

@@ -46,7 +46,8 @@ def snapshot(directory):
 
 def make_identity_dataset(path, n=40, k=3, seed=0):
     """All classes positive with distinct factors; features equal the factors,
-    so a fixed affine checkpoint recovers everything exactly."""
+    so a fixed affine checkpoint recovers everything exactly.  The commands
+    read it through the binary copy the writer puts beside it."""
     factors = np.random.default_rng(seed).uniform(0.5, 2.0, size=(n, k))
     ranks = np.argsort(np.argsort(factors, axis=1), axis=1) + 1  # dense 1..k by ascending factor
     write_dataset_jsonl(path, factors, ranks, generator={"kind": "test-identity"})
@@ -80,6 +81,7 @@ class TestGenerate:
         first = snapshot(out)
         assert run(*argv) == 0
         assert snapshot(out) == first
+        assert (out / "dataset.jsonl.npy").exists()  # in the rerun's byte-identical snapshot
         lines = (out / "dataset.jsonl").read_text().splitlines()
         assert len(lines) == 51
         assert json.loads(lines[0])["k"] == 6
@@ -847,4 +849,33 @@ class TestSettingTypes:
         out = tmp_path / "e"
         assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
         assert "checkpoint affine layer 1 holds a non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "extract-sig", "adjust-exp", "calib-exp"])
+    @pytest.mark.parametrize("fault, message", [
+        ("wide second layer", "checkpoint affine layer 2 takes 5 inputs, not affine layer 1's width 4"),
+        ("short bias", "checkpoint affine layer 1 bias has shape (3,), not its width (4,)"),
+    ])
+    def test_checkpoint_layers_that_do_not_chain_are_data_errors(self, tmp_path, capsys, command, fault, message):
+        ckpt = tmp_path / "ckpt.json"
+        if command in ("adjust-exp", "calib-exp"):
+            make_plain_canvas_checkpoint(ckpt)
+            setting = {"canvas": SMALL_CANVAS, "n_sequences": 1, "steps": 2, "n": 2, "seed": 1}
+        else:
+            save_checkpoint(ckpt, init_model(3, 3, "gmlr", hidden=(4,), seed=1))
+            make_identity_dataset(tmp_path / "d.jsonl")
+            setting = {"dataset": str(tmp_path / "d.jsonl")}
+            if command == "extract-sig":
+                setting["class_index"] = 0
+        doc = json.loads(ckpt.read_text())
+        if fault == "wide second layer":
+            doc["weights"][1] = np.zeros((5, len(doc["weights"][1][0]))).tolist()
+        else:
+            doc["biases"][0].pop()
+        ckpt.write_text(json.dumps(doc))
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(setting))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfgp), "--checkpoint", str(ckpt), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()

@@ -343,6 +343,64 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint {layer} holds a non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("fault, message", [
+        ("wide second layer", "checkpoint affine layer 2 takes 5 inputs, not affine layer 1's width 4"),
+        ("short bias", r"checkpoint affine layer 1 bias has shape \(3,\), not its width \(4,\)"),
+        ("short head bias", r"checkpoint affine layer 2 bias has shape \(5,\), not its width \(6,\)"),
+        ("vector weight", r"checkpoint affine layer 2 weight has shape \(24,\), not a matrix's"),
+        ("missing bias", "checkpoint holds 2 weight matrices but 1 biases"),
+        ("no layers", "checkpoint has no affine layer"),
+        ("input_dim", "checkpoint affine layer 1 takes 3 inputs, not its input_dim 7"),
+        ("float input_dim", "checkpoint affine layer 1 takes 3 inputs, not its input_dim 3.0"),
+        ("head width", "checkpoint head width 4 does not match its method 'gmlr'"),
+    ])
+    def test_refuses_layers_that_do_not_chain(self, tmp_path, fault, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_model(3, 3, "gmlr", hidden=(4,), seed=1))
+        doc = json.loads(path.read_text())
+        if fault == "wide second layer":
+            doc["weights"][1] = np.zeros((5, 6)).tolist()
+        elif fault == "short bias":
+            doc["biases"][0].pop()
+        elif fault == "short head bias":
+            doc["biases"][1].pop()
+        elif fault == "vector weight":
+            doc["weights"][1] = np.zeros(24).tolist()
+        elif fault == "missing bias":
+            doc["biases"].pop()
+        elif fault == "no layers":
+            doc["weights"], doc["biases"] = [], []
+        elif fault == "input_dim":
+            doc["input_dim"] = 7
+        elif fault == "float input_dim":
+            doc["input_dim"] = 3.0
+        elif fault == "head width":
+            doc["weights"][1] = np.zeros((4, 4)).tolist()
+            doc["biases"][1] = [0.0] * 4
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("short convolution bias", r"checkpoint convolution 2 bias has shape \(15,\), not its width \(16,\)"),
+        ("narrow first affine layer", "checkpoint affine layer 1 takes 63 inputs, not the front end's out_dim 64"),
+        ("missing affine layers", "checkpoint has no affine layer"),
+    ])
+    def test_refuses_front_end_layers_that_do_not_chain(self, tmp_path, fault, message):
+        path = tmp_path / "ckpt.json"
+        fe = FrontEnd((32, 32, 1))
+        save_checkpoint(path, init_model(fe.input_dim, 2, "gmlr", hidden=(3,), seed=1, front_end=fe))
+        doc = json.loads(path.read_text())
+        if fault == "short convolution bias":
+            doc["biases"][1].pop()
+        elif fault == "narrow first affine layer":
+            doc["weights"][3].pop()
+        else:
+            del doc["weights"][3:], doc["biases"][3:]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         params = init_model(4, 2, "gmlr", hidden=(3,), seed=10)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

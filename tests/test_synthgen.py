@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mlrank.synthgen as synthgen
 from mlrank.glyphs import bilinear_resize, load_idx_glyphs, rasterize_digit
 from mlrank.metrics import spearman_rho
 from mlrank.synthgen import (
@@ -405,6 +406,100 @@ def reference_read(path):
     return header, np.array(xs, dtype=float), np.array(rs)
 
 
+def read_and_way(path):
+    """``read_dataset_jsonl(path)`` and the way its arrays came: "binary"
+    from the file's binary copy, "parsed" from its rows."""
+    ways = []
+    real = synthgen._sidecar_arrays
+
+    def spy(*args):
+        got = real(*args)
+        ways.append("parsed" if got is None else "binary")
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthgen, "_sidecar_arrays", spy)
+        result = read_dataset_jsonl(path)
+    return result, ways[0]
+
+
+def assert_same_arrays(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+SIDECAR_FAULTS = [
+    "empty", "garbage", "a directory", "npz archive", "truncated digest", "truncated features",
+    "truncated ranks", "a trailing byte", "other digest", "float32 features", "int32 ranks",
+    "big-endian features", "Fortran-order features", "other d", "other k", "row counts differ",
+    "no rows", "rows past the end", "non-finite feature", "negative rank",
+]
+
+
+def faulty_sidecar(path, x, ranks, fault) -> None:
+    """Replace the binary copy of ``path`` (written from ``x``, ``ranks``)
+    with one that has ``fault``."""
+    sidecar = path.with_name(path.name + ".npy")
+    digest = np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), dtype=np.uint8)
+    good = sidecar.read_bytes()
+    sidecar.unlink()
+    records = [digest, x, ranks]
+    if fault == "empty":
+        records = []
+    elif fault == "garbage":
+        records = [b"\x93NUMPY garbage " * 40]
+    elif fault == "a directory":
+        os.mkdir(sidecar)
+        return
+    elif fault == "npz archive":
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, digest=digest, x=x, ranks=ranks)
+        return
+    elif fault.startswith("truncated"):
+        cut = {"digest": 100, "features": len(good) - ranks.nbytes - 200, "ranks": len(good) - 8}[fault.split()[1]]
+        records = [good[:cut]]
+    elif fault == "a trailing byte":
+        records = [good + b"\0"]
+    elif fault == "other digest":
+        records[0] = np.frombuffer(hashlib.sha256(b"another file").digest(), dtype=np.uint8)
+    elif fault == "float32 features":
+        records[1] = x.astype(np.float32)
+    elif fault == "int32 ranks":
+        records[2] = ranks.astype(np.int32)
+    elif fault == "big-endian features":
+        records[1] = x.astype(">f8")
+    elif fault == "Fortran-order features":
+        records[1] = np.asfortranarray(x)
+    elif fault == "other d":
+        records[1] = x[:, :-1]
+    elif fault == "other k":
+        records[2] = ranks[:, :-1]
+    elif fault == "row counts differ":
+        records[2] = ranks[:-1]
+    elif fault == "no rows":
+        records[1:] = [x[:0], ranks[:0]]
+    elif fault == "rows past the end":
+        # A header that declares far more rows than the file holds.
+        with open(sidecar, "wb") as fh:
+            np.save(fh, digest)
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": (10**12, x.shape[1])})
+            fh.write(x.tobytes())
+        return
+    elif fault == "non-finite feature":
+        records[1] = x.copy()
+        records[1][-1, 0] = np.nan
+    elif fault == "negative rank":
+        records[2] = ranks.copy()
+        records[2][0, 0] = -1
+    with open(sidecar, "wb") as fh:
+        for record in records:
+            if isinstance(record, bytes):
+                fh.write(record)
+            else:
+                np.save(fh, record)
+
+
 class TestJsonl:
     def test_round_trip_and_byte_determinism(self, tmp_path):
         x, ranks = feature_arrays(3, 5, 12, seed=1)
@@ -413,7 +508,9 @@ class TestJsonl:
         write_dataset_jsonl(p1, x, ranks, generator={"kind": "feature"})
         write_dataset_jsonl(p2, x, ranks, generator={"kind": "feature"})
         assert p1.read_bytes() == p2.read_bytes()
-        header, x_back, ranks_back = read_dataset_jsonl(p1)
+        assert (tmp_path / "a.jsonl.npy").read_bytes() == (tmp_path / "b.jsonl.npy").read_bytes()
+        (header, x_back, ranks_back), way = read_and_way(p1)
+        assert way == "binary"
         assert header["k"] == 3 and header["d"] == 5
         np.testing.assert_array_equal(x_back, x)
         np.testing.assert_array_equal(ranks_back, ranks)
@@ -440,13 +537,78 @@ class TestJsonl:
         path = tmp_path / "c.jsonl"
         pixels = np.stack([s.pixels for s in samples])
         write_dataset_jsonl(path, pixels, np.stack([s.ranks for s in samples]), image_shape=cfg.image_shape)
-        header, x, _ = read_dataset_jsonl(path)
+        # The header line is parsed on both ways; this is the binary one.
+        (header, x, _), way = read_and_way(path)
+        assert way == "binary"
         assert header["image_shape"] == [48, 48, 3]
         np.testing.assert_array_equal(x, pixels)
         features = tmp_path / "f.jsonl"
         write_dataset_jsonl(features, *feature_arrays(3, 5, 4, seed=1))
-        header, _, _ = read_dataset_jsonl(features)
+        (header, _, _), way = read_and_way(features)
+        assert way == "binary"
         assert "image_shape" not in header
+
+    @pytest.mark.parametrize("kind", ["gray", "colour B-mix", "small-variance", "feature"])
+    def test_both_ways_read_the_same_arrays(self, tmp_path, kind):
+        if kind == "feature":
+            (x, ranks), shape = feature_arrays(6, 24, 40, seed=3), None
+        else:
+            cfg = {
+                "gray": small_cfg(), "colour B-mix": small_cfg(setup="B-mix", color_mode="color"),
+                "small-variance": small_variance_config(small_cfg()),
+            }[kind]
+            (x, ranks), shape = canvas_arrays(cfg, 12), cfg.image_shape
+        path = tmp_path / "d.jsonl"
+        write_dataset_jsonl(path, x, ranks, image_shape=shape)
+        (header, x_binary, ranks_binary), way = read_and_way(path)
+        assert way == "binary"
+        os.remove(tmp_path / "d.jsonl.npy")
+        (parsed_header, x_parsed, ranks_parsed), way = read_and_way(path)
+        assert way == "parsed"
+        assert header == parsed_header
+        assert_same_arrays(x_binary, x_parsed)
+        assert_same_arrays(ranks_binary, ranks_parsed)
+        assert x_binary.dtype == np.float64 and ranks_binary.dtype == np.int64
+        assert x_binary.flags.c_contiguous and x_binary.flags.writeable
+        assert x_parsed.tobytes() == x.tobytes()
+        np.testing.assert_array_equal(ranks_parsed, ranks)
+
+    @pytest.mark.parametrize("old,new,row,col", [("0.25", "0.75", 1, 0), ("[2", "[3", 2, 0)])
+    def test_an_edited_file_is_parsed(self, tmp_path, old, new, row, col):
+        x, ranks = np.full((4, 3), 0.25), np.tile([2, 1], (4, 1))
+        path = tmp_path / "d.jsonl"
+        write_dataset_jsonl(path, x, ranks)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[row + 1] = lines[row + 1].replace(old, new, 1)
+        path.write_text("".join(lines))
+        (_, x_back, ranks_back), way = read_and_way(path)
+        assert way == "parsed"
+        edited = x_back if old == "0.25" else ranks_back
+        assert edited[row, col] == float(new.strip("["))
+        edited[row, col] = float(old.strip("["))
+        assert_same_arrays(x_back, x)
+        np.testing.assert_array_equal(ranks_back, ranks)
+
+    @pytest.mark.parametrize("fault", SIDECAR_FAULTS)
+    def test_a_binary_copy_that_does_not_hold_the_file_is_ignored(self, tmp_path, fault):
+        x, ranks = feature_arrays(3, 5, 6, seed=1)
+        path = tmp_path / "d.jsonl"
+        write_dataset_jsonl(path, x, ranks)
+        faulty_sidecar(path, x, ranks, fault)
+        (_, x_back, ranks_back), way = read_and_way(path)
+        assert way == "parsed"
+        assert_same_arrays(x_back, x)
+        np.testing.assert_array_equal(ranks_back, ranks)
+
+    def test_a_malformed_file_beside_a_stale_copy_names_its_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_dataset_jsonl(path, *feature_arrays(3, 5, 6, seed=1))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3][:-3] + "\n"
+        path.write_text("".join(lines))
+        assert (tmp_path / "d.jsonl.npy").exists()
+        with pytest.raises(ValueError, match="d.jsonl:4: "):
+            read_dataset_jsonl(path)
 
     @pytest.mark.parametrize("x,ranks,shape,match", [
         (np.zeros((2, 64)), np.ones((2, 2), dtype=int), (4, 4, 1), "image_shape"),
@@ -459,12 +621,13 @@ class TestJsonl:
         (np.array([[0.0], [np.nan]]), np.ones((2, 1), dtype=int), None, "finite"),
         (np.zeros((2, 1)), np.array([[1], [-1]]), None, "non-negative"),
         (np.zeros((2, 1)), np.array([[1.0], [0.0]]), None, "integers"),
+        (np.zeros((2, 1)), np.array([[1], [2**63]], dtype=np.uint64), None, "int64"),
     ])
     def test_writer_refuses_what_the_reader_refuses(self, tmp_path, x, ranks, shape, match):
         path = tmp_path / "bad.jsonl"
         with pytest.raises(ValueError, match=match):
             write_dataset_jsonl(path, x, ranks, image_shape=shape)
-        assert not path.exists()
+        assert not path.exists() and not (tmp_path / "bad.jsonl.npy").exists()
 
     @pytest.mark.parametrize("header,row,line", [
         ('', '', 1),
@@ -524,6 +687,7 @@ class TestJsonl:
         path = tmp_path / "wide.jsonl"
         write_dataset_jsonl(path, x, ranks)
         lines = path.read_text().splitlines()
+        # Each edit leaves the binary copy stale, so the rows are parsed.
         for row in range(7):
             bad = list(lines)
             bad[row + 1] = bad[row + 1].replace("0.0]", "-Infinity]")
@@ -603,17 +767,20 @@ class TestJsonl:
             json.dumps({"features": f, "ranks": r}, separators=(",", ":"))
             for f, r in zip(x.tolist(), ranks.tolist())
         ]
-        _, back, _ = read_dataset_jsonl(path)
+        os.remove(tmp_path / "z.jsonl.npy")
+        (_, back, _), way = read_and_way(path)
+        assert way == "parsed"
         assert back.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_line_endings_and_a_missing_last_one_read_the_same(self, tmp_path, newline):
         lf = tmp_path / "lf.jsonl"
         write_dataset_jsonl(lf, *feature_arrays(3, 5, 4, seed=1))
-        want = read_dataset_jsonl(lf)
+        want, way = read_and_way(lf)
+        assert way == "binary"
         text = lf.read_text().replace("\n", newline)
         for i, body in enumerate((text, text[: -len(newline)])):
-            path = tmp_path / f"{i}.jsonl"
+            path = tmp_path / f"{i}.jsonl"  # no binary copy: its rows are parsed
             path.write_bytes(body.encode("ascii"))
             header, x, ranks = read_dataset_jsonl(path)
             assert header == want[0]
@@ -637,12 +804,17 @@ class TestJsonl:
             generate_peak, (x, ranks) = peak_of(lambda: canvas_arrays(cfg, 200))
             write_dataset_jsonl(path, x, ranks, image_shape=cfg.image_shape)
             del x, ranks
-            read_peak, (_, x, _) = peak_of(lambda: read_dataset_jsonl(path))
+            binary_peak, ((_, x, _), binary_way) = peak_of(lambda: read_and_way(path))
+            del x
+            os.remove(tmp_path / "c.jsonl.npy")
+            parsed_peak, ((_, x, _), parsed_way) = peak_of(lambda: read_and_way(path))
         finally:
             tracemalloc.stop()
+        assert (binary_way, parsed_way) == ("binary", "parsed")
         assert x.nbytes == 200 * 64 * 64 * 8
         assert generate_peak < 1.5 * x.nbytes
-        assert read_peak < 1.5 * x.nbytes
+        assert binary_peak < 1.5 * x.nbytes
+        assert parsed_peak < 1.5 * x.nbytes
 
 
 class TestIdx:
