@@ -51,6 +51,7 @@ from .synthgen import (
     generate_canvas_dataset,
     generate_feature_dataset,
     iter_adjust_sequences,
+    iter_adjust_sweeps,
     iter_canvas_samples,
     iter_feature_rows,
     read_dataset_jsonl,

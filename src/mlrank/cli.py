@@ -39,7 +39,7 @@ from .synthgen import (
     canvas_arrays,
     dataset_arrays,
     generate_calibration_set,
-    iter_adjust_sequences,
+    iter_adjust_sweeps,
     iter_feature_rows,
     read_dataset_jsonl,
     small_variance_config,
@@ -339,10 +339,10 @@ def cmd_adjust_exp(args) -> int:
     steps = _integer(cfg.get("steps", 50), "steps", 2)
     seed, out, params, canvas = _probe_setup(cfg)
     sums = np.zeros((steps, 3))
-    # One sequence in memory at a time, its steps predicted as one batch.
-    for seq in iter_adjust_sequences(canvas, n_sequences=n_sequences, steps=steps):
-        _, pred = predict_batch(params, np.stack([sample.pixels for sample in seq.samples]))
-        sums += pred.scores[:, list(seq.digits)]
+    # One sweep in memory at a time: its (steps, d) block is one batch.
+    for digits, _, _, block in iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps):
+        _, pred = predict_batch(params, block)
+        sums += pred.scores[:, list(digits)]
     means = sums / n_sequences
     rows = [
         (step + 1, repr(float(means[step, 0])), repr(float(means[step, 1])), repr(float(means[step, 2])))

@@ -573,11 +573,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 f"checkpoint front end convolutions {fe.get('convs')!r} are not the "
                 f"canvas front end's {want!r}"
             )
+    num_classes = doc.get("num_classes")
+    # Only a true JSON integer counts, as for every other count.
+    if type(num_classes) is not int or num_classes < 1:
+        raise ValueError(f"checkpoint 'num_classes' must be a positive JSON integer, got {num_classes!r}")
     params = ModelParams(
         weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
         biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
         head=doc["head"],
-        num_classes=int(doc["num_classes"]),
+        num_classes=num_classes,
         front_end=front_end,
     )
     _check_layers(params, doc.get("input_dim"))

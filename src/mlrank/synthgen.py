@@ -6,7 +6,10 @@ the ground-truth ranks.  Setups: "S" varies scale only, "B" brightness
 only, "S-mix"/"B-mix" vary both but rank by the named factor alone.  A
 fast feature-space generator provides a linear surrogate for loss and
 training studies.  Sequence and calibration generators build the probe
-sets for the behavioural experiments.
+sets for the behavioural experiments.  Every canvas is painted by one
+helper, ``_paint``; the adjusting sweeps (``iter_adjust_sweeps``) paint
+each sweep's steps straight into one (steps, d) block, and the other
+canvas generators paint one canvas at a time.
 
 All randomness flows through numpy's PCG64 generator seeded from the
 config, so a (config, seed, n) triple reproduces byte-identical output
@@ -207,31 +210,36 @@ def _digit(cfg: CanvasConfig, rng, digit: int, scale: float, brightness: float) 
     )
 
 
+def _paint(cfg: CanvasConfig, bank: GlyphBank, canvas: np.ndarray, rng, digit: int, scale: float,
+           brightness: float, top: int, left: int, hue: float | None, saturation: float | None) -> None:
+    """Max-composites ``digit`` at ``scale`` and ``brightness`` into the
+    (size, size, channels) ``canvas`` view with its top-left corner at
+    (``top``, ``left``); colour canvases tint it at ``hue`` and
+    ``saturation``.  ``rng`` picks stored glyphs and is unused otherwise."""
+    px = max(4, int(round(cfg.glyph_size * scale)))
+    glyph = bank.render(digit, px, rng)
+    if brightness != 1.0:
+        glyph = glyph * brightness
+    glyph = hsv_to_rgb(hue, saturation, glyph) if cfg.color_mode == "color" else glyph[:, :, None]
+    region = canvas[top : top + px, left : left + px]
+    np.maximum(region, glyph, out=region)
+
+
 def _sample(cfg: CanvasConfig, bank: GlyphBank, placed: list[DigitFactors], rng=None) -> GeneratedSample:
     """The sample of the placed digits: ranks by the setup's named factor
-    (exact ties break by ascending digit index), and the digits rendered
-    onto a fresh canvas (max compositing)."""
+    (exact ties break by ascending digit index), and the digits painted
+    onto a fresh canvas."""
     factors = [getattr(pf, cfg.ranked_factor) for pf in placed]
     ranks = _ranks_from_factors(cfg.num_classes, [pf.digit for pf in placed], factors)
-    size = cfg.canvas_size
-    if cfg.color_mode == "color":
-        canvas = np.zeros((size, size, 3))
-    else:
-        canvas = np.zeros((size, size))
+    pixels = np.zeros(cfg.feature_length)
+    canvas = pixels.reshape(cfg.image_shape)
     if rng is None and bank.glyphs is not None:
         # Only stored banks draw from the rng: which glyph to use.
         rng = np.random.default_rng(0)
     for pf in placed:
-        px = max(4, int(round(cfg.glyph_size * pf.scale)))
-        glyph = bank.render(pf.digit, px, rng) * pf.brightness
-        region = (slice(pf.top, pf.top + px), slice(pf.left, pf.left + px))
-        if cfg.color_mode == "color":
-            patch = hsv_to_rgb(pf.hue, pf.saturation, glyph)
-            canvas[region] = np.maximum(canvas[region], patch)
-        else:
-            canvas[region] = np.maximum(canvas[region], glyph)
+        _paint(cfg, bank, canvas, rng, pf.digit, pf.scale, pf.brightness, pf.top, pf.left, pf.hue, pf.saturation)
     return GeneratedSample(
-        pixels=np.round(canvas, 3).reshape(-1), ranks=ranks,
+        pixels=np.round(pixels, 3, out=pixels), ranks=ranks,
         factors=tuple(placed), image_shape=cfg.image_shape,
     )
 
@@ -298,11 +306,19 @@ def generate_adjust_sequences(
     return list(iter_adjust_sequences(cfg, n_sequences, steps))
 
 
-def iter_adjust_sequences(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50):
-    """Yields probe sequences of 3 digits at fixed positions whose named
-    factors sweep linearly: the low digit from the range minimum to its
-    maximum, the high digit the opposite way, the middle digit constant.
-    Each sequence is built only when it is asked for."""
+def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50):
+    """Yields the adjusting experiment's sweeps: 3 digits at fixed
+    positions whose named factors sweep linearly, the low digit from the
+    range minimum to its maximum, the high digit the opposite way, the
+    middle digit constant.
+
+    Each sweep is ``(digits, roles, factors, block)``: the low, middle
+    and high digits; their placements (position, hue and saturation,
+    with the scale each was placed to fit); the ``steps`` (low, middle,
+    high) factor triples; and a fresh (steps, d) block whose row i is
+    step i's canvas, painted in place and rounded once.  Stored glyph
+    banks pick each step's glyphs from a fresh ``default_rng(0)``, as
+    ``_sample`` does.  Each sweep is built only when it is asked for."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
     bank = _glyph_bank(cfg)
@@ -310,25 +326,41 @@ def iter_adjust_sequences(cfg: CanvasConfig, n_sequences: int = 50, steps: int =
     by_scale = cfg.ranked_factor == "scale"
     lo, hi = cfg.scale_range if by_scale else cfg.brightness_bounds
     mid = 0.5 * (lo + hi)
+    ts = [step / (steps - 1) for step in range(steps)]
+    factors = tuple((lo + t * (hi - lo), mid, hi - t * (hi - lo)) for t in ts)
     for _ in range(n_sequences):
         digits = tuple(int(d) for d in rng.choice(cfg.num_classes, size=3, replace=False))
         # Each role is placed to fit its largest sweep extent.
-        roles = [
+        roles = tuple(
             _digit(cfg, rng, digit, extent if by_scale else 1.0, 1.0)
             for digit, extent in zip(digits, (hi, mid, hi))
-        ]
+        )
+        block = np.zeros((steps, cfg.feature_length))
+        for canvas, step_factors in zip(block.reshape(steps, *cfg.image_shape), factors):
+            glyph_rng = None if bank.glyphs is None else np.random.default_rng(0)
+            for r, f in zip(roles, step_factors):
+                _paint(cfg, bank, canvas, glyph_rng, r.digit, f if by_scale else 1.0, 1.0 if by_scale else f,
+                       r.top, r.left, r.hue, r.saturation)
+        yield digits, roles, factors, np.round(block, 3, out=block)
+
+
+def iter_adjust_sequences(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50):
+    """``iter_adjust_sweeps`` as ``AdjustSequence`` records: one
+    ``GeneratedSample`` per step, whose pixels are that step's row of
+    the sweep's block."""
+    by_scale = cfg.ranked_factor == "scale"
+    for digits, roles, factors, block in iter_adjust_sweeps(cfg, n_sequences, steps):
         samples = []
-        for step in range(steps):
-            t = step / (steps - 1)
-            factors = (lo + t * (hi - lo), mid, hi - t * (hi - lo))
-            placed = [
+        for pixels, step_factors in zip(block, factors):
+            placed = tuple(
                 DigitFactors(
                     digit=r.digit, scale=f if by_scale else 1.0, brightness=1.0 if by_scale else f,
                     top=r.top, left=r.left, hue=r.hue, saturation=r.saturation,
                 )
-                for r, f in zip(roles, factors)
-            ]
-            samples.append(_sample(cfg, bank, placed))
+                for r, f in zip(roles, step_factors)
+            )
+            ranks = _ranks_from_factors(cfg.num_classes, digits, step_factors)
+            samples.append(GeneratedSample(pixels=pixels, ranks=ranks, factors=placed, image_shape=cfg.image_shape))
         yield AdjustSequence(digits=digits, samples=tuple(samples))
 
 

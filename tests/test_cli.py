@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+import mlrank.cli
 import mlrank.model
+import mlrank.synthgen
 from mlrank.cli import main
 from mlrank.model import (
     FrontEnd,
@@ -471,6 +473,43 @@ class TestExperiments:
         got = np.array([[float(v) for v in r[1:]] for r in read_csv(out / "adjust.csv")[1:]])
         np.testing.assert_allclose(got, want / 3, rtol=1e-12, atol=1e-14)
 
+    def test_adjust_exp_predicts_each_sweep_block_and_builds_no_records(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "ckpt.json"
+        make_plain_canvas_checkpoint(ckpt)
+        built = []
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                built.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("_ranks_from_factors", "GeneratedSample"):
+            monkeypatch.setattr(mlrank.synthgen, name, counted(name, getattr(mlrank.synthgen, name)))
+        blocks, batches = [], []
+        real_sweeps, real_predict = mlrank.cli.iter_adjust_sweeps, mlrank.cli.predict_batch
+
+        def sweeps(*args, **kwargs):
+            for sweep in real_sweeps(*args, **kwargs):
+                blocks.append(sweep[3])
+                yield sweep
+
+        def predict(params, x):
+            batches.append(x)
+            return real_predict(params, x)
+
+        monkeypatch.setattr(mlrank.cli, "iter_adjust_sweeps", sweeps)
+        monkeypatch.setattr(mlrank.cli, "predict_batch", predict)
+        cfgp = tmp_path / "a.json"
+        cfgp.write_text(json.dumps({"canvas": SMALL_CANVAS, "n_sequences": 3, "steps": 5}))
+        assert run("adjust-exp", "--config", str(cfgp), "--checkpoint", str(ckpt),
+                   "--seed", "11", "--out", str(tmp_path / "adj")) == 0
+        assert built == []
+        # One prediction per sweep, on the (steps, d) block it was painted in.
+        assert len(batches) == len(blocks) == 3
+        for x, block in zip(batches, blocks):
+            assert x is block and x.shape == (5, 32 * 32)
+
     def test_one_config_serves_both_probe_commands(self, tmp_path):
         # shaped like the benchmark's probe.json: keys of both commands
         ckpt = tmp_path / "ckpt.json"
@@ -849,6 +888,20 @@ class TestSettingTypes:
         out = tmp_path / "e"
         assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
         assert "checkpoint affine layer 1 holds a non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("num_classes", [3.9, True, "3"])
+    def test_checkpoint_num_classes_must_be_a_json_integer(self, tmp_path, capsys, num_classes):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds)
+        ckpt = tmp_path / "ckpt.json"
+        make_affine_gmlr_checkpoint(ckpt)
+        doc = json.loads(ckpt.read_text())
+        doc["num_classes"] = num_classes
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "e"
+        assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
+        assert "checkpoint 'num_classes' must be a positive JSON integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "extract-sig", "adjust-exp", "calib-exp"])

@@ -343,6 +343,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint {layer} holds a non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("num_classes", [3.9, 3.0, True, "3", 0, -3, None])
+    def test_refuses_num_classes_that_is_not_a_positive_json_integer(self, tmp_path, num_classes):
+        # The layers fit 3 classes, so a cast of 3.9, 3.0 or "3" would load,
+        # and true would fail the later head-width check instead.
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_model(3, 3, "gmlr", hidden=(4,), seed=1))
+        doc = json.loads(path.read_text())
+        doc["num_classes"] = num_classes
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="checkpoint 'num_classes' must be a positive JSON integer"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("fault, message", [
         ("wide second layer", "checkpoint affine layer 2 takes 5 inputs, not affine layer 1's width 4"),
         ("short bias", r"checkpoint affine layer 1 bias has shape \(3,\), not its width \(4,\)"),

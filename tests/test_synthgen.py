@@ -25,6 +25,7 @@ from mlrank.synthgen import (
     generate_canvas_dataset,
     generate_feature_dataset,
     iter_adjust_sequences,
+    iter_adjust_sweeps,
     iter_feature_rows,
     read_dataset_jsonl,
     small_variance_config,
@@ -37,6 +38,36 @@ def small_cfg(**kw):
     base = dict(canvas_size=48, glyph_size=12, seed=5)
     base.update(kw)
     return CanvasConfig(**base)
+
+
+def write_idx(tmp_path, images, labels):
+    img_path = tmp_path / "img.idx"
+    lbl_path = tmp_path / "lbl.idx"
+    n, h, w = images.shape
+    with open(img_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", 0x803, n, h, w))
+        fh.write(images.astype(np.uint8).tobytes())
+    with open(lbl_path, "wb") as fh:
+        fh.write(struct.pack(">II", 0x801, n))
+        fh.write(labels.astype(np.uint8).tobytes())
+    return img_path, lbl_path
+
+
+@pytest.fixture(params=["gray", "color", "idx-bank"])
+def sweep_cfg(request, tmp_path):
+    """``small_cfg`` on gray builtin glyphs, colour builtin glyphs, or a
+    stored bank of two random glyphs per digit."""
+
+    def make(**kw):
+        if request.param == "color":
+            kw["color_mode"] = "color"
+        elif request.param == "idx-bank":
+            images = np.random.default_rng(6).integers(0, 256, size=(20, 28, 28))
+            img_path, lbl_path = write_idx(tmp_path, images, np.tile(np.arange(10), 2))
+            kw.update(glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
+        return small_cfg(**kw)
+
+    return make
 
 
 class TestGlyphs:
@@ -158,7 +189,7 @@ class TestCanvasDataset:
     ])
     def test_scale_setup_bytes_pinned(self, color_mode, digest):
         # Pins the bytes of the S-setup datasets, calibration sets and
-        # sweeps, which one sample renderer builds for all three.
+        # sweeps, which one painting helper renders for all three.
         cfg = small_cfg(setup="S", color_mode=color_mode)
         samples = generate_canvas_dataset(cfg, 20) + generate_calibration_set(cfg, 10)
         samples += [s for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=6) for s in seq.samples]
@@ -231,8 +262,8 @@ class TestSmallVariance:
 
 
 class TestAdjustSequences:
-    def test_sweep_structure(self):
-        cfg = small_cfg(setup="S", scale_range=(1.0, 3.0))
+    def test_sweep_structure(self, sweep_cfg):
+        cfg = sweep_cfg(setup="S", scale_range=(1.0, 3.0))
         seqs = generate_adjust_sequences(cfg, n_sequences=4, steps=11)
         assert len(seqs) == 4
         for seq in seqs:
@@ -256,8 +287,8 @@ class TestAdjustSequences:
                     ref = next(p for p in first.factors if p.digit == pf.digit)
                     assert (pf.top, pf.left) == (ref.top, ref.left)
 
-    def test_determinism(self):
-        cfg = small_cfg(setup="B")
+    def test_determinism(self, sweep_cfg):
+        cfg = sweep_cfg(setup="B")
         a = generate_adjust_sequences(cfg, n_sequences=2, steps=5)
         b = generate_adjust_sequences(cfg, n_sequences=2, steps=5)
         for sa, sb in zip(a, b):
@@ -265,8 +296,8 @@ class TestAdjustSequences:
             for xa, xb in zip(sa.samples, sb.samples):
                 np.testing.assert_array_equal(xa.pixels, xb.pixels)
 
-    def test_list_is_the_streamed_sequences(self):
-        cfg = small_cfg(setup="S")
+    def test_list_is_the_streamed_sequences(self, sweep_cfg):
+        cfg = sweep_cfg(setup="S")
         listed = generate_adjust_sequences(cfg, n_sequences=3, steps=4)
         streamed = iter_adjust_sequences(cfg, n_sequences=3, steps=4)
         assert not isinstance(streamed, list)
@@ -275,6 +306,34 @@ class TestAdjustSequences:
             for xa, xb in zip(a.samples, b.samples, strict=True):
                 np.testing.assert_array_equal(xa.pixels, xb.pixels)
 
+    @pytest.mark.parametrize("setup", ["S", "B"])
+    def test_block_is_the_stacked_record_pixels(self, sweep_cfg, setup):
+        cfg = sweep_cfg(setup=setup)
+        sweeps = iter_adjust_sweeps(cfg, n_sequences=3, steps=6)
+        for (digits, roles, factors, block), seq in zip(sweeps, iter_adjust_sequences(cfg, 3, 6), strict=True):
+            assert block.shape == (6, cfg.feature_length) and block.flags.c_contiguous
+            assert seq.digits == digits == tuple(r.digit for r in roles)
+            np.testing.assert_array_equal(block, np.stack([s.pixels for s in seq.samples]))
+            # The records' pixels are the rows of one block, not copies.
+            own = seq.samples[0].pixels.base
+            assert own.shape == block.shape
+            for step, (sample, step_factors) in enumerate(zip(seq.samples, factors, strict=True)):
+                assert sample.pixels.base is own and np.shares_memory(sample.pixels, own[step])
+                swept = [pf.scale if setup == "S" else pf.brightness for pf in sample.factors]
+                assert swept == list(step_factors)
+
+    @pytest.mark.parametrize("setup", ["S", "B"])
+    def test_records_are_the_samples_of_their_factors(self, sweep_cfg, setup):
+        # Each step's record equals the sample the per-canvas renderer
+        # gives its placed digits: bytes, ranks and factors.
+        cfg = sweep_cfg(setup=setup)
+        bank = synthgen._glyph_bank(cfg)
+        for seq in iter_adjust_sequences(cfg, n_sequences=3, steps=6):
+            for sample in seq.samples:
+                want = synthgen._sample(cfg, bank, list(sample.factors))
+                assert sample.pixels.tobytes() == want.pixels.tobytes()
+                np.testing.assert_array_equal(sample.ranks, want.ranks)
+                assert sample.factors == want.factors and sample.image_shape == want.image_shape
 
     def test_builtin_bank_builds_no_rng(self, monkeypatch):
         # Sweep canvases are composed without an rng; only stored glyph
@@ -818,23 +877,11 @@ class TestJsonl:
 
 
 class TestIdx:
-    def _write_idx(self, tmp_path, images, labels):
-        img_path = tmp_path / "img.idx"
-        lbl_path = tmp_path / "lbl.idx"
-        n, h, w = images.shape
-        with open(img_path, "wb") as fh:
-            fh.write(struct.pack(">IIII", 0x803, n, h, w))
-            fh.write(images.astype(np.uint8).tobytes())
-        with open(lbl_path, "wb") as fh:
-            fh.write(struct.pack(">II", 0x801, n))
-            fh.write(labels.astype(np.uint8).tobytes())
-        return img_path, lbl_path
-
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         images = rng.integers(0, 256, size=(6, 28, 28)).astype(np.uint8)
         labels = np.array([0, 1, 1, 2, 0, 1], dtype=np.uint8)
-        img_path, lbl_path = self._write_idx(tmp_path, images, labels)
+        img_path, lbl_path = write_idx(tmp_path, images, labels)
         bank = load_idx_glyphs(img_path, lbl_path)
         assert set(bank.glyphs) == {0, 1, 2}
         assert bank.glyphs[1].shape == (3, 28, 28)
@@ -860,7 +907,7 @@ class TestIdx:
         rng = np.random.default_rng(6)
         images = rng.integers(0, 256, size=(20, 28, 28)).astype(np.uint8)
         labels = np.tile(np.arange(10, dtype=np.uint8), 2)
-        img_path, lbl_path = self._write_idx(tmp_path, images, labels)
+        img_path, lbl_path = write_idx(tmp_path, images, labels)
         cfg = small_cfg(glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
         samples = generate_canvas_dataset(cfg, 5)
         assert len(samples) == 5
@@ -871,7 +918,7 @@ class TestIdx:
         rng = np.random.default_rng(6)
         images = rng.integers(0, 256, size=(20, 28, 28)).astype(np.uint8)
         labels = np.tile(np.arange(10, dtype=np.uint8), 2)
-        img_path, lbl_path = self._write_idx(tmp_path, images, labels)
+        img_path, lbl_path = write_idx(tmp_path, images, labels)
         cfg = small_cfg(setup="S", glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
         h = hashlib.sha256()
         for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=5):
