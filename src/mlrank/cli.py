@@ -62,7 +62,8 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers a JSON or a text decoding error.
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")

@@ -558,15 +558,30 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """(params, meta) of a ``save_checkpoint`` file.  A file that is not
+    JSON, or nests it too deeply, is a ValueError naming the file; a
+    checkpoint that breaks the layout is one naming the key, or the
+    layer (``_check_layers``)."""
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"checkpoint {path} is not readable JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path} must hold a JSON object, got {type(doc).__name__}")
     version = doc.get("version")
-    if version not in (MLP_CHECKPOINT_VERSION, FRONT_END_CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (MLP_CHECKPOINT_VERSION, FRONT_END_CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version!r}")
     front_end = None
     if version == FRONT_END_CHECKPOINT_VERSION:
-        fe = doc["front_end"]
-        front_end = FrontEnd(tuple(fe["image_shape"]))
+        fe = doc.get("front_end")
+        if not isinstance(fe, dict):
+            raise ValueError(f"checkpoint 'front_end' must be a JSON object, got {type(fe).__name__}")
+        shape = fe.get("image_shape")
+        # As in the dataset header: only positive JSON integers count.
+        if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)):
+            raise ValueError(f"checkpoint 'image_shape' must be 3 positive JSON integers, got {shape!r}")
+        front_end = FrontEnd(tuple(shape))
         want = front_end.to_dict()["convs"]
         if fe.get("convs") != want:
             raise ValueError(
@@ -577,15 +592,32 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     # Only a true JSON integer counts, as for every other count.
     if type(num_classes) is not int or num_classes < 1:
         raise ValueError(f"checkpoint 'num_classes' must be a positive JSON integer, got {num_classes!r}")
+    if doc.get("head") not in METHODS:
+        raise ValueError(f"checkpoint 'head' must be one of {METHODS}, got {doc.get('head')!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint 'meta' must be a JSON object, got {type(meta).__name__}")
     params = ModelParams(
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
+        weights=_checkpoint_arrays(doc, "weights"),
+        biases=_checkpoint_arrays(doc, "biases"),
         head=doc["head"],
         num_classes=num_classes,
         front_end=front_end,
     )
     _check_layers(params, doc.get("input_dim"))
-    return params, doc.get("meta", {})
+    return params, meta
+
+
+def _checkpoint_arrays(doc: dict, key: str) -> list[np.ndarray]:
+    """The float arrays of the JSON list ``doc[key]``; a ValueError names
+    the key when it is no list or an entry is not a numeric array."""
+    values = doc.get(key)
+    try:
+        if not isinstance(values, list):
+            raise TypeError
+        return [np.asarray(v, dtype=float) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"checkpoint '{key}' must be a list of numeric arrays") from None
 
 
 def _check_layers(params: ModelParams, input_dim) -> None:

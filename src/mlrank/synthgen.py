@@ -32,6 +32,14 @@ and (n, k) ranks as arrays, and neither holds a second copy of them.
 Canvas files written before the header declared ``image_shape`` read as
 feature data and must be regenerated.
 
+The reader parses the rows of a text file a block of about the writer's
+8192 values at a time: one ``json.loads`` of the block's lines joined
+into one JSON array, then one array each for its features and ranks,
+checked as arrays (``_parse_block``).  A block that fails a check is
+walked line by line with the per-row checks (``_read_row``), which name
+the first bad line; the walk also reads the rare valid rows the block
+checks leave to it, such as one with another key or a space after it.
+
 Beside each dataset file the writer puts a binary copy, ``<file>.npy``:
 three ``np.save`` records, the sha256 of the dataset file's bytes, the
 features as float64 and the ranks as int64.  The reader takes the arrays
@@ -45,6 +53,7 @@ from __future__ import annotations
 import array
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -522,14 +531,17 @@ def write_dataset_jsonl(path, x, ranks, generator: dict | None = None, image_sha
 def _line_count(path) -> int:
     """The lines text-mode reading splits ``path`` into: each LF, CR or
     CR LF ends one, and so does the end of a file that ends in another
-    byte.  Counted on bytes, a block at a time."""
-    count, last = 0, b""
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 16):
-            count += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
-            if last == b"\r" and block.startswith(b"\n"):
+    byte.  Counted on bytes, a block at a time into one buffer; the CR
+    counts run only on a block that holds a CR."""
+    count, last, buf = 0, b"", bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            count += buf.count(b"\n", 0, size)
+            if buf.find(b"\r", 0, size) >= 0:
+                count += buf.count(b"\r", 0, size) - buf.count(b"\r\n", 0, size)
+            if last == b"\r" and buf.startswith(b"\n"):
                 count -= 1
-            last = block[-1:]
+            last = buf[size - 1 : size]
     return count + (last not in (b"", b"\n", b"\r"))
 
 
@@ -537,7 +549,60 @@ def _json_line(line: str):
     """``json.loads`` of one line of a dataset file, which is ASCII."""
     if not line.isascii():
         raise ValueError("dataset files are ASCII; this line is not")
-    return json.loads(line)
+    try:
+        return json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
+
+
+def _parse_block(lines: list[str], x: np.ndarray, ranks: np.ndarray) -> bool:
+    """Fills ``x`` and ``ranks``, one row per line, from one ``json.loads``
+    of ``lines`` joined by commas inside brackets, and returns True, when
+    every check below holds; then each row is the one the line walk in
+    ``read_dataset_jsonl`` takes from its line.  Otherwise it returns
+    False, with the views in any state, and the caller walks the lines.
+
+    - Every row has the keys "features" and "ranks", so exactly four
+      quotes a row mean that no other string exists: no row has another
+      key or a repeated one, and no brace or letter sits in a string.
+    - A row's only braces are then its own, so with every line but the
+      last ending in "}" and its newline, each inserted comma falls
+      between two rows: no line holds two rows or part of one.
+    - JSON writes booleans and null only as the bare literals.  A "true"
+      adds a "u" beside the one each "features" key holds, and a "false"
+      or "null" brings an "l"; the walk names either exactly.
+    - The features form a float64 (rows, d) array and the ranks a signed
+      integer (rows, k) one with no negative entry; as in the walk, an
+      integer feature is rounded once to float64.
+    - The views hold a row for every line: a block that runs past the
+      room the reader's size cap left is walked.
+    """
+    m = len(lines)
+    text = "[" + ",".join(lines) + "]"
+    if (
+        len(x) != m
+        or not text.isascii()
+        or not all(map(str.endswith, lines[:-1], itertools.repeat("}\n")))
+        or text.count('"') != 4 * m
+        or text.count("u") != m
+        or "l" in text
+    ):
+        return False
+    try:
+        rows = json.loads(text)
+        block_x = np.array([row["features"] for row in rows], dtype=np.float64)
+        block_ranks = np.array([row["ranks"] for row in rows])
+    # A ragged block is a ValueError from NumPy 1.24 on.
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        return False
+    if (
+        block_x.shape != x.shape or block_ranks.shape != ranks.shape
+        or block_ranks.dtype.kind != "i" or np.any(block_ranks < 0)
+    ):
+        return False
+    x[...] = block_x
+    ranks[...] = block_ranks
+    return True
 
 
 def _check_finite(path, x, stop) -> None:
@@ -600,6 +665,37 @@ def _sidecar_arrays(path, k: int, d: int) -> tuple[np.ndarray, np.ndarray] | Non
     return x, ranks
 
 
+def _read_row(line: str, x: np.ndarray, ranks: np.ndarray, i: int) -> None:
+    """Row ``i`` of ``x`` and ``ranks`` from its line, with every check of
+    the loader contract (module docstring); a TypeError or ValueError
+    says what the line breaks.  The line walk of ``read_dataset_jsonl``."""
+    row = _json_line(line)
+    if not isinstance(row, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(row).__name__}")
+    row_ranks = row.get("ranks")
+    if not isinstance(row_ranks, list) or not all(type(r) is int and r >= 0 for r in row_ranks):
+        raise ValueError(f"ranks must be a list of non-negative JSON integers, got {row_ranks!r}")
+    values = row.get("features")
+    try:
+        # Takes real numbers only, so strings, null and nested
+        # lists fail here; a bool passes and is refused below.
+        feats = array.array("d", values)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"features must be a list of JSON numbers that fit float64: {exc}") from None
+    if len(feats) != x.shape[1] or len(row_ranks) != ranks.shape[1]:
+        raise ValueError("instance shape does not match header")
+    # JSON writes a boolean only as the bare literal true or false, so a
+    # line without either holds none; the exact test costs a sixth of a
+    # canvas read when run on every line.
+    if ("true" in line or "false" in line) and bool in map(type, values):
+        raise ValueError("features must be JSON numbers, not true or false")
+    x[i] = feats
+    try:
+        ranks[i] = row_ranks
+    except OverflowError:
+        raise ValueError(f"ranks must fit int64, got {row_ranks!r}") from None
+
+
 def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
     """Read a JSONL dataset; returns (header, x, ranks), the (n, d) float64
     features and the (n, k) int64 ranks.
@@ -614,10 +710,10 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
     A malformed header or row, a feature that is not a JSON number or is
     not finite, a negative rank or a number too large for its array is a
     ValueError that names the first such line as ``file:line``.  The rows
-    are counted first, so each one is parsed straight into its slot of
-    the two matrices and the dataset is never held twice.  Finiteness is
-    checked once over the filled rows, after the last row or before a
-    malformed line is named.
+    are counted first, so each block of rows (module docstring) is parsed
+    straight into its slots of the two matrices and the dataset is never
+    held twice.  Finiteness is checked once over the filled rows, after
+    the last row or before a malformed line is named.
     """
     # Latin-1 decodes any byte, so a non-ASCII one fails on its own line
     # and not on the line where the decoder's read-ahead meets it.
@@ -635,37 +731,18 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
             n = min(_line_count(path) - 1, os.path.getsize(path) // (2 * (d + k)))
             x = np.empty((n, d))
             ranks = np.empty((n, k), dtype=np.int64)
-            for lineno, line in enumerate(fh, start=2):
-                row = _json_line(line)
-                if not isinstance(row, dict):
-                    raise ValueError(f"an instance must be a JSON object, got {type(row).__name__}")
-                row_ranks = row.get("ranks")
-                if not isinstance(row_ranks, list) or not all(type(r) is int and r >= 0 for r in row_ranks):
-                    raise ValueError(f"ranks must be a list of non-negative JSON integers, got {row_ranks!r}")
-                values = row.get("features")
-                try:
-                    # Takes real numbers only, so strings, null and nested
-                    # lists fail here; a bool passes and is refused below.
-                    feats = array.array("d", values)
-                except (TypeError, OverflowError) as exc:
-                    raise ValueError(f"features must be a list of JSON numbers that fit float64: {exc}") from None
-                if len(feats) != d or len(row_ranks) != k:
-                    raise ValueError("instance shape does not match header")
-                # JSON writes a boolean only as the bare literal true or
-                # false, so a line without either holds none; the exact
-                # test costs a sixth of a canvas read when run on every line.
-                if ("true" in line or "false" in line) and bool in map(type, values):
-                    raise ValueError("features must be JSON numbers, not true or false")
-                x[lineno - 2] = feats
-                try:
-                    ranks[lineno - 2] = row_ranks
-                except OverflowError:
-                    raise ValueError(f"ranks must fit int64, got {row_ranks!r}") from None
+            step, start = max(1, _WRITE_BLOCK_VALUES // d), 0
+            while lines := list(itertools.islice(fh, step)):
+                stop = start + len(lines)
+                if not _parse_block(lines, x[start:stop], ranks[start:stop]):
+                    for lineno, line in enumerate(lines, start=start + 2):
+                        _read_row(line, x, ranks, lineno - 2)
+                start = stop
         except (TypeError, ValueError) as exc:
             if lineno > 2:
                 _check_finite(path, x, lineno - 2)
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    _check_finite(path, x, lineno - 1)
+    _check_finite(path, x, start)
     if not n:
         raise ValueError(f"{path}: dataset has a header but no instances")
     return header, x, ranks

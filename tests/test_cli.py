@@ -648,11 +648,13 @@ class TestExitCodes:
         assert "'n_checkpoint'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("content", [None, "[1, 2]"])
+    @pytest.mark.parametrize("content", [
+        None, b"[1, 2]", b'{"n": "\xff"}', pytest.param(b"[" * 200_000 + b"]" * 200_000, id="deep"),
+    ])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, content):
         cfgp = tmp_path / "c.json"
         if content is not None:
-            cfgp.write_text(content)
+            cfgp.write_bytes(content)
         assert run("generate", "--config", str(cfgp), "--kind", "feature", "--n", "3",
                    "--seed", "1", "--out", str(tmp_path / "gen")) == 1
         assert str(cfgp) in capsys.readouterr().err
@@ -715,6 +717,8 @@ class TestExitCodes:
         ('{"d":2,"generator":{},"k":2}', '{"features":[0.1,0.2],"ranks":[100000000000000000000,0]}', 2),
         pytest.param('{"d":2,"generator":{},"k":2}', '{"features":[0.1,' + "9" * 400 + '],"ranks":[1,0]}', 2,
                      id="400-digit-feature"),
+        pytest.param("[" * 200_000 + "]" * 200_000, '{"features":[0.1,0.2],"ranks":[1,0]}', 1, id="deep-header"),
+        pytest.param('{"d":2,"generator":{},"k":2}', "[" * 200_000 + "]" * 200_000, 2, id="deep-row"),
     ])
     def test_malformed_header_or_row_is_data_error(self, tmp_path, capsys, header, row, line):
         ds = tmp_path / "bad.jsonl"
@@ -902,6 +906,34 @@ class TestSettingTypes:
         out = tmp_path / "e"
         assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
         assert "checkpoint 'num_classes' must be a positive JSON integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("a list", "must hold a JSON object, got list"),
+        ("front_end a number", "checkpoint 'front_end' must be a JSON object, got int"),
+        ("image_shape null", "checkpoint 'image_shape' must be 3 positive JSON integers, got None"),
+        ("nested too deeply", "is not readable JSON"),
+    ])
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, fault, message):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds)
+        ckpt = tmp_path / "ckpt.json"
+        make_affine_gmlr_checkpoint(ckpt)
+        doc = json.loads(ckpt.read_text())
+        if fault == "a list":
+            text = json.dumps([doc])
+        elif fault == "nested too deeply":
+            text = "[" * 200_000 + "]" * 200_000
+        else:
+            doc["version"] = 2
+            doc["front_end"] = 7 if fault == "front_end a number" else {"image_shape": None}
+            text = json.dumps(doc)
+        ckpt.write_text(text)
+        out = tmp_path / "e"
+        assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert fault != "nested too deeply" or str(ckpt) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "extract-sig", "adjust-exp", "calib-exp"])

@@ -356,6 +356,46 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("fault, message", [
+        ("a list", "must hold a JSON object, got list"),
+        ("nested too deeply", "is not readable JSON"),
+        ("version true", "unsupported checkpoint version True"),
+        ("front_end a list", "checkpoint 'front_end' must be a JSON object, got list"),
+        ("image_shape null", "checkpoint 'image_shape' must be 3 positive JSON integers, got None"),
+        ("image_shape floats", r"checkpoint 'image_shape' must be 3 positive JSON integers, got \[32.0, 32, 1\]"),
+        ("weights null", "checkpoint 'weights' must be a list of numeric arrays"),
+        ("a bias object", "checkpoint 'biases' must be a list of numeric arrays"),
+        ("head", "checkpoint 'head' must be one of"),
+        ("meta a list", "checkpoint 'meta' must be a JSON object, got list"),
+    ])
+    def test_refuses_a_malformed_checkpoint_naming_what_is_wrong(self, tmp_path, fault, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_model(32 * 32, 2, "gmlr", hidden=(3,), seed=1, front_end=FrontEnd((32, 32, 1))))
+        doc = json.loads(path.read_text())
+        if fault == "a list":
+            doc = [doc]
+        elif fault == "nested too deeply":
+            doc["meta"] = "NESTED"
+        elif fault == "version true":
+            doc["version"] = True
+        elif fault == "front_end a list":
+            doc["front_end"] = [doc["front_end"]]
+        elif fault == "image_shape null":
+            doc["front_end"]["image_shape"] = None
+        elif fault == "image_shape floats":
+            doc["front_end"]["image_shape"] = [32.0, 32, 1]
+        elif fault == "weights null":
+            doc["weights"] = None
+        elif fault == "a bias object":
+            doc["biases"][1] = {"b": 1}
+        elif fault == "head":
+            doc["head"] = ["gmlr"]
+        else:
+            doc["meta"] = []
+        path.write_text(json.dumps(doc).replace('"NESTED"', "[" * 200_000 + "]" * 200_000))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fault, message", [
         ("wide second layer", "checkpoint affine layer 2 takes 5 inputs, not affine layer 1's width 4"),
         ("short bias", r"checkpoint affine layer 1 bias has shape \(3,\), not its width \(4,\)"),
         ("short head bias", r"checkpoint affine layer 2 bias has shape \(5,\), not its width \(6,\)"),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -434,8 +435,77 @@ def feature_arrays(*args, **kwargs):
 
 BAD_ROWS = [
     "non-finite", "negative rank", "rank overflow", "wrong length", "broken JSON",
-    "string feature", "boolean feature",
+    "string feature", "boolean feature", "null feature", "boolean rank",
 ]
+
+
+def reference_lines(d, n, seed, bad):
+    """``n`` rows of ``d`` features and 2 ranks as JSON lines, with row
+    ``row % n`` broken in the way ``kind`` names for each (row, kind) of
+    ``bad``."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        {"features": (rng.integers(-9, 10, size=d) / 4).tolist(), "ranks": rng.integers(0, 4, size=2).tolist()}
+        for _ in range(n)
+    ]
+    lines = [json.dumps(r) for r in rows]
+    for row, kind in bad:
+        row, col = row % n, int(rng.integers(d))
+        features, row_ranks = rows[row]["features"], rows[row]["ranks"]
+        if kind == "broken JSON":
+            lines[row] = lines[row][:-1]
+            continue
+        if kind == "non-finite":
+            features[col] = [np.inf, -np.inf, np.nan][col % 3]
+        elif kind == "negative rank":  # slices: a row may have lost a rank
+            row_ranks[:1] = [-1]
+        elif kind == "rank overflow":
+            row_ranks[-1:] = [2**63]
+        elif kind == "wrong length" and col % 2:
+            features.append(0.5)
+        elif kind == "wrong length":
+            row_ranks.pop()
+        elif kind == "string feature":
+            features[col] = str(features[col])
+        elif kind == "boolean feature":
+            features[col] = bool(col % 2)
+        elif kind == "null feature":
+            features[col] = None
+        elif kind == "boolean rank":
+            row_ranks[-1:] = [bool(col % 2)]
+        lines[row] = json.dumps(rows[row])
+    return lines
+
+
+def write_lines(path, d, lines, newline="\n"):
+    """A dataset file of 2 classes and ``d`` features holding ``lines``,
+    with no binary copy."""
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join([json.dumps({"k": 2, "d": d}), *lines]) + newline)
+
+
+def walked_read(path):
+    """``read_dataset_jsonl(path)`` with every block left to the line walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthgen, "_parse_block", lambda *args: False)
+        return read_dataset_jsonl(path)
+
+
+def assert_reads_as_reference(path):
+    """The reader takes ``path`` as ``reference_read`` does, with the same
+    bits and the same message as a read that walks every line."""
+    want = reference_read(path)
+    if isinstance(want, int):
+        with pytest.raises(ValueError, match=re.escape(f"{os.path.basename(path)}:{want}: ")) as got:
+            read_dataset_jsonl(path)
+        with pytest.raises(ValueError) as walked:
+            walked_read(path)
+        assert str(got.value) == str(walked.value)
+    else:
+        for header, x, ranks in (read_dataset_jsonl(path), walked_read(path)):
+            assert header == want[0]
+            assert x.tobytes() == want[1].tobytes()
+            np.testing.assert_array_equal(ranks, want[2])
 
 
 def reference_read(path):
@@ -768,46 +838,130 @@ class TestJsonl:
     @example(d=3000, n=5, seed=0, bad=[(4, "wrong length"), (2, "non-finite")])
     @example(d=1, n=1, seed=0, bad=[(0, "wrong length"), (0, "rank overflow")])
     def test_reader_matches_a_per_line_reference(self, d, n, seed, bad):
-        rng = np.random.default_rng(seed)
-        rows = [
-            {"features": (rng.integers(-9, 10, size=d) / 4).tolist(), "ranks": rng.integers(0, 4, size=2).tolist()}
-            for _ in range(n)
-        ]
-        lines = [json.dumps(r) for r in rows]
-        for row, kind in bad:
-            row, col = row % n, int(rng.integers(d))
-            features, row_ranks = rows[row]["features"], rows[row]["ranks"]
-            if kind == "broken JSON":
-                lines[row] = lines[row][:-1]
-                continue
-            if kind == "non-finite":
-                features[col] = [np.inf, -np.inf, np.nan][col % 3]
-            elif kind == "negative rank":  # slices: a row may have lost a rank
-                row_ranks[:1] = [-1]
-            elif kind == "rank overflow":
-                row_ranks[-1:] = [2**63]
-            elif kind == "wrong length" and col % 2:
-                features.append(0.5)
-            elif kind == "wrong length":
-                row_ranks.pop()
-            elif kind == "string feature":
-                features[col] = str(features[col])
-            elif kind == "boolean feature":
-                features[col] = bool(col % 2)
-            lines[row] = json.dumps(rows[row])
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "r.jsonl")
-            with open(path, "w") as fh:
-                fh.write("\n".join([json.dumps({"k": 2, "d": d}), *lines]) + "\n")
-            want = reference_read(path)
-            if isinstance(want, int):
-                with pytest.raises(ValueError, match=f"r.jsonl:{want}: "):
-                    read_dataset_jsonl(path)
-            else:
-                header, x, ranks = read_dataset_jsonl(path)
-                assert header == want[0]
-                assert x.tobytes() == want[1].tobytes()
-                np.testing.assert_array_equal(ranks, want[2])
+            write_lines(path, d, reference_lines(d, n, seed, bad))
+            assert_reads_as_reference(path)
+
+    # d = 24 puts 341 rows in each parse block: rows 0-340, 341-681, ...
+    @pytest.mark.parametrize("bad", [
+        *(pytest.param([(row, kind)], id=f"{row}-{kind}") for row in (0, 340, 341, 681, 699) for kind in BAD_ROWS),
+        pytest.param([(100, "non-finite"), (341, "broken JSON")], id="100-non-finite-341-broken JSON"),
+        pytest.param([(341, "non-finite"), (681, "wrong length")], id="341-non-finite-681-wrong length"),
+    ])
+    def test_a_bad_row_at_a_block_edge_is_named_as_the_reference(self, tmp_path, bad):
+        path = tmp_path / "r.jsonl"
+        write_lines(path, 24, reference_lines(24, 700, bad[0][0], bad))
+        assert_reads_as_reference(path)
+
+    @pytest.mark.parametrize("unusual", [
+        "extra key holding true", "integer features", "integer beyond int64", "CRLF",
+        "ranks first", "spaces", "escaped key",
+    ])
+    def test_unusual_valid_rows_read_as_the_reference(self, tmp_path, unusual):
+        lines = reference_lines(24, 700, 3, [])
+        newline = "\r\n" if unusual == "CRLF" else "\n"
+        for row in (0, 340, 341, 500):
+            doc = json.loads(lines[row])
+            if unusual == "extra key holding true":
+                doc["note"] = "true"
+            elif unusual == "integer features":
+                doc["features"] = list(range(-12, 12))
+            elif unusual == "integer beyond int64":
+                # 2**70 + 1 rounds to 2**70; -(2**64) - 3 to -(2**64).
+                doc["features"][:2] = [2**70 + 1, -(2**64) - 3]
+            elif unusual == "ranks first":
+                doc = {"ranks": doc["ranks"], "features": doc["features"]}
+            lines[row] = json.dumps(doc, separators=(",", ":"))
+            if unusual == "spaces":
+                lines[row] = " \t" + json.dumps(doc, indent=None) + "  "
+            elif unusual == "escaped key":
+                lines[row] = lines[row].replace('"features"', '"feat\\u0075res"')
+        path = tmp_path / "u.jsonl"
+        write_lines(path, 24, lines, newline)
+        assert not isinstance(reference_read(path), int)
+        assert_reads_as_reference(path)
+
+    @pytest.mark.parametrize("row", [200, 340])  # inside a parse block, and across two
+    @pytest.mark.parametrize("fault", [
+        "two rows on one line", "a row split over two lines", "a repeated key across a line end",
+    ])
+    def test_a_line_that_is_not_one_row_is_named(self, tmp_path, row, fault):
+        # Each fault keeps the number of lines; the last two also keep the
+        # number of rows the joined lines parse into.
+        lines = reference_lines(24, 700, 4, [])
+        a, b = lines[row], lines[row + 1]
+        if fault == "two rows on one line":
+            lines[row] = a + "," + b
+        elif fault == "a row split over two lines":
+            cut = a.index(",", 20)
+            lines[row], lines[row + 1] = a[:cut], a[cut + 1 :] + "," + b
+        else:
+            lines[row] = a[: a.index('"ranks"')] + '"ranks": [{}'
+            lines[row + 1] = "{}], " + a[a.index('"ranks"') :] + "," + b
+        path = tmp_path / "two.jsonl"
+        write_lines(path, 24, lines)
+        assert reference_read(path) == row + 2
+        assert_reads_as_reference(path)
+
+    def test_lines_past_the_room_are_walked(self, tmp_path):
+        # Three lines that join into one valid row, with a quote pair and a
+        # "u" per line, in a file whose size leaves room for one row.
+        path = tmp_path / "room.jsonl"
+        path.write_text(
+            '{"k":1,"d":50}\n'
+            '{"features":[' + ",".join(["0"] * 50) + '],"ranks":[0],"xu":[{}\n'
+            '{"u":"a"}\n'
+            '"a"]}\n'
+        )
+        assert synthgen._line_count(path) - 1 > os.path.getsize(path) // (2 * 51)
+        with pytest.raises(ValueError, match="room.jsonl:2: "):
+            read_dataset_jsonl(path)
+
+    def test_written_rows_are_parsed_a_block_at_a_time(self, tmp_path):
+        x, ranks = feature_arrays(6, 24, 700, seed=3)
+        path = tmp_path / "w.jsonl"
+        write_dataset_jsonl(path, x, ranks)
+        os.remove(tmp_path / "w.jsonl.npy")
+        taken = []
+        real = synthgen._parse_block
+
+        def spy(lines, *args):
+            taken.append((len(lines), real(lines, *args)))
+            return taken[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthgen, "_parse_block", spy)
+            _, back, ranks_back = read_dataset_jsonl(path)
+        assert taken == [(341, True), (341, True), (18, True)]
+        assert back.tobytes() == x.tobytes()
+        np.testing.assert_array_equal(ranks_back, ranks)
+
+    @pytest.mark.parametrize("line, text", [
+        (1, "[" * 200_000 + "]" * 200_000),
+        (3, "[" * 200_000 + "]" * 200_000),
+        (3, '{"features":' + "[" * 200_000 + "]" * 200_000 + ',"ranks":[0,1]}'),
+    ])
+    def test_json_nested_too_deeply_names_its_line(self, tmp_path, line, text):
+        lines = reference_lines(24, 5, 0, [])
+        path = tmp_path / "deep.jsonl"
+        if line == 1:
+            path.write_text(text + "\n" + "\n".join(lines) + "\n")
+        else:
+            lines[line - 2] = text
+            write_lines(path, 24, lines)
+        with pytest.raises(ValueError, match=f"deep.jsonl:{line}: JSON is nested too deeply"):
+            read_dataset_jsonl(path)
+
+    def test_line_count_matches_text_mode_across_read_blocks(self, tmp_path):
+        rng = np.random.default_rng(9)
+        data = bytearray(rng.choice(list(b"ab\r\n"), size=(1 << 21) + 5).astype(np.uint8).tobytes())
+        data[(1 << 20) - 1 : (1 << 20) + 1] = b"\r\n"  # a CR LF split between two reads
+        for end in (b"", b"\r", b"\n", b"a"):
+            path = tmp_path / "lines.txt"
+            path.write_bytes(bytes(data) + end)
+            with open(path, encoding="latin-1") as fh:
+                assert synthgen._line_count(path) == sum(1 for _ in fh)
 
     def test_rows_are_written_as_json_dumps(self, tmp_path):
         # Write blocks of 8192 values hold 8 of these rows.  The first
