@@ -33,6 +33,7 @@ last hidden layer, so every other parameter keeps its stage-1 bits.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -597,9 +598,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"checkpoint 'meta' must be a JSON object, got {type(meta).__name__}")
+    n_convs = 0 if front_end is None else len(front_end.convs)
     params = ModelParams(
-        weights=_checkpoint_arrays(doc, "weights"),
-        biases=_checkpoint_arrays(doc, "biases"),
+        weights=_checkpoint_arrays(doc, "weights", n_convs),
+        biases=_checkpoint_arrays(doc, "biases", n_convs),
         head=doc["head"],
         num_classes=num_classes,
         front_end=front_end,
@@ -608,16 +610,35 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     return params, meta
 
 
-def _checkpoint_arrays(doc: dict, key: str) -> list[np.ndarray]:
+def _layer_name(i: int, n_convs: int) -> str:
+    """How a refusal names the layer of weight or bias ``i``."""
+    return f"convolution {i + 1}" if i < n_convs else f"affine layer {i - n_convs + 1}"
+
+
+def _checkpoint_arrays(doc: dict, key: str, n_convs: int) -> list[np.ndarray]:
     """The float arrays of the JSON list ``doc[key]``; a ValueError names
-    the key when it is no list or an entry is not a numeric array."""
+    the key when it is no list or an entry is not a numeric array, and
+    the key and the layer when an entry holds a string, a boolean or
+    null.  As for dataset features, nothing is cast: ``"0.5"`` and
+    ``true`` are refused, not read as 0.5 and 1.0."""
     values = doc.get(key)
     try:
         if not isinstance(values, list):
             raise TypeError
-        return [np.asarray(v, dtype=float) for v in values]
+        arrays = [np.asarray(v, dtype=float) for v in values]
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"checkpoint '{key}' must be a list of numeric arrays") from None
+    for i, (value, array) in enumerate(zip(values, arrays)):
+        # The array is regular, so its leaves sit ndim lists deep.
+        leaves = value if array.ndim else [value]
+        for _ in range(array.ndim - 1):
+            leaves = list(itertools.chain.from_iterable(leaves))
+        if not set(map(type, leaves)) <= {int, float}:
+            bad = next(v for v in leaves if type(v) not in (int, float))
+            raise ValueError(
+                f"checkpoint '{key}' of {_layer_name(i, n_convs)} must hold JSON numbers, got {json.dumps(bad)}"
+            )
+    return arrays
 
 
 def _check_layers(params: ModelParams, input_dim) -> None:
@@ -638,7 +659,7 @@ def _check_layers(params: ModelParams, input_dim) -> None:
     if front_end is not None:
         kernels, width, before = front_end.kernel_shapes(), front_end.out_dim, "the front end's out_dim"
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        layer = f"convolution {i + 1}" if i < n_convs else f"affine layer {i - n_convs + 1}"
+        layer = _layer_name(i, n_convs)
         if w.ndim != 2:
             raise ValueError(f"checkpoint {layer} weight has shape {w.shape}, not a matrix's")
         if i < n_convs and w.shape != kernels[i]:

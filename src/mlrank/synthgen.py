@@ -32,13 +32,18 @@ and (n, k) ranks as arrays, and neither holds a second copy of them.
 Canvas files written before the header declared ``image_shape`` read as
 feature data and must be regenerated.
 
-The reader parses the rows of a text file a block of about the writer's
-8192 values at a time: one ``json.loads`` of the block's lines joined
-into one JSON array, then one array each for its features and ranks,
-checked as arrays (``_parse_block``).  A block that fails a check is
-walked line by line with the per-row checks (``_read_row``), which name
-the first bad line; the walk also reads the rare valid rows the block
-checks leave to it, such as one with another key or a space after it.
+The writer writes ``max(32, 8192 // d)`` rows at a time, each the line
+``json.dumps`` gives it (``_block_lines``).  A block whose values
+repeat, such as canvases, takes ``float.__repr__`` once per distinct
+bit pattern and gathers its bytes from one table; a block whose values
+mostly differ, such as features, joins each row's reprs.  The reader
+parses the rows of a text file a block of about 8192 values at a time:
+one ``json.loads`` of the block's lines joined into one JSON array,
+then one array each for its features and ranks, checked as arrays
+(``_parse_block``).  A block that fails a check is walked line by line
+with the per-row checks (``_read_row``), which name the first bad line;
+the walk also reads the rare valid rows the block checks leave to it,
+such as one with another key or a space after it.
 
 Beside each dataset file the writer puts a binary copy, ``<file>.npy``:
 three ``np.save`` records, the sha256 of the dataset file's bytes, the
@@ -465,22 +470,59 @@ def _checked_header(header) -> tuple[int, int]:
     return k, d
 
 
-# Float text is deduplicated within blocks of about this many values;
-# a block's text is held while it is written, so it stays small.
-_WRITE_BLOCK_VALUES = 1 << 13
+# Rows are parsed, checked for finiteness and written in blocks of
+# about this many values, so a block's scratch and text stay small.
+_BLOCK_VALUES = 1 << 13
+# A written block holds at least this many rows, so a block of canvases
+# shares one text table between a few dozen of them.
+_WRITE_BLOCK_ROWS = 32
+# A block is written from a text table when at most one value in this
+# many is a distinct bit pattern (canvases).  Otherwise (features) each
+# value's repr is taken in place: gathering values that nearly all
+# differ from a table costs more than the reprs it saves.
+_TABLE_VALUES_PER_DISTINCT = 2
 
 
-def _float_rows(block: np.ndarray) -> list[str]:
-    """Each row of a C-contiguous float block as the comma-joined text
-    json.dumps gives its values.  ``float.__repr__`` runs once per
-    distinct bit pattern; keying on the bits, not the values, keeps -0.0
-    apart from 0.0."""
-    bits = block.view(np.int64)
-    # A sort, not np.unique: its hash table is many times slower here.
-    ordered = np.sort(bits, axis=None)
+def _block_lines(block: np.ndarray, block_ranks: np.ndarray) -> bytes:
+    """The dataset lines of a C-contiguous float block and its ranks,
+    each row as ``json.dumps`` writes it.  A block whose values repeat
+    is written from a table of its distinct values' texts, any other one
+    a value at a time."""
+    rank_texts = [",".join(map(str, row)) for row in block_ranks.tolist()]
+    # Keying on the bits, not the values, keeps -0.0 apart from 0.0.  A
+    # sort, not np.unique: its hash table is many times slower here.
+    ordered = np.sort(block.view(np.int64), axis=None)
     distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    text = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return [",".join(row) for row in text[np.searchsorted(distinct, bits)].tolist()]
+    if len(distinct) * _TABLE_VALUES_PER_DISTINCT > block.size:
+        return _repr_lines(block, rank_texts)
+    return _table_lines(block, distinct, rank_texts)
+
+
+def _repr_lines(block: np.ndarray, rank_texts: list[str]) -> bytes:
+    """``_block_lines`` for a block whose values mostly differ: JSON
+    writes a float as its ``float.__repr__``."""
+    return "".join(
+        '{"features":[' + ",".join(map(float.__repr__, row)) + '],"ranks":[' + row_ranks + "]}\n"
+        for row, row_ranks in zip(block.tolist(), rank_texts)
+    ).encode("ascii")
+
+
+def _table_lines(block: np.ndarray, distinct: np.ndarray, rank_texts: list[str]) -> bytes:
+    """``_block_lines`` for a block whose values repeat, given the sorted
+    distinct bit patterns of its values: ``float.__repr__`` runs once per
+    pattern into a NUL-padded table of ","-prefixed texts, the values'
+    texts are gathered from it in one pass, and each row is cut out by
+    its byte length."""
+    texts = ["," + text for text in map(float.__repr__, distinct.view(np.float64).tolist())]
+    codes = np.searchsorted(distinct, block.view(np.int64))
+    data = memoryview(np.array(texts, dtype=bytes)[codes].tobytes().translate(None, b"\0"))
+    # A text is at most 25 bytes, so its width fits a byte.
+    ends = np.cumsum(np.array(list(map(len, texts)), dtype=np.uint8)[codes].sum(axis=1)).tolist()
+    parts = []
+    for start, end, row_ranks in zip([0, *ends], ends, rank_texts):
+        # A row's text starts after its first value's comma.
+        parts += (b'{"features":[', data[start + 1 : end], b'],"ranks":[' + row_ranks.encode("ascii") + b"]}\n")
+    return b"".join(parts)
 
 
 def _sidecar(path) -> str:
@@ -507,22 +549,14 @@ def write_dataset_jsonl(path, x, ranks, generator: dict | None = None, image_sha
     if image_shape is not None:
         header["image_shape"] = list(image_shape)
     _checked_header(header)
-    step = max(1, _WRITE_BLOCK_VALUES // x.shape[1])
+    header_line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+    step = max(_WRITE_BLOCK_ROWS, _BLOCK_VALUES // x.shape[1])
+    blocks = (_block_lines(x[i : i + step], ranks[i : i + step]) for i in range(0, len(x), step))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-
-        def emit(text: str) -> None:
-            data = text.encode("ascii")
+        for data in itertools.chain([header_line], blocks):
             digest.update(data)
             fh.write(data)
-
-        emit(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for start in range(0, len(x), step):
-            block_ranks = ranks[start : start + step].tolist()
-            emit("".join(
-                '{"features":[' + feats + '],"ranks":[' + ",".join(map(str, row_ranks)) + "]}\n"
-                for feats, row_ranks in zip(_float_rows(x[start : start + step]), block_ranks)
-            ))
     with open(_sidecar(path), "wb") as fh:
         for record in (np.frombuffer(digest.digest(), dtype=np.uint8), x, ranks.astype(np.int64)):
             np.save(fh, record, allow_pickle=False)
@@ -608,8 +642,9 @@ def _parse_block(lines: list[str], x: np.ndarray, ranks: np.ndarray) -> bool:
 def _check_finite(path, x, stop) -> None:
     """A ValueError naming the line of the first row of ``x[:stop]`` that
     holds a non-finite value (row i is line i + 2), if any does.  Checked
-    in blocks of about the writer's size, so the scratch mask stays small."""
-    rows, step = x[:stop], max(1, _WRITE_BLOCK_VALUES // x.shape[1])
+    in blocks of about ``_BLOCK_VALUES`` values, so the scratch mask stays
+    small."""
+    rows, step = x[:stop], max(1, _BLOCK_VALUES // x.shape[1])
     for start in range(0, len(rows), step):
         bad = np.flatnonzero(~np.isfinite(rows[start : start + step]).all(axis=1))
         if bad.size:
@@ -731,7 +766,7 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
             n = min(_line_count(path) - 1, os.path.getsize(path) // (2 * (d + k)))
             x = np.empty((n, d))
             ranks = np.empty((n, k), dtype=np.int64)
-            step, start = max(1, _WRITE_BLOCK_VALUES // d), 0
+            step, start = max(1, _BLOCK_VALUES // d), 0
             while lines := list(itertools.islice(fh, step)):
                 stop = start + len(lines)
                 if not _parse_block(lines, x[start:stop], ranks[start:stop]):

@@ -908,6 +908,27 @@ class TestSettingTypes:
         assert "checkpoint 'num_classes' must be a positive JSON integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, where, value, message", [
+        ("weights", (0, 1, 0), "0.5", "checkpoint 'weights' of affine layer 1 must hold JSON numbers, got \"0.5\""),
+        ("biases", (0, 2), True, "checkpoint 'biases' of affine layer 1 must hold JSON numbers, got true"),
+        ("weights", (0, 0, 1), None, "checkpoint 'weights' of affine layer 1 must hold JSON numbers, got null"),
+    ], ids=["string weight", "true bias", "null weight"])
+    def test_checkpoint_weights_must_be_json_numbers(self, tmp_path, capsys, key, where, value, message):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds)
+        ckpt = tmp_path / "ckpt.json"
+        make_affine_gmlr_checkpoint(ckpt)
+        doc = json.loads(ckpt.read_text())
+        array = doc[key][where[0]]
+        for i in where[1:-1]:
+            array = array[i]
+        array[where[-1]] = value
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "e"
+        assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fault, message", [
         ("a list", "must hold a JSON object, got list"),
         ("front_end a number", "checkpoint 'front_end' must be a JSON object, got int"),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -32,6 +33,9 @@ from mlrank.model import (
 from mlrank.synthgen import CanvasConfig, generate_canvas_dataset, generate_feature_dataset
 
 from oracles import fd_gradient, max_rel_error
+
+# The checkpoints the benchmark's probe workload loads.
+COMMITTED_CHECKPOINTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "checkpoints")
 
 
 def flatten(grads):
@@ -452,6 +456,49 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("front_end, key, where, value, message", [
+        (False, "weights", (1, 0, 0), "0.5", "checkpoint 'weights' of affine layer 2 must hold JSON numbers, got \"0.5\""),
+        (False, "biases", (0, 2), True, "checkpoint 'biases' of affine layer 1 must hold JSON numbers, got true"),
+        (False, "weights", (0, 1, 2), False, "checkpoint 'weights' of affine layer 1 must hold JSON numbers, got false"),
+        (False, "biases", (1, 0), None, "checkpoint 'biases' of affine layer 2 must hold JSON numbers, got null"),
+        (False, "weights", (1, 3, 1), None, "checkpoint 'weights' of affine layer 2 must hold JSON numbers, got null"),
+        (True, "weights", (0, 5, 3), "1e-3", "checkpoint 'weights' of convolution 1 must hold JSON numbers, got \"1e-3\""),
+        (True, "biases", (2, 0), True, "checkpoint 'biases' of convolution 3 must hold JSON numbers, got true"),
+        (True, "biases", (3, 1), "0", "checkpoint 'biases' of affine layer 1 must hold JSON numbers, got \"0\""),
+    ], ids=[
+        "string weight", "true bias", "false weight", "null bias", "null weight",
+        "string kernel", "true convolution bias", "string bias behind a front end",
+    ])
+    def test_refuses_weights_that_are_not_json_numbers(self, tmp_path, front_end, key, where, value, message):
+        # Each value sits among numbers, so a cast to float would load it:
+        # "0.5" as 0.5, true as 1.0, and null as NaN, which the finiteness
+        # check would name as a non-finite value instead.
+        fe = FrontEnd((32, 32, 1)) if front_end else None
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_model(fe.input_dim if fe else 3, 3, "gmlr", hidden=(4,), seed=1, front_end=fe))
+        doc = json.loads(path.read_text())
+        array = doc[key][where[0]]
+        for i in where[1:-1]:
+            array = array[i]
+        array[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(COMMITTED_CHECKPOINTS)))
+    def test_committed_checkpoints_load_with_their_bits(self, name):
+        path = os.path.join(COMMITTED_CHECKPOINTS, name)
+        params, _ = load_checkpoint(path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        for key in ("weights", "biases"):
+            loaded = getattr(params, key)
+            assert len(loaded) == len(doc[key])
+            for got, values in zip(loaded, doc[key]):
+                want = np.array(values, dtype=np.float64)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         params = init_model(4, 2, "gmlr", hidden=(3,), seed=10)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -629,6 +630,56 @@ def faulty_sidecar(path, x, ranks, fault) -> None:
                 np.save(fh, record)
 
 
+def write_and_ways(path, x, ranks, image_shape=None):
+    """``write_dataset_jsonl`` with a spy on its two ways of writing a
+    block; returns (rows, "table" or "repr") per written block."""
+    taken = []
+
+    def spy(way, real):
+        def wrapped(block, *args):
+            taken.append((len(block), way))
+            return real(block, *args)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthgen, "_table_lines", spy("table", synthgen._table_lines))
+        mp.setattr(synthgen, "_repr_lines", spy("repr", synthgen._repr_lines))
+        write_dataset_jsonl(path, x, ranks, image_shape=image_shape)
+    return taken
+
+
+def assert_written_as_reference(path, x, ranks, image_shape=None):
+    """The file at ``path``, written from ``x`` and ``ranks``, holds the
+    sorted compact header and then each row as ``json.dumps`` writes it,
+    and its binary copy the ``np.save`` records of that text's sha256,
+    ``x`` as float64 and ``ranks`` as int64."""
+    header = {"d": x.shape[1], "generator": {}, "k": ranks.shape[1]}
+    if image_shape is not None:
+        header["image_shape"] = list(image_shape)
+    lines = path.read_bytes().decode("ascii").split("\n")
+    assert lines[0] == json.dumps(header, sort_keys=True, separators=(",", ":"))
+    assert lines[-1] == "" and len(lines) == len(x) + 2
+    for line, row, row_ranks in zip(lines[1:], x.tolist(), ranks.tolist()):
+        assert line == json.dumps({"features": row, "ranks": row_ranks}, separators=(",", ":"))
+    want = io.BytesIO()
+    for record in (np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), dtype=np.uint8),
+                   x.astype(np.float64), ranks.astype(np.int64)):
+        np.save(want, record, allow_pickle=False)
+    assert path.with_name(path.name + ".npy").read_bytes() == want.getvalue()
+
+
+def block_values(rng, kind, shape):
+    """Values whose blocks repeat ("repeated", at most 12 distinct ones)
+    or all differ ("distinct"), both holding 0.0 and -0.0."""
+    if kind == "repeated":
+        values = np.round(rng.uniform(-0.5, 0.5, size=shape), 1)
+    else:
+        values = rng.standard_normal(size=shape)
+    values.flat[:2] = [0.0, -0.0]
+    values.flat[-2:] = [-0.0, 0.0]
+    return values
+
+
 class TestJsonl:
     def test_round_trip_and_byte_determinism(self, tmp_path):
         x, ranks = feature_arrays(3, 5, 12, seed=1)
@@ -964,26 +1015,79 @@ class TestJsonl:
                 assert synthgen._line_count(path) == sum(1 for _ in fh)
 
     def test_rows_are_written_as_json_dumps(self, tmp_path):
-        # Write blocks of 8192 values hold 8 of these rows.  The first
-        # block's values repeat; the second block's are all distinct.
-        # Both blocks hold 0.0 and -0.0.
+        # Write blocks hold 32 rows of 1000 values.  The first block's
+        # values repeat; the second block's are all distinct but for its
+        # zeros.  Both blocks hold 0.0 and -0.0.
         rng = np.random.default_rng(8)
-        x = np.round(rng.uniform(-1, 1, size=(12, 1000)), 1)
-        x[8:] = rng.uniform(size=(4, 1000))
-        x[:9, :2] = [0.0, -0.0]
-        assert len(np.unique(x[8:].view(np.int64))) == x[8:].size
-        ranks = np.arange(24).reshape(12, 2)
+        x = np.round(rng.uniform(-1, 1, size=(64, 1000)), 1)
+        x[32:] = rng.uniform(size=(32, 1000))
+        x[:33, :2] = [0.0, -0.0]
+        x[-1, -2:] = [-0.0, 0.0]
+        assert len(np.unique(x[32:].view(np.int64))) == x[32:].size - 2
+        ranks = np.arange(128).reshape(64, 2)
         path = tmp_path / "z.jsonl"
-        write_dataset_jsonl(path, x, ranks)
-        rows = path.read_text().splitlines()[1:]
-        assert rows == [
-            json.dumps({"features": f, "ranks": r}, separators=(",", ":"))
-            for f, r in zip(x.tolist(), ranks.tolist())
-        ]
+        assert write_and_ways(path, x, ranks) == [(32, "table"), (32, "repr")]
+        assert_written_as_reference(path, x, ranks)
         os.remove(tmp_path / "z.jsonl.npy")
         (_, back, _), way = read_and_way(path)
         assert way == "parsed"
         assert back.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("kind", ["repeated", "distinct"])
+    @pytest.mark.parametrize("d, n, block", [(1, 8192 + 37, 8192), (24, 700, 341), (4096, 70, 32), (12288, 33, 32)])
+    def test_every_row_and_the_binary_copy_are_the_reference_bytes(self, tmp_path, kind, d, n, block):
+        # n is no multiple of the block, so the last block is short.
+        rng = np.random.default_rng(d)
+        x = block_values(rng, kind, (n, d))
+        ranks = rng.integers(0, 4, size=(n, 3))
+        path = tmp_path / "r.jsonl"
+        shape = (64, 64, d // 4096) if d >= 4096 else None
+        way = {"repeated": "table", "distinct": "repr"}[kind]
+        sizes = [block] * (n // block) + [n % block]
+        assert write_and_ways(path, x, ranks, image_shape=shape) == [(rows, way) for rows in sizes]
+        assert_written_as_reference(path, x, ranks, image_shape=shape)
+
+    def test_signed_zeros_in_one_block_keep_their_signs(self, tmp_path):
+        zeros = np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 0.0]])
+        rng = np.random.default_rng(1)
+        for values, way in ((np.tile(zeros, (20, 1)), "table"), (np.vstack([zeros, rng.uniform(size=(38, 4))]), "repr")):
+            path = tmp_path / f"{way}.jsonl"
+            ranks = np.zeros((len(values), 1), dtype=np.int64)
+            assert write_and_ways(path, values, ranks) == [(40, way)]
+            assert_written_as_reference(path, values, ranks)
+            assert b"[-0.0,-0.0,0.0,0.0]" in path.read_bytes()
+
+    def test_reprs_of_mixed_width_share_one_table_block(self, tmp_path):
+        values = np.array([5e-324, 1e-05, 0.1, 1e16, 1.7976931348623157e308, -2.5, -0.0, 0.0])
+        x = values[np.random.default_rng(2).integers(len(values), size=(40, 24))]
+        x[0, : len(values)] = values
+        ranks = np.tile([2, 0, 1], (40, 1))
+        path = tmp_path / "w.jsonl"
+        assert write_and_ways(path, x, ranks) == [(40, "table")]
+        assert_written_as_reference(path, x, ranks)
+        assert path.read_text().splitlines()[1].startswith(
+            '{"features":[5e-324,1e-05,0.1,1e+16,1.7976931348623157e+308,-2.5,-0.0,0.0,')
+
+    def test_a_file_whose_blocks_switch_way(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = block_values(rng, "distinct", (1000, 24))
+        x[:341] = block_values(rng, "repeated", (341, 24))
+        x[682:] = block_values(rng, "repeated", (318, 24))
+        ranks = rng.integers(0, 7, size=(1000, 6))
+        path = tmp_path / "s.jsonl"
+        assert write_and_ways(path, x, ranks) == [(341, "table"), (341, "repr"), (318, "table")]
+        assert_written_as_reference(path, x, ranks)
+
+    def test_canvases_take_the_table_and_features_the_reprs(self, tmp_path):
+        cfg = CanvasConfig(canvas_size=64, glyph_size=18, scale_range=(1.0, 2.5), seed=4)
+        canvases, canvas_ranks = canvas_arrays(cfg, 40)
+        assert write_and_ways(tmp_path / "c.jsonl", canvases, canvas_ranks, cfg.image_shape) == [
+            (32, "table"), (8, "table")]
+        features, feature_ranks = feature_arrays(6, 24, 700, seed=3)
+        assert write_and_ways(tmp_path / "f.jsonl", features, feature_ranks) == [
+            (341, "repr"), (341, "repr"), (18, "repr")]
+        assert_written_as_reference(tmp_path / "c.jsonl", canvases, canvas_ranks, cfg.image_shape)
+        assert_written_as_reference(tmp_path / "f.jsonl", features, feature_ranks)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_line_endings_and_a_missing_last_one_read_the_same(self, tmp_path, newline):
