@@ -7,12 +7,7 @@ generators, and a CLI harness for the behavioural experiments.
 """
 
 from .baselines import crpc_loss, crpc_slots, lsep_class_loss, lsep_rank_loss
-from .buckets import (
-    RankedInstance,
-    bucket_likelihood,
-    bucket_likelihood_oracle,
-    pair_mask,
-)
+from .buckets import bucket_likelihood, bucket_likelihood_oracle, pair_mask
 from .gaussian import q_grads, q_prob
 from .gmlr import classification_loss, gmlr_objective, ranking_loss
 from .metrics import (
@@ -37,20 +32,14 @@ from .model import (
     load_checkpoint,
     predict_batch,
     save_checkpoint,
-    train,
     train_arrays,
 )
 from .predict import Prediction
 from .synthgen import (
     CanvasConfig,
-    GeneratedSample,
     canvas_arrays,
     dataset_arrays,
-    generate_adjust_sequences,
     generate_calibration_set,
-    generate_canvas_dataset,
-    generate_feature_dataset,
-    iter_adjust_sequences,
     iter_adjust_sweeps,
     iter_canvas_samples,
     iter_feature_rows,

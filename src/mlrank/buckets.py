@@ -1,4 +1,4 @@
-"""Ranked instances, rank vectors, and the bucket-order likelihood.
+"""Rank vectors and the bucket-order likelihood.
 
 A rank vector assigns each class a natural number; zero marks a negative
 class.  Classes with equal rank are tied and form a bucket; buckets are
@@ -22,7 +22,6 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,32 +30,6 @@ from .gaussian import q_prob
 
 ENUMERATION_BOUND = 8
 MODES = ("weak", "strong")
-
-
-@dataclass(frozen=True)
-class RankedInstance:
-    """A feature vector plus one natural-number rank per class (0 = negative).
-
-    ``image_shape`` is (height, width, channels) when the features are a
-    flattened image in that channels-last order, and None otherwise.
-    ``train`` passes it on to the image front end, which checks it.
-    """
-
-    features: np.ndarray
-    ranks: np.ndarray
-    image_shape: tuple[int, int, int] | None = None
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        ranks = np.asarray(self.ranks, dtype=int)
-        if ranks.ndim != 1 or ranks.size == 0:
-            raise ValueError("ranks must be a non-empty 1-d vector")
-        if np.any(ranks < 0):
-            raise ValueError("ranks must be non-negative")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "ranks", ranks)
 
 
 def pair_mask(ranks, mode: str) -> np.ndarray:

@@ -216,16 +216,26 @@ def _load_model_and_data(cfg):
 
 def _probe_setup(cfg: dict):
     """(seed, out, params, canvas) of a probe experiment on a canvas
-    checkpoint; warns when the checkpoint was trained on another setup."""
+    checkpoint of the canvas's classes and feature length; warns when the
+    checkpoint was trained on another setup."""
     seed = _integer(_require(cfg, "seed"), "seed")
     canvas = _canvas_config(_section(cfg, "canvas"), seed)
-    params, meta = load_checkpoint(_require(cfg, "checkpoint"))
-    trained = meta.get("trained_on", {})
-    setup = trained.get("canvas", {}).get("setup") if isinstance(trained, dict) else None
+    params, section = load_checkpoint(_require(cfg, "checkpoint"))
+    # The setup of meta.trained_on.canvas, when the checkpoint records one.
+    key = "meta"
+    for part in ("trained_on", "canvas"):
+        section, key = section.get(part, {}), f"{key}.{part}"
+        if not isinstance(section, dict):
+            raise ValueError(f"checkpoint '{key}' must be a JSON object, got {section!r}")
+    setup = section.get("setup")
     if setup is not None and setup != canvas.setup:
         print(
             f"warning: checkpoint was trained on setup {setup!r}, experiment uses {canvas.setup!r}",
             file=sys.stderr,
+        )
+    if canvas.num_classes != params.num_classes:
+        raise ValueError(
+            f"class-count mismatch: checkpoint has {params.num_classes} classes, canvas has {canvas.num_classes}"
         )
     if canvas.feature_length != params.input_dim:
         raise ValueError(

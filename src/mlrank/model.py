@@ -17,10 +17,11 @@ and memorizes its training canvases; the front end sees every position
 through the same kernels, and its last layer's 32-pixel receptive field
 spans most of a scaled digit, so it can tell which digit is how large.
 ``train_arrays`` builds the front end from its ``image_shape`` argument
-alone, which a JSONL dataset declares in its header; ``train`` takes it
-from RankedInstance records.
+alone, which a JSONL dataset declares in its header.
 
-Every pass takes a batch, an (n, d) matrix of flat feature vectors:
+The API is arrays.  ``train`` stacks ``RankedInstance`` records for
+``train_arrays`` only because the benchmark's checkpoint script calls
+it.  Every pass takes a batch, an (n, d) matrix of flat feature vectors:
 ``_forward_batch`` returns the (n, width) head output and a cache,
 ``backward`` reads that cache, and ``predict_batch`` is the one
 inference path.  One instance is the n = 1 case.
@@ -506,8 +507,8 @@ def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None, init_params: Mode
 
 
 def train(dataset, cfg: TrainConfig, init_params: ModelParams | None = None):
-    """``train_arrays`` on RankedInstance records, which must share one
-    ``image_shape`` (None for feature records)."""
+    """``train_arrays`` on ``synthgen.RankedInstance`` records, which must
+    share one ``image_shape`` (None for feature records)."""
     data = list(dataset)
     shapes = {inst.image_shape for inst in data}
     if len(shapes) != 1:

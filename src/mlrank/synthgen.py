@@ -11,6 +11,11 @@ helper, ``_paint``; the adjusting sweeps (``iter_adjust_sweeps``) paint
 each sweep's steps straight into one (steps, d) block, and the other
 canvas generators paint one canvas at a time.
 
+Datasets are arrays (``dataset_arrays``, ``canvas_arrays``); records
+carry per-digit factors.  ``RankedInstance`` and the list wrappers
+(``generate_*_dataset``, ``generate_adjust_sequences``) serve only the
+benchmark's scripts.
+
 All randomness flows through numpy's PCG64 generator seeded from the
 config, so a (config, seed, n) triple reproduces byte-identical output
 everywhere.  Canvas pixels are rounded to 3 decimals before leaving the
@@ -66,7 +71,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buckets import RankedInstance
 from .glyphs import GlyphBank, builtin_bank, hsv_to_rgb, load_idx_glyphs
 
 SETUPS = ("S", "B", "S-mix", "B-mix")
@@ -174,6 +178,32 @@ class DigitFactors:
 
 
 @dataclass(frozen=True)
+class RankedInstance:
+    """A feature vector plus one natural-number rank per class (0 = negative).
+
+    ``image_shape`` is (height, width, channels) when the features are a
+    flattened image in that channels-last order, and None otherwise.
+    ``train`` passes it on to the image front end, which checks it.
+    """
+
+    features: np.ndarray
+    ranks: np.ndarray
+    image_shape: tuple[int, int, int] | None = None
+
+    def __post_init__(self):
+        feats = np.asarray(self.features, dtype=float)
+        ranks = np.asarray(self.ranks, dtype=int)
+        if ranks.ndim != 1 or ranks.size == 0:
+            raise ValueError("ranks must be a non-empty 1-d vector")
+        if np.any(ranks < 0):
+            raise ValueError("ranks must be non-negative")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("features must be finite")
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "ranks", ranks)
+
+
+@dataclass(frozen=True)
 class GeneratedSample:
     pixels: np.ndarray
     ranks: np.ndarray
@@ -239,17 +269,14 @@ def _paint(cfg: CanvasConfig, bank: GlyphBank, canvas: np.ndarray, rng, digit: i
     np.maximum(region, glyph, out=region)
 
 
-def _sample(cfg: CanvasConfig, bank: GlyphBank, placed: list[DigitFactors], rng=None) -> GeneratedSample:
+def _sample(cfg: CanvasConfig, bank: GlyphBank, placed: list[DigitFactors], rng) -> GeneratedSample:
     """The sample of the placed digits: ranks by the setup's named factor
     (exact ties break by ascending digit index), and the digits painted
-    onto a fresh canvas."""
+    onto a fresh canvas.  ``rng`` picks stored glyphs (``_paint``)."""
     factors = [getattr(pf, cfg.ranked_factor) for pf in placed]
     ranks = _ranks_from_factors(cfg.num_classes, [pf.digit for pf in placed], factors)
     pixels = np.zeros(cfg.feature_length)
     canvas = pixels.reshape(cfg.image_shape)
-    if rng is None and bank.glyphs is not None:
-        # Only stored banks draw from the rng: which glyph to use.
-        rng = np.random.default_rng(0)
     for pf in placed:
         _paint(cfg, bank, canvas, rng, pf.digit, pf.scale, pf.brightness, pf.top, pf.left, pf.hue, pf.saturation)
     return GeneratedSample(
@@ -313,13 +340,6 @@ def generate_calibration_set(cfg: CanvasConfig, n: int = 50) -> list[GeneratedSa
     return samples
 
 
-def generate_adjust_sequences(
-    cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
-) -> list[AdjustSequence]:
-    """Every sequence of ``iter_adjust_sequences``, as a list."""
-    return list(iter_adjust_sequences(cfg, n_sequences, steps))
-
-
 def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50):
     """Yields the adjusting experiment's sweeps: 3 digits at fixed
     positions whose named factors sweep linearly, the low digit from the
@@ -331,8 +351,8 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     with the scale each was placed to fit); the ``steps`` (low, middle,
     high) factor triples; and a fresh (steps, d) block whose row i is
     step i's canvas, painted in place and rounded once.  Stored glyph
-    banks pick each step's glyphs from a fresh ``default_rng(0)``, as
-    ``_sample`` does.  Each sweep is built only when it is asked for."""
+    banks pick each step's glyphs from a fresh ``default_rng(0)``.  Each
+    sweep is built only when it is asked for."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
     bank = _glyph_bank(cfg)
@@ -358,11 +378,14 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
         yield digits, roles, factors, np.round(block, 3, out=block)
 
 
-def iter_adjust_sequences(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50):
-    """``iter_adjust_sweeps`` as ``AdjustSequence`` records: one
-    ``GeneratedSample`` per step, whose pixels are that step's row of
-    the sweep's block."""
+def generate_adjust_sequences(
+    cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
+) -> list[AdjustSequence]:
+    """``iter_adjust_sweeps`` as a list of ``AdjustSequence`` records: one
+    ``GeneratedSample`` per step, whose pixels are that step's row of the
+    sweep's block."""
     by_scale = cfg.ranked_factor == "scale"
+    sequences = []
     for digits, roles, factors, block in iter_adjust_sweeps(cfg, n_sequences, steps):
         samples = []
         for pixels, step_factors in zip(block, factors):
@@ -375,7 +398,8 @@ def iter_adjust_sequences(cfg: CanvasConfig, n_sequences: int = 50, steps: int =
             )
             ranks = _ranks_from_factors(cfg.num_classes, digits, step_factors)
             samples.append(GeneratedSample(pixels=pixels, ranks=ranks, factors=placed, image_shape=cfg.image_shape))
-        yield AdjustSequence(digits=digits, samples=tuple(samples))
+        sequences.append(AdjustSequence(digits=digits, samples=tuple(samples)))
+    return sequences
 
 
 def iter_feature_rows(

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from mlrank.buckets import bucket_likelihood, bucket_likelihood_oracle
+from mlrank.buckets import bucket_likelihood, bucket_likelihood_oracle, pair_mask
 from mlrank.gaussian import q_prob
 from mlrank.metrics import (
     evaluate_dataset,
@@ -26,16 +26,16 @@ from mlrank.model import (
     batch_objective,
     init_model,
     predict_batch,
-    train,
     train_arrays,
 )
 from mlrank.synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
     canvas_arrays,
-    generate_adjust_sequences,
+    dataset_arrays,
     generate_calibration_set,
-    generate_feature_dataset,
+    iter_adjust_sweeps,
+    iter_feature_rows,
 )
 
 from oracles import (
@@ -81,17 +81,19 @@ ADJUST_SEED = 302
 
 @pytest.fixture(scope="module")
 def feature_split():
-    full = generate_feature_dataset(n=5000, seed=FEATURE_SEED, **FEATURE_CFG)
-    return full[:4000], full[4000:]
+    """The (x, ranks) train and test row slices of one feature dataset."""
+    rows = iter_feature_rows(n=5000, seed=FEATURE_SEED, **FEATURE_CFG)
+    x, ranks = dataset_arrays(rows, 5000, FEATURE_CFG["dim"], FEATURE_CFG["num_classes"])
+    return (x[:4000], ranks[:4000]), (x[4000:], ranks[4000:])
 
 
 @pytest.fixture(scope="module")
 def feature_models(feature_split):
-    train_ds, _ = feature_split
+    (x, ranks), _ = feature_split
     out = {}
     for mode in ("strong", "weak"):
         cfg = TrainConfig(method="gmlr", mode=mode, **FEATURE_TRAIN)
-        out[mode], _ = train(train_ds, cfg)
+        out[mode], _ = train_arrays(x, ranks, cfg)
     return out
 
 
@@ -105,17 +107,13 @@ def canvas_model():
     return params
 
 
-def positive_pair_accuracy(params, dataset):
-    _, preds = predict_batch(params, np.stack([inst.features for inst in dataset]))
-    correct = total = 0
-    for inst, scores in zip(dataset, preds.scores):
-        positives = np.flatnonzero(inst.ranks > 0)
-        for u in positives:
-            for v in positives:
-                if inst.ranks[u] > inst.ranks[v]:
-                    total += 1
-                    correct += scores[u] > scores[v]
-    return correct / total
+def positive_pair_accuracy(params, x, ranks):
+    """The share of strictly ranked pairs of positive classes (u above v)
+    that the scores order the same way."""
+    _, preds = predict_batch(params, x)
+    s = preds.scores
+    pairs = pair_mask(ranks, "strong") & (ranks > 0)[:, None, :]
+    return int((s[:, :, None] > s[:, None, :])[pairs].sum()) / int(pairs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +234,15 @@ def test_criterion_04_metric_oracles():
 @pytest.mark.slow
 def test_criterion_05_strong_beats_weak(feature_split, feature_models):
     start = time.time()
-    _, test_ds = feature_split
+    _, (x, ranks) = feature_split
     taus = {}
     ppas = {}
     for mode in ("strong", "weak"):
         params = feature_models[mode]
-        _, preds = predict_batch(params, np.stack([inst.features for inst in test_ds]))
-        rep = evaluate_dataset(preds, np.stack([inst.ranks for inst in test_ds]))
+        _, preds = predict_batch(params, x)
+        rep = evaluate_dataset(preds, ranks)
         taus[mode] = rep.tau_b * 100
-        ppas[mode] = positive_pair_accuracy(params, test_ds)
+        ppas[mode] = positive_pair_accuracy(params, x, ranks)
     gap = taus["strong"] - taus["weak"]
     ok = gap >= 15.0 and ppas["strong"] >= 0.85 and 0.35 <= ppas["weak"] <= 0.65
     report(
@@ -287,15 +285,13 @@ def test_criterion_06_calibration_monotonicity(canvas_model):
 
 @pytest.mark.slow
 def test_criterion_07_adjusting_effects(canvas_model):
-    seqs = generate_adjust_sequences(
-        CanvasConfig(seed=ADJUST_SEED, **CANVAS_CFG), n_sequences=50, steps=50
-    )
+    sweeps = iter_adjust_sweeps(CanvasConfig(seed=ADJUST_SEED, **CANVAS_CFG), n_sequences=50, steps=50)
     sums = np.zeros((50, 3))
-    # one batch per sequence, as adjust-exp predicts it
-    for seq in seqs:
-        _, pred = predict_batch(canvas_model, np.stack([sample.pixels for sample in seq.samples]))
-        sums += pred.scores[:, list(seq.digits)]
-    means = sums / len(seqs)
+    # one batch per sweep block, as adjust-exp predicts it
+    for digits, _, _, block in sweeps:
+        _, pred = predict_batch(canvas_model, block)
+        sums += pred.scores[:, list(digits)]
+    means = sums / 50
     steps = np.arange(1, 51)
     rho_low = spearman_rho(steps, means[:, 0])
     rho_high = spearman_rho(steps, means[:, 2])
@@ -312,10 +308,10 @@ def test_criterion_07_adjusting_effects(canvas_model):
 
 @pytest.mark.slow
 def test_criterion_08_classification_quality(feature_split, feature_models):
-    _, test_ds = feature_split
+    _, (x, ranks) = feature_split
     params = feature_models["strong"]
-    _, preds = predict_batch(params, np.stack([inst.features for inst in test_ds]))
-    rep = evaluate_dataset(preds, np.stack([inst.ranks for inst in test_ds]))
+    _, preds = predict_batch(params, x)
+    rep = evaluate_dataset(preds, ranks)
     f1 = rep.f1 * 100
     hl = rep.hamming_loss * 100
     report(
@@ -406,11 +402,11 @@ def test_criterion_09_cli_determinism(tmp_path):
 
 
 def test_criterion_10_lsep_two_stage_contract():
-    dataset = generate_feature_dataset(4, 8, 80, seed=23)
+    x, ranks = dataset_arrays(iter_feature_rows(4, 8, 80, seed=23), 80, 8, 4)
     base = dict(method="lsep", mode="strong", epochs=4, learning_rate=1e-2,
                 hidden=(6,), seed=13)
-    stage1_only, _ = train(dataset, TrainConfig(stage2_epochs=0, **base))
-    full, _ = train(dataset, TrainConfig(stage2_epochs=5, **base))
+    stage1_only, _ = train_arrays(x, ranks, TrainConfig(stage2_epochs=0, **base))
+    full, _ = train_arrays(x, ranks, TrainConfig(stage2_epochs=5, **base))
     k = 4
     frozen_identical = all(
         np.array_equal(full.weights[i], stage1_only.weights[i])

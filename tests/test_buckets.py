@@ -3,12 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mlrank.buckets import (
-    RankedInstance,
-    bucket_likelihood,
-    bucket_likelihood_oracle,
-    pair_mask,
-)
+from mlrank.buckets import bucket_likelihood, bucket_likelihood_oracle, pair_mask
 
 from oracles import ordered_partitions, partition_ranks
 
@@ -223,12 +218,3 @@ class TestOracle:
                 b = bucket_likelihood_oracle(mu, sigma, ranks)
                 assert (np.abs(a - b) <= 1e-9 * np.maximum(np.abs(b), 1e-300)).all()
 
-
-class TestRankedInstance:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RankedInstance(features=np.zeros(2), ranks=np.array([-1, 0]))
-        with pytest.raises(ValueError):
-            RankedInstance(features=np.array([np.inf]), ranks=np.array([1]))
-        with pytest.raises(ValueError):
-            RankedInstance(features=np.zeros(2), ranks=np.array([], dtype=int))

@@ -18,12 +18,12 @@ from mlrank.model import (
     load_checkpoint,
     predict_batch,
     save_checkpoint,
-    train,
+    train_arrays,
 )
 from mlrank.synthgen import (
     CanvasConfig,
-    generate_adjust_sequences,
-    generate_canvas_dataset,
+    canvas_arrays,
+    iter_adjust_sweeps,
     write_dataset_jsonl,
 )
 
@@ -207,10 +207,11 @@ class TestCanvasTrain:
         params, _ = load_checkpoint(out / "checkpoint.json")
         assert params.front_end == FrontEnd((32, 32, channels))
         kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in canvas.items()}
-        samples = generate_canvas_dataset(CanvasConfig(seed=4, **kwargs), 6)
-        library, _ = train(
-            [s.to_instance() for s in samples],
+        cfg = CanvasConfig(seed=4, **kwargs)
+        library, _ = train_arrays(
+            *canvas_arrays(cfg, 6),
             TrainConfig(method="crpc", mode="strong", epochs=2, batch_size=4, seed=5),
+            cfg.image_shape,
         )
         assert library.front_end == params.front_end
         for a, b in zip(library.value_list(), params.value_list()):
@@ -465,11 +466,10 @@ class TestExperiments:
         assert run("adjust-exp", "--config", str(cfgp), "--checkpoint", str(ckpt),
                    "--seed", "11", "--out", str(out)) == 0
         params, _ = load_checkpoint(ckpt)
-        seqs = generate_adjust_sequences(CanvasConfig(seed=11, **canvas), 3, 5)
         want = np.zeros((5, 3))
-        for seq in seqs:
-            for step, sample in enumerate(seq.samples):
-                want[step] += predict_batch(params, sample.pixels[None])[1].scores[0, list(seq.digits)]
+        for digits, _, _, block in iter_adjust_sweeps(CanvasConfig(seed=11, **canvas), 3, 5):
+            for step, pixels in enumerate(block):
+                want[step] += predict_batch(params, pixels[None])[1].scores[0, list(digits)]
         got = np.array([[float(v) for v in r[1:]] for r in read_csv(out / "adjust.csv")[1:]])
         np.testing.assert_allclose(got, want / 3, rtol=1e-12, atol=1e-14)
 
@@ -685,6 +685,42 @@ class TestExitCodes:
         assert run("adjust-exp", "--config", str(cfgp), "--checkpoint", str(ckpt),
                    "--seed", "1", "--out", str(tmp_path / "adj")) == 2
         assert "feature-length mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["adjust-exp", "calib-exp"])
+    @pytest.mark.parametrize("checkpoint_k,canvas_k", [(4, 10), (10, 4)])
+    def test_class_count_other_than_checkpoint_is_data_error(self, tmp_path, capsys, command, checkpoint_k,
+                                                              canvas_k):
+        # A K=4 checkpoint on a K=10 canvas used to index its scores with
+        # digits up to 9: an IndexError traceback and exit 1.
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, init_model(32 * 32, checkpoint_k, "gmlr", hidden=(4,), seed=0))
+        cfgp = tmp_path / "p.json"
+        canvas = {**SMALL_CANVAS, "num_classes": canvas_k, "digit_count_range": [1, 4]}
+        cfgp.write_text(json.dumps({"canvas": canvas, "steps": 2, "n": 2}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfgp), "--checkpoint", str(ckpt), "--seed", "1",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"class-count mismatch: checkpoint has {checkpoint_k} classes, canvas has {canvas_k}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["adjust-exp", "calib-exp"])
+    @pytest.mark.parametrize("trained_on,key", [
+        ("S", "meta.trained_on"),
+        ([], "meta.trained_on"),
+        ({"canvas": "S"}, "meta.trained_on.canvas"),
+        ({"canvas": None}, "meta.trained_on.canvas"),
+    ])
+    def test_trained_on_that_is_not_an_object_is_data_error(self, tmp_path, capsys, command, trained_on, key):
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, init_model(32 * 32, 10, "gmlr", hidden=(4,), seed=0), meta={"trained_on": trained_on})
+        cfgp = tmp_path / "p.json"
+        cfgp.write_text(json.dumps({"canvas": SMALL_CANVAS, "steps": 2, "n": 2}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfgp), "--checkpoint", str(ckpt), "--seed", "1",
+                   "--out", str(out)) == 2
+        assert f"checkpoint '{key}' must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", [{"early_stop": True}, {"learning_rat": 0.1}])
     def test_unknown_train_config_key_is_usage_error(self, tmp_path, capsys, setting):

@@ -10,7 +10,6 @@ import pytest
 
 import mlrank
 from mlrank.baselines import lsep_class_loss
-from mlrank.buckets import RankedInstance
 from mlrank.gaussian import q_grads, q_prob
 from mlrank.model import (
     AdamState,
@@ -29,8 +28,15 @@ from mlrank.model import (
     predict_batch,
     save_checkpoint,
     train,
+    train_arrays,
 )
-from mlrank.synthgen import CanvasConfig, generate_canvas_dataset, generate_feature_dataset
+from mlrank.synthgen import (
+    CanvasConfig,
+    RankedInstance,
+    canvas_arrays,
+    dataset_arrays,
+    iter_feature_rows,
+)
 
 from oracles import fd_gradient, max_rel_error
 
@@ -193,13 +199,18 @@ class TestAdam:
         assert one.t == per_array.t == 60
 
 
+def feature_arrays(num_classes, dim, n, seed):
+    """The (x, ranks) of ``n`` feature rows."""
+    return dataset_arrays(iter_feature_rows(num_classes, dim, n, seed=seed), n, dim, num_classes)
+
+
 class TestTrain:
     def setup_method(self):
-        self.dataset = generate_feature_dataset(3, 6, 60, seed=17)
+        self.dataset = feature_arrays(3, 6, 60, seed=17)
 
     def test_zero_epochs_keeps_init(self):
         cfg = TrainConfig(method="gmlr", mode="strong", epochs=0, hidden=(4,), seed=2)
-        params, log = train(self.dataset, cfg)
+        params, log = train_arrays(*self.dataset, cfg)
         init = init_model(6, 3, "gmlr", (4,), seed=2)
         for a, b in zip(params.value_list(), init.value_list()):
             np.testing.assert_array_equal(a, b)
@@ -210,21 +221,21 @@ class TestTrain:
             method="gmlr", mode="strong", epochs=8, batch_size=16,
             learning_rate=5e-3, hidden=(8,), seed=3,
         )
-        _, log = train(self.dataset, cfg)
+        _, log = train_arrays(*self.dataset, cfg)
         assert log[-1][2] < log[0][2]
 
     def test_seeded_determinism(self):
         cfg = TrainConfig(method="crpc", mode="weak", epochs=3, learning_rate=1e-3, hidden=(4,), seed=5)
-        p1, log1 = train(self.dataset, cfg)
-        p2, log2 = train(self.dataset, cfg)
+        p1, log1 = train_arrays(*self.dataset, cfg)
+        p2, log2 = train_arrays(*self.dataset, cfg)
         assert log1 == log2
         for a, b in zip(p1.value_list(), p2.value_list()):
             np.testing.assert_array_equal(a, b)
 
     def test_lsep_stage2_freezes_everything_else(self):
         base = dict(method="lsep", mode="strong", epochs=3, learning_rate=1e-2, hidden=(5,), seed=7)
-        stage1_only, _ = train(self.dataset, TrainConfig(stage2_epochs=0, **base))
-        full, log = train(self.dataset, TrainConfig(stage2_epochs=4, **base))
+        stage1_only, _ = train_arrays(*self.dataset, TrainConfig(stage2_epochs=0, **base))
+        full, log = train_arrays(*self.dataset, TrainConfig(stage2_epochs=4, **base))
         assert {s for _, s, _, _ in log} == {1, 2}
         k = 3
         # trunk layers bit-identical
@@ -239,7 +250,7 @@ class TestTrain:
     @pytest.mark.parametrize("method", ["gmlr", "lsep"])
     def test_parameters_are_views_of_one_flat_vector(self, method):
         cfg = TrainConfig(method=method, mode="strong", epochs=1, hidden=(4, 5), seed=2)
-        params, _ = train(self.dataset, cfg)
+        params, _ = train_arrays(*self.dataset, cfg)
         values = params.value_list()
         flat = values[0].base
         assert flat is not None and flat.ndim == 1 and flat.size == sum(v.size for v in values)
@@ -252,7 +263,7 @@ class TestTrain:
         params.weights[0][0, 0] = np.nan
         cfg = TrainConfig(method="gmlr", mode="strong", epochs=1, hidden=(4,), seed=1)
         with pytest.raises(TrainingDiverged) as info:
-            train(self.dataset, cfg, init_params=params)
+            train_arrays(*self.dataset, cfg, init_params=params)
         assert info.value.epoch == 0
         assert "parameter norm" in str(info.value)
 
@@ -518,11 +529,12 @@ class TestPredictBatch:
 
 
 def small_canvases(n=8, color_mode="gray"):
+    """The (x, ranks) of ``n`` 32x32 canvases and their image shape."""
     cfg = CanvasConfig(
         canvas_size=32, glyph_size=8, num_classes=4, digit_count_range=(1, 3),
         scale_range=(1.0, 2.0), color_mode=color_mode, seed=3,
     )
-    return [s.to_instance() for s in generate_canvas_dataset(cfg, n)]
+    return (*canvas_arrays(cfg, n), cfg.image_shape)
 
 
 class TestFrontEnd:
@@ -597,37 +609,45 @@ class TestFrontEnd:
 
 
 class TestFrontEndSelection:
-    def test_canvas_instances_get_the_front_end(self):
-        data = small_canvases()
-        assert all(inst.image_shape == (32, 32, 1) for inst in data)
-        assert train(data, TrainConfig(epochs=0, hidden=(4,)))[0].front_end == FrontEnd((32, 32, 1))
-        color = small_canvases(color_mode="color")
-        assert train(color, TrainConfig(epochs=0, hidden=(4,)))[0].front_end == FrontEnd((32, 32, 3))
-        params, _ = train(data, TrainConfig(epochs=1, hidden=(4,), batch_size=4, seed=1))
+    def test_image_shape_gets_the_front_end(self):
+        x, ranks, shape = small_canvases()
+        assert shape == (32, 32, 1)
+        assert train_arrays(x, ranks, TrainConfig(epochs=0, hidden=(4,)), shape)[0].front_end == FrontEnd(shape)
+        cx, cranks, cshape = small_canvases(color_mode="color")
+        assert cshape == (32, 32, 3)
+        assert train_arrays(cx, cranks, TrainConfig(epochs=0, hidden=(4,)), cshape)[0].front_end == FrontEnd(cshape)
+        params, _ = train_arrays(x, ranks, TrainConfig(epochs=1, hidden=(4,), batch_size=4, seed=1), shape)
         assert params.front_end == FrontEnd((32, 32, 1))
         assert params.hidden == (4,)
 
-    def test_feature_instances_train_a_plain_mlp(self):
-        pixels = [RankedInstance(inst.features, inst.ranks) for inst in small_canvases()]
-        assert train(pixels, TrainConfig(epochs=0, hidden=(4,)))[0].front_end is None
-        params, _ = train(pixels, TrainConfig(epochs=1, hidden=(4,), batch_size=4, seed=1))
+    def test_features_without_image_shape_train_a_plain_mlp(self):
+        x, ranks, _ = small_canvases()
+        assert train_arrays(x, ranks, TrainConfig(epochs=0, hidden=(4,)))[0].front_end is None
+        params, _ = train_arrays(x, ranks, TrainConfig(epochs=1, hidden=(4,), batch_size=4, seed=1))
         assert params.front_end is None
         assert [w.shape for w in params.weights] == [(1024, 4), (4, 8)]
 
-    def test_mixed_dataset_rejected(self):
-        canvases = small_canvases(4)
-        plain = RankedInstance(canvases[0].features, canvases[0].ranks)
-        with pytest.raises(ValueError, match="mixes"):
-            train(canvases + [plain], TrainConfig(epochs=1, hidden=(4,)))
-        reshaped = RankedInstance(canvases[0].features, canvases[0].ranks, (16, 64, 1))
-        with pytest.raises(ValueError, match="mixes"):
-            train(canvases + [reshaped], TrainConfig(epochs=0, hidden=(4,)))
-
     def test_init_params_must_match_front_end(self):
-        data = small_canvases(4)
+        x, ranks, shape = small_canvases(4)
         mlp = init_model(1024, 4, "gmlr", hidden=(4,), seed=1)
         with pytest.raises(ValueError, match="front end"):
-            train(data, TrainConfig(epochs=1, hidden=(4,)), init_params=mlp)
+            train_arrays(x, ranks, TrainConfig(epochs=1, hidden=(4,)), shape, init_params=mlp)
+
+    def test_train_on_records_is_train_arrays(self):
+        # ``train`` is kept for the benchmark's checkpoint script: stacking
+        # its records must give train_arrays' parameters bit for bit.
+        cfg = TrainConfig(method="lsep", epochs=2, hidden=(4,), batch_size=4, seed=1)
+        for x, ranks, shape in (small_canvases(6), (*feature_arrays(3, 6, 20, seed=4), None)):
+            records = [RankedInstance(f, r, shape) for f, r in zip(x, ranks)]
+            got, got_log = train(records, cfg)
+            want, want_log = train_arrays(x, ranks, cfg, shape)
+            assert got.front_end == want.front_end and got_log == want_log
+            assert [a.tobytes() for a in got.value_list()] == [a.tobytes() for a in want.value_list()]
+        x, ranks, shape = small_canvases(2)
+        for other in (None, (16, 64, 1)):
+            mixed = [RankedInstance(x[0], ranks[0], shape), RankedInstance(x[1], ranks[1], other)]
+            with pytest.raises(ValueError, match="mixes"):
+                train(mixed, cfg)
 
     def test_feature_training_bit_identical(self):
         """Feature-space training runs the plain MLP code unchanged.
@@ -652,13 +672,13 @@ class TestFrontEndSelection:
             "lsep": "b13c3478b67337662a01c8fe48cbb642eef835a8798d2b9c770d36d775d3f7ed",
             "crpc": "99b6859fe64bbe4d375c1556e05ec494f9a17131216f90c421386f9a1dee8698",
         }
-        data = generate_feature_dataset(3, 6, 60, seed=17)
+        x, ranks = feature_arrays(3, 6, 60, seed=17)
         for method, digest in expected.items():
             cfg = TrainConfig(
                 method=method, mode="strong", epochs=3, batch_size=16,
                 learning_rate=5e-3, hidden=(5, 4), seed=8,
             )
-            params, _ = train(data, cfg)
+            params, _ = train_arrays(x, ranks, cfg)
             h = hashlib.sha256()
             for arr in params.value_list():
                 h.update(arr.tobytes())
@@ -668,8 +688,8 @@ class TestFrontEndSelection:
 
 DETERMINISM_SCRIPT = """
 import hashlib
-from mlrank.model import TrainConfig, train
-from mlrank.synthgen import CanvasConfig, generate_canvas_dataset, generate_feature_dataset
+from mlrank.model import TrainConfig, train_arrays
+from mlrank.synthgen import CanvasConfig, canvas_arrays, dataset_arrays, iter_feature_rows
 
 def digest(params):
     h = hashlib.sha256()
@@ -677,12 +697,12 @@ def digest(params):
         h.update(arr.tobytes())
     return h.hexdigest()
 
-features = generate_feature_dataset(6, 24, 256, seed=5)
+features = dataset_arrays(iter_feature_rows(6, 24, 256, seed=5), 256, 24, 6)
 canvas_cfg = CanvasConfig(canvas_size=48, glyph_size=12, num_classes=4, digit_count_range=(1, 3), seed=3)
-canvases = [s.to_instance() for s in generate_canvas_dataset(canvas_cfg, 48)]
+canvases = canvas_arrays(canvas_cfg, 48)
 cfg = dict(epochs=2, batch_size=32, learning_rate=5e-3, seed=1)
-print(digest(train(features, TrainConfig(hidden=(64, 64), **cfg))[0]))
-print(digest(train(canvases, TrainConfig(hidden=(16,), **cfg))[0]))
+print(digest(train_arrays(*features, TrainConfig(hidden=(64, 64), **cfg))[0]))
+print(digest(train_arrays(*canvases, TrainConfig(hidden=(16,), **cfg), canvas_cfg.image_shape)[0]))
 """
 
 
@@ -708,8 +728,8 @@ class TestDeterminism:
 
 class TestFrontEndCheckpoint:
     def test_round_trip_identical_predictions(self, tmp_path):
-        data = small_canvases(color_mode="color")
-        params, _ = train(data, TrainConfig(method="lsep", epochs=1, hidden=(4,), seed=2))
+        x, ranks, shape = small_canvases(color_mode="color")
+        params, _ = train_arrays(x, ranks, TrainConfig(method="lsep", epochs=1, hidden=(4,), seed=2), shape)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, meta={"mode": "strong"})
         doc = json.loads(path.read_text())
@@ -722,7 +742,6 @@ class TestFrontEndCheckpoint:
         assert loaded.front_end == params.front_end
         for a, b in zip(params.value_list(), loaded.value_list()):
             np.testing.assert_array_equal(a, b)
-        x = np.stack([inst.features for inst in data])
         _, want = predict_batch(params, x)
         _, got = predict_batch(loaded, x)
         np.testing.assert_array_equal(got.scores, want.scores)

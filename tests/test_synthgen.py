@@ -20,14 +20,15 @@ from mlrank.synthgen import (
     BRIGHTNESS_FLOOR,
     CALIBRATION_SCALES,
     CanvasConfig,
+    RankedInstance,
     canvas_arrays,
     dataset_arrays,
     generate_adjust_sequences,
     generate_calibration_set,
     generate_canvas_dataset,
     generate_feature_dataset,
-    iter_adjust_sequences,
     iter_adjust_sweeps,
+    iter_canvas_samples,
     iter_feature_rows,
     read_dataset_jsonl,
     small_variance_config,
@@ -142,7 +143,7 @@ class TestCanvasConfig:
 class TestCanvasDataset:
     def test_shapes_and_rank_consistency(self):
         cfg = small_cfg(setup="S")
-        samples = generate_canvas_dataset(cfg, 30)
+        samples = list(iter_canvas_samples(cfg, 30))
         assert len(samples) == 30
         for s in samples:
             assert s.pixels.shape == (cfg.feature_length,)
@@ -160,13 +161,13 @@ class TestCanvasDataset:
 
     def test_setup_pins_unranked_factor(self):
         for setup, pinned in (("S", "brightness"), ("B", "scale")):
-            samples = generate_canvas_dataset(small_cfg(setup=setup), 10)
+            samples = iter_canvas_samples(small_cfg(setup=setup), 10)
             for s in samples:
                 for pf in s.factors:
                     assert getattr(pf, pinned) == 1.0
 
     def test_brightness_ranking(self):
-        samples = generate_canvas_dataset(small_cfg(setup="B"), 20)
+        samples = iter_canvas_samples(small_cfg(setup="B"), 20)
         for s in samples:
             by_digit = {pf.digit: pf for pf in s.factors}
             positives = sorted(np.flatnonzero(s.ranks > 0), key=lambda c: s.ranks[c])
@@ -180,7 +181,7 @@ class TestCanvasDataset:
         # Brightness draws used to be clamped up to the floor, so every
         # draw below it tied with the others and generation failed.
         cfg = CanvasConfig(setup=setup, color_mode=color_mode)
-        samples = generate_canvas_dataset(cfg, 2000)
+        samples = list(iter_canvas_samples(cfg, 2000))
         assert len(samples) == 2000
         lo, hi = cfg.brightness_bounds
         assert all(lo <= pf.brightness <= hi for s in samples for pf in s.factors)
@@ -193,7 +194,7 @@ class TestCanvasDataset:
         # Pins the bytes of the S-setup datasets, calibration sets and
         # sweeps, which one painting helper renders for all three.
         cfg = small_cfg(setup="S", color_mode=color_mode)
-        samples = generate_canvas_dataset(cfg, 20) + generate_calibration_set(cfg, 10)
+        samples = list(iter_canvas_samples(cfg, 20)) + generate_calibration_set(cfg, 10)
         samples += [s for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=6) for s in seq.samples]
         h = hashlib.sha256()
         for s in samples:
@@ -204,16 +205,16 @@ class TestCanvasDataset:
 
     def test_determinism(self):
         cfg = small_cfg(setup="S-mix")
-        a = generate_canvas_dataset(cfg, 8)
-        b = generate_canvas_dataset(cfg, 8)
-        for sa, sb in zip(a, b):
+        a = iter_canvas_samples(cfg, 8)
+        b = iter_canvas_samples(cfg, 8)
+        for sa, sb in zip(a, b, strict=True):
             np.testing.assert_array_equal(sa.pixels, sb.pixels)
             np.testing.assert_array_equal(sa.ranks, sb.ranks)
             assert sa.factors == sb.factors
 
     def test_color_mode(self):
         cfg = small_cfg(color_mode="color")
-        samples = generate_canvas_dataset(cfg, 5)
+        samples = iter_canvas_samples(cfg, 5)
         for s in samples:
             assert s.pixels.shape == (48 * 48 * 3,)
             for pf in s.factors:
@@ -222,7 +223,7 @@ class TestCanvasDataset:
 
     def test_mix_unranked_factor_independent_of_rank(self):
         cfg = small_cfg(setup="S-mix", digit_count_range=(3, 8))
-        samples = generate_canvas_dataset(cfg, 1000)
+        samples = iter_canvas_samples(cfg, 1000)
         ranks, other = [], []
         for s in samples:
             for pf in s.factors:
@@ -234,7 +235,7 @@ class TestCanvasDataset:
     @pytest.mark.parametrize("cfg", [small_cfg(setup="B-mix", color_mode="color"),
                                      small_variance_config(small_cfg())])
     def test_arrays_are_the_stacked_samples(self, tmp_path, cfg):
-        samples = generate_canvas_dataset(cfg, 6)
+        samples = list(iter_canvas_samples(cfg, 6))
         x, ranks = canvas_arrays(cfg, 6, image_dir=tmp_path / "images")
         np.testing.assert_array_equal(x, np.stack([s.pixels for s in samples]))
         np.testing.assert_array_equal(ranks, np.stack([s.ranks for s in samples]))
@@ -245,7 +246,7 @@ class TestCanvasDataset:
 
 class TestSmallVariance:
     def test_scale_window(self):
-        samples = generate_canvas_dataset(small_variance_config(small_cfg(setup="S")), 40)
+        samples = iter_canvas_samples(small_variance_config(small_cfg(setup="S")), 40)
         for s in samples:
             for pf in s.factors:
                 assert 1.0 <= pf.scale <= 1.5
@@ -257,65 +258,50 @@ class TestSmallVariance:
             small_variance_config(small_cfg(setup="B"))
 
     def test_determinism(self):
-        a = generate_canvas_dataset(small_variance_config(small_cfg()), 6)
-        b = generate_canvas_dataset(small_variance_config(small_cfg()), 6)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.pixels, sb.pixels)
+        a, _ = canvas_arrays(small_variance_config(small_cfg()), 6)
+        b, _ = canvas_arrays(small_variance_config(small_cfg()), 6)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestAdjustSequences:
     def test_sweep_structure(self, sweep_cfg):
         cfg = sweep_cfg(setup="S", scale_range=(1.0, 3.0))
-        seqs = generate_adjust_sequences(cfg, n_sequences=4, steps=11)
-        assert len(seqs) == 4
-        for seq in seqs:
-            assert len(set(seq.digits)) == 3
-            first, last = seq.samples[0], seq.samples[-1]
-            fac = lambda s, d: next(pf.scale for pf in s.factors if pf.digit == d)
-            low, mid, high = seq.digits
-            assert fac(first, low) == pytest.approx(1.0)
-            assert fac(first, high) == pytest.approx(3.0)
-            assert fac(last, low) == pytest.approx(3.0)
-            assert fac(last, high) == pytest.approx(1.0)
+        sweeps = list(iter_adjust_sweeps(cfg, n_sequences=4, steps=11))
+        assert len(sweeps) == 4
+        for digits, roles, factors, block in sweeps:
+            assert len(set(digits)) == 3 and tuple(r.digit for r in roles) == digits
+            assert len(factors) == len(block) == 11
+            # low rises from the range minimum, high falls from its maximum
+            assert factors[0] == pytest.approx((1.0, 2.0, 3.0))
+            assert factors[-1] == pytest.approx((3.0, 2.0, 1.0))
             # middle factor constant at the midpoint across every step
-            for s in seq.samples:
-                assert fac(s, mid) == pytest.approx(2.0)
+            assert all(mid == pytest.approx(2.0) for _, mid, _ in factors)
             # crossing step: odd step count hits the exact midpoint
-            crossing = seq.samples[5]
-            assert fac(crossing, low) == pytest.approx(fac(crossing, high))
-            # positions fixed within the sequence
-            for s in seq.samples:
-                for pf in s.factors:
-                    ref = next(p for p in first.factors if p.digit == pf.digit)
-                    assert (pf.top, pf.left) == (ref.top, ref.left)
+            low, _, high = factors[5]
+            assert low == pytest.approx(high)
+            # each role is placed once, to fit its largest extent
+            for role, extent in zip(roles, (3.0, 2.0, 3.0)):
+                px = int(round(cfg.glyph_size * extent))
+                assert role.top + px <= cfg.canvas_size and role.left + px <= cfg.canvas_size
 
     def test_determinism(self, sweep_cfg):
         cfg = sweep_cfg(setup="B")
-        a = generate_adjust_sequences(cfg, n_sequences=2, steps=5)
-        b = generate_adjust_sequences(cfg, n_sequences=2, steps=5)
-        for sa, sb in zip(a, b):
-            assert sa.digits == sb.digits
-            for xa, xb in zip(sa.samples, sb.samples):
-                np.testing.assert_array_equal(xa.pixels, xb.pixels)
-
-    def test_list_is_the_streamed_sequences(self, sweep_cfg):
-        cfg = sweep_cfg(setup="S")
-        listed = generate_adjust_sequences(cfg, n_sequences=3, steps=4)
-        streamed = iter_adjust_sequences(cfg, n_sequences=3, steps=4)
-        assert not isinstance(streamed, list)
-        for a, b in zip(listed, streamed, strict=True):
-            assert a.digits == b.digits and a.samples[0].factors == b.samples[0].factors
-            for xa, xb in zip(a.samples, b.samples, strict=True):
-                np.testing.assert_array_equal(xa.pixels, xb.pixels)
+        a = iter_adjust_sweeps(cfg, n_sequences=2, steps=5)
+        b = iter_adjust_sweeps(cfg, n_sequences=2, steps=5)
+        for (digits_a, roles_a, _, block_a), (digits_b, roles_b, _, block_b) in zip(a, b, strict=True):
+            assert digits_a == digits_b and roles_a == roles_b
+            assert block_a.tobytes() == block_b.tobytes()
 
     @pytest.mark.parametrize("setup", ["S", "B"])
-    def test_block_is_the_stacked_record_pixels(self, sweep_cfg, setup):
+    def test_records_are_the_sweep_blocks(self, sweep_cfg, setup):
+        # ``generate_adjust_sequences`` is kept for the benchmark's probe
+        # check: its records must be the sweeps' digits and block rows.
         cfg = sweep_cfg(setup=setup)
         sweeps = iter_adjust_sweeps(cfg, n_sequences=3, steps=6)
-        for (digits, roles, factors, block), seq in zip(sweeps, iter_adjust_sequences(cfg, 3, 6), strict=True):
+        for (digits, roles, factors, block), seq in zip(sweeps, generate_adjust_sequences(cfg, 3, 6), strict=True):
             assert block.shape == (6, cfg.feature_length) and block.flags.c_contiguous
             assert seq.digits == digits == tuple(r.digit for r in roles)
-            np.testing.assert_array_equal(block, np.stack([s.pixels for s in seq.samples]))
+            assert np.stack([s.pixels for s in seq.samples]).tobytes() == block.tobytes()
             # The records' pixels are the rows of one block, not copies.
             own = seq.samples[0].pixels.base
             assert own.shape == block.shape
@@ -330,9 +316,10 @@ class TestAdjustSequences:
         # gives its placed digits: bytes, ranks and factors.
         cfg = sweep_cfg(setup=setup)
         bank = synthgen._glyph_bank(cfg)
-        for seq in iter_adjust_sequences(cfg, n_sequences=3, steps=6):
+        for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=6):
             for sample in seq.samples:
-                want = synthgen._sample(cfg, bank, list(sample.factors))
+                rng = None if bank.glyphs is None else np.random.default_rng(0)
+                want = synthgen._sample(cfg, bank, list(sample.factors), rng)
                 assert sample.pixels.tobytes() == want.pixels.tobytes()
                 np.testing.assert_array_equal(sample.ranks, want.ranks)
                 assert sample.factors == want.factors and sample.image_shape == want.image_shape
@@ -346,8 +333,8 @@ class TestAdjustSequences:
         monkeypatch.setattr(np.random, "default_rng", refuse)
         for setup, color_mode in (("S", "gray"), ("B", "color")):
             cfg = small_cfg(setup=setup, color_mode=color_mode)
-            seqs = generate_adjust_sequences(cfg, n_sequences=2, steps=5)
-            assert [len(seq.samples) for seq in seqs] == [5, 5]
+            sweeps = iter_adjust_sweeps(cfg, n_sequences=2, steps=5)
+            assert [len(block) for *_, block in sweeps] == [5, 5]
 
 
 class TestCalibrationSet:
@@ -375,51 +362,44 @@ class TestCalibrationSet:
             np.testing.assert_array_equal(sa.pixels, sb.pixels)
 
 
+def feature_arrays(num_classes, dim, n, **kwargs):
+    """The (x, ranks) of ``n`` rows of ``iter_feature_rows``."""
+    return dataset_arrays(iter_feature_rows(num_classes, dim, n, **kwargs), n, dim, num_classes)
+
+
 class TestFeatureDataset:
     def test_noise_free_single_class(self):
         # with one class present and no noise the features are factor * direction
-        instances = generate_feature_dataset(1, 4, 50, factor_range=(0.5, 2.0), seed=3, noise=0.0)
-        direction = None
-        for inst in instances:
-            f = np.linalg.norm(inst.features)
-            unit = inst.features / f
-            if direction is None:
-                direction = unit
-            np.testing.assert_allclose(unit, direction, atol=1e-12)
-            assert 0.5 <= f <= 2.0
-            assert inst.ranks.tolist() == [1]
+        x, ranks = feature_arrays(1, 4, 50, factor_range=(0.5, 2.0), seed=3, noise=0.0)
+        norms = np.linalg.norm(x, axis=1)
+        np.testing.assert_allclose(x / norms[:, None], np.tile(x[0] / norms[0], (50, 1)), atol=1e-12)
+        assert ((0.5 <= norms) & (norms <= 2.0)).all()
+        assert ranks.tolist() == [[1]] * 50
 
     def test_ranks_follow_factors(self):
-        instances = generate_feature_dataset(5, 8, 100, seed=4, noise=0.0)
+        x, ranks = feature_arrays(5, 8, 100, seed=4, noise=0.0)
         # recover factors by projecting onto the (regenerated) directions
         rng = np.random.Generator(np.random.PCG64(4))
         dirs = rng.standard_normal((5, 8))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pinv = np.linalg.pinv(dirs)
-        for inst in instances:
-            factors = inst.features @ pinv
-            positives = np.flatnonzero(inst.ranks > 0)
-            ordered = sorted(positives, key=lambda c: inst.ranks[c])
+        for features, row_ranks in zip(x, ranks):
+            factors = features @ pinv
+            positives = np.flatnonzero(row_ranks > 0)
+            ordered = sorted(positives, key=lambda c: row_ranks[c])
             vals = [factors[c] for c in ordered]
             assert vals == sorted(vals)
             assert len(positives) >= 1
 
     def test_determinism(self):
-        a = generate_feature_dataset(4, 6, 20, seed=9)
-        b = generate_feature_dataset(4, 6, 20, seed=9)
-        for ia, ib in zip(a, b):
-            np.testing.assert_array_equal(ia.features, ib.features)
-            np.testing.assert_array_equal(ia.ranks, ib.ranks)
+        xa, ranks_a = feature_arrays(4, 6, 20, seed=9)
+        xb, ranks_b = feature_arrays(4, 6, 20, seed=9)
+        assert xa.tobytes() == xb.tobytes()
+        np.testing.assert_array_equal(ranks_a, ranks_b)
 
     def test_dim_check(self):
         with pytest.raises(ValueError):
-            generate_feature_dataset(6, 4, 10)
-
-    def test_arrays_are_the_stacked_records(self):
-        records = generate_feature_dataset(4, 6, 30, seed=9)
-        x, ranks = dataset_arrays(iter_feature_rows(4, 6, 30, seed=9), 30, 6, 4)
-        np.testing.assert_array_equal(x, np.stack([r.features for r in records]))
-        np.testing.assert_array_equal(ranks, np.stack([r.ranks for r in records]))
+            feature_arrays(6, 4, 10)
 
     def test_arrays_refuse_a_row_count_other_than_n(self):
         rows = list(iter_feature_rows(4, 6, 3, seed=9))
@@ -429,9 +409,34 @@ class TestFeatureDataset:
             dataset_arrays(iter(rows), 2, 6, 4)
 
 
-def feature_arrays(*args, **kwargs):
-    records = generate_feature_dataset(*args, **kwargs)
-    return np.stack([r.features for r in records]), np.stack([r.ranks for r in records])
+class TestRecordWrappers:
+    """The record-shaped generators the benchmark's checkpoint script
+    imports, each pinned to the arrays the commands build."""
+
+    def test_canvas_records_are_the_canvas_arrays(self):
+        cfg = small_cfg(setup="B-mix", color_mode="color")
+        records = [s.to_instance() for s in generate_canvas_dataset(cfg, 6)]
+        x, ranks = canvas_arrays(cfg, 6)
+        assert all(r.image_shape == cfg.image_shape for r in records)
+        assert np.stack([r.features for r in records]).tobytes() == x.tobytes()
+        assert np.stack([r.ranks for r in records]).tobytes() == ranks.tobytes()
+
+    def test_feature_records_are_the_feature_arrays(self):
+        records = generate_feature_dataset(4, 6, 30, seed=9)
+        x, ranks = feature_arrays(4, 6, 30, seed=9)
+        assert all(r.image_shape is None for r in records)
+        assert np.stack([r.features for r in records]).tobytes() == x.tobytes()
+        assert np.stack([r.ranks for r in records]).tobytes() == ranks.tobytes()
+
+
+class TestRankedInstance:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            RankedInstance(features=np.zeros(2), ranks=np.array([-1, 0]))
+        with pytest.raises(ValueError):
+            RankedInstance(features=np.array([np.inf]), ranks=np.array([1]))
+        with pytest.raises(ValueError):
+            RankedInstance(features=np.zeros(2), ranks=np.array([], dtype=int))
 
 
 BAD_ROWS = [
@@ -713,10 +718,9 @@ class TestJsonl:
 
     def test_image_shape_round_trip(self, tmp_path):
         cfg = small_cfg(color_mode="color")
-        samples = generate_canvas_dataset(cfg, 4)
+        pixels, ranks = canvas_arrays(cfg, 4)
         path = tmp_path / "c.jsonl"
-        pixels = np.stack([s.pixels for s in samples])
-        write_dataset_jsonl(path, pixels, np.stack([s.ranks for s in samples]), image_shape=cfg.image_shape)
+        write_dataset_jsonl(path, pixels, ranks, image_shape=cfg.image_shape)
         # The header line is parsed on both ways; this is the binary one.
         (header, x, _), way = read_and_way(path)
         assert way == "binary"
@@ -1167,8 +1171,8 @@ class TestIdx:
         labels = np.tile(np.arange(10, dtype=np.uint8), 2)
         img_path, lbl_path = write_idx(tmp_path, images, labels)
         cfg = small_cfg(glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
-        samples = generate_canvas_dataset(cfg, 5)
-        assert len(samples) == 5
+        x, _ = canvas_arrays(cfg, 5)
+        assert x.shape == (5, cfg.feature_length) and x.any()
 
     def test_adjust_sequences_from_idx_bank_pinned(self, tmp_path):
         # Each sweep canvas picks its stored glyphs from a fresh
@@ -1179,14 +1183,13 @@ class TestIdx:
         img_path, lbl_path = write_idx(tmp_path, images, labels)
         cfg = small_cfg(setup="S", glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
         h = hashlib.sha256()
-        for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=5):
-            for sample in seq.samples:
-                h.update(sample.pixels.tobytes())
+        for *_, block in iter_adjust_sweeps(cfg, n_sequences=3, steps=5):
+            h.update(block.tobytes())
         assert h.hexdigest() == "78c676aab0e01f82a4640c79f7a4cf71505e3e05bcee53af2e50962d48f17ebc"
 
     def test_missing_paths(self):
         with pytest.raises(ValueError, match="glyph source unavailable"):
-            generate_canvas_dataset(small_cfg(glyph_source="idx-file"), 2)
+            canvas_arrays(small_cfg(glyph_source="idx-file"), 2)
 
 
 class TestImageDump:
