@@ -38,11 +38,10 @@ from .predict import Prediction
 from .synthgen import (
     CanvasConfig,
     canvas_arrays,
-    dataset_arrays,
+    feature_arrays,
     generate_calibration_set,
     iter_adjust_sweeps,
     iter_canvas_samples,
-    iter_feature_rows,
     read_dataset_jsonl,
     write_dataset_jsonl,
 )

@@ -36,11 +36,11 @@ from .model import (
 from .synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
+    _check_probe_canvas,
     canvas_arrays,
-    dataset_arrays,
+    feature_arrays,
     generate_calibration_set,
     iter_adjust_sweeps,
-    iter_feature_rows,
     read_dataset_jsonl,
     small_variance_config,
     write_dataset_jsonl,
@@ -153,7 +153,8 @@ def _section(cfg: dict, key: str) -> dict:
 
 
 def _canvas_config(d: dict, seed: int) -> CanvasConfig:
-    _refuse_unknown(d, (f.name for f in dataclasses.fields(CanvasConfig)), "canvas")
+    # The seed is the command's own setting, not a canvas key.
+    _refuse_unknown(d, (f.name for f in dataclasses.fields(CanvasConfig) if f.name != "seed"), "canvas")
     kwargs = dict(d)
     for key in ("canvas_size", "num_classes", "glyph_size"):
         if key in kwargs:
@@ -214,12 +215,14 @@ def _load_model_and_data(cfg):
     return params, x, ranks
 
 
-def _probe_setup(cfg: dict):
-    """(seed, out, params, canvas) of a probe experiment on a canvas
+def _probe_setup(cfg: dict, probe: str):
+    """(seed, out, params, canvas) of a probe experiment (``probe`` is
+    "adjust" or "calib") on a canvas its probe set can be drawn on and a
     checkpoint of the canvas's classes and feature length; warns when the
     checkpoint was trained on another setup."""
     seed = _integer(_require(cfg, "seed"), "seed")
     canvas = _canvas_config(_section(cfg, "canvas"), seed)
+    _check_probe_canvas(canvas, probe)
     params, section = load_checkpoint(_require(cfg, "checkpoint"))
     # The setup of meta.trained_on.canvas, when the checkpoint records one.
     key = "meta"
@@ -266,8 +269,7 @@ def cmd_generate(args) -> int:
     out = _out_dir(cfg)
     image_shape = None
     if kind == "feature":
-        rows = iter_feature_rows(n=n, seed=seed, **feature)
-        x, ranks = dataset_arrays(rows, n, feature["dim"], feature["num_classes"])
+        x, ranks = feature_arrays(n=n, seed=seed, **feature)
     else:
         image_dir = None
         if dump_images:
@@ -348,7 +350,7 @@ def cmd_adjust_exp(args) -> int:
     cfg = _settings(args, _PROBE_KEYS)
     n_sequences = _integer(cfg.get("n_sequences", 50), "n_sequences", 1)
     steps = _integer(cfg.get("steps", 50), "steps", 2)
-    seed, out, params, canvas = _probe_setup(cfg)
+    seed, out, params, canvas = _probe_setup(cfg, "adjust")
     sums = np.zeros((steps, 3))
     # One sweep in memory at a time: its (steps, d) block is one batch.
     for digits, _, _, block in iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps):
@@ -377,7 +379,7 @@ def cmd_calib_exp(args) -> int:
     cfg = _settings(args, _PROBE_KEYS)
     # Every sample puts one digit at each level; a std needs two.
     n = _integer(cfg.get("n", 50), "n", 2)
-    seed, out, params, canvas = _probe_setup(cfg)
+    seed, out, params, canvas = _probe_setup(cfg, "calib")
     samples = generate_calibration_set(canvas, n)
     out_heads, pred = predict_batch(params, np.stack([sample.pixels for sample in samples]))
     # gmlr's second head is the log-variance; other methods have no sigma.

@@ -173,15 +173,6 @@ class ModelParams:
             out.append(b)
         return out
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            head=self.head,
-            num_classes=self.num_classes,
-            front_end=self.front_end,
-        )
-
 
 @dataclass
 class TrainConfig:
@@ -460,7 +451,7 @@ def _packed(params: ModelParams) -> np.ndarray:
     return flat
 
 
-def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None, init_params: ModelParams | None = None):
+def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None):
     """Train a model on the (n, d) features and (n, K) ranks; returns
     (params, log).
 
@@ -476,14 +467,7 @@ def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None, init_params: Mode
         raise ValueError("dataset must be non-empty (n, d) features with (n, K) ranks")
     front_end = None if image_shape is None else FrontEnd(tuple(image_shape))
     num_classes = ranks_matrix.shape[1]
-    if init_params is None:
-        params = init_model(x.shape[1], num_classes, cfg.method, cfg.hidden, cfg.seed, front_end)
-    else:
-        params = init_params.copy()
-    if params.head != cfg.method or params.num_classes != num_classes:
-        raise ValueError("initial parameters do not match method or class count")
-    if params.front_end != front_end:
-        raise ValueError("initial parameters do not match the dataset's front end")
+    params = init_model(x.shape[1], num_classes, cfg.method, cfg.hidden, cfg.seed, front_end)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
     log: list[tuple[int, int, float, float]] = []
 
@@ -506,7 +490,7 @@ def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None, init_params: Mode
     return params, log
 
 
-def train(dataset, cfg: TrainConfig, init_params: ModelParams | None = None):
+def train(dataset, cfg: TrainConfig):
     """``train_arrays`` on ``synthgen.RankedInstance`` records, which must
     share one ``image_shape`` (None for feature records)."""
     data = list(dataset)
@@ -515,7 +499,7 @@ def train(dataset, cfg: TrainConfig, init_params: ModelParams | None = None):
         raise ValueError("dataset is empty or mixes image shapes or image and feature instances")
     x = np.stack([inst.features for inst in data])
     ranks = np.stack([inst.ranks for inst in data])
-    return train_arrays(x, ranks, cfg, shapes.pop(), init_params)
+    return train_arrays(x, ranks, cfg, shapes.pop())
 
 
 def predict_batch(params: ModelParams, x) -> tuple[np.ndarray, Prediction]:
@@ -563,7 +547,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """(params, meta) of a ``save_checkpoint`` file.  A file that is not
     JSON, or nests it too deeply, is a ValueError naming the file; a
     checkpoint that breaks the layout is one naming the key, or the
-    layer (``_check_layers``)."""
+    layer (``_check_layers``).  Its ``hidden`` must list the widths of
+    the affine layers before the head, as JSON integers."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
@@ -608,6 +593,11 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         front_end=front_end,
     )
     _check_layers(params, doc.get("input_dim"))
+    hidden = doc.get("hidden")
+    if not (isinstance(hidden, list) and all(type(v) is int for v in hidden) and hidden == list(params.hidden)):
+        raise ValueError(
+            f"checkpoint 'hidden' must list its hidden affine layers' widths {list(params.hidden)}, got {hidden!r}"
+        )
     return params, meta
 
 

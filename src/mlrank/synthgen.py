@@ -6,15 +6,13 @@ the ground-truth ranks.  Setups: "S" varies scale only, "B" brightness
 only, "S-mix"/"B-mix" vary both but rank by the named factor alone.  A
 fast feature-space generator provides a linear surrogate for loss and
 training studies.  Sequence and calibration generators build the probe
-sets for the behavioural experiments.  Every canvas is painted by one
-helper, ``_paint``; the adjusting sweeps (``iter_adjust_sweeps``) paint
-each sweep's steps straight into one (steps, d) block, and the other
-canvas generators paint one canvas at a time.
-
-Datasets are arrays (``dataset_arrays``, ``canvas_arrays``); records
-carry per-digit factors.  ``RankedInstance`` and the list wrappers
-(``generate_*_dataset``, ``generate_adjust_sequences``) serve only the
-benchmark's scripts.
+sets for the behavioural experiments.  Each generator fills the arrays
+it returns a row at a time: ``feature_arrays`` its rows, and one loop
+(``_paint_canvases``, or ``iter_adjust_sweeps`` per sweep) paints each
+canvas into its row of one block, every digit through ``_paint``.
+Records carry per-digit factors as views over those rows;
+``RankedInstance`` and the list wrappers (``generate_*_dataset``,
+``generate_adjust_sequences``) serve only the benchmark's scripts.
 
 All randomness flows through numpy's PCG64 generator seeded from the
 config, so a (config, seed, n) triple reproduces byte-identical output
@@ -269,23 +267,9 @@ def _paint(cfg: CanvasConfig, bank: GlyphBank, canvas: np.ndarray, rng, digit: i
     np.maximum(region, glyph, out=region)
 
 
-def _sample(cfg: CanvasConfig, bank: GlyphBank, placed: list[DigitFactors], rng) -> GeneratedSample:
-    """The sample of the placed digits: ranks by the setup's named factor
-    (exact ties break by ascending digit index), and the digits painted
-    onto a fresh canvas.  ``rng`` picks stored glyphs (``_paint``)."""
-    factors = [getattr(pf, cfg.ranked_factor) for pf in placed]
-    ranks = _ranks_from_factors(cfg.num_classes, [pf.digit for pf in placed], factors)
-    pixels = np.zeros(cfg.feature_length)
-    canvas = pixels.reshape(cfg.image_shape)
-    for pf in placed:
-        _paint(cfg, bank, canvas, rng, pf.digit, pf.scale, pf.brightness, pf.top, pf.left, pf.hue, pf.saturation)
-    return GeneratedSample(
-        pixels=np.round(pixels, 3, out=pixels), ranks=ranks,
-        factors=tuple(placed), image_shape=cfg.image_shape,
-    )
-
-
-def _one_canvas_sample(cfg: CanvasConfig, bank: GlyphBank, rng) -> GeneratedSample:
+def _dataset_placements(cfg: CanvasConfig, rng) -> tuple[DigitFactors, ...]:
+    """A dataset canvas's unique digits, as many as a uniform draw over
+    the configured range, each placed after its factors are drawn."""
     lo, hi = cfg.digit_count_range
     count = int(rng.integers(lo, hi + 1))
     placed = []
@@ -293,20 +277,56 @@ def _one_canvas_sample(cfg: CanvasConfig, bank: GlyphBank, rng) -> GeneratedSamp
         scale = float(rng.uniform(*cfg.scale_range)) if cfg.uses_scale else 1.0
         brightness = float(rng.uniform(*cfg.brightness_bounds)) if cfg.uses_brightness else 1.0
         placed.append(_digit(cfg, rng, int(digit), scale, brightness))
-    factors = [getattr(pf, cfg.ranked_factor) for pf in placed]
-    if len(set(factors)) != len(factors):
-        raise ValueError("tied importance factors: widen the ranked factor's range")
-    return _sample(cfg, bank, placed, rng)
+    return tuple(placed)
+
+
+def _calibration_placements(cfg: CanvasConfig, rng) -> tuple[DigitFactors, ...]:
+    """A calibration canvas's digits: 4 unique digits whose scales are a
+    random bijection onto ``CALIBRATION_SCALES``."""
+    digits = rng.choice(cfg.num_classes, size=4, replace=False)
+    scales = [CALIBRATION_SCALES[int(i)] for i in rng.permutation(4)]
+    return tuple(_digit(cfg, rng, int(d), scale, 1.0) for d, scale in zip(digits, scales))
+
+
+def _paint_canvases(cfg: CanvasConfig, n: int, draw, painted=None) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) pixels and (n, K) ranks of n canvases.  For canvas i,
+    ``draw(cfg, rng)`` places its digits, row i of the ranks takes their
+    ranks by the setup's named factor, and the digits are painted (the
+    rng picks stored glyphs) straight into row i of one zeroed block,
+    which is then rounded in place and passed, with its ranks and the
+    placements, to ``painted(i, pixels, ranks, placed)`` when given."""
+    bank = _glyph_bank(cfg)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    x = np.zeros((n, cfg.feature_length))
+    ranks = np.zeros((n, cfg.num_classes), dtype=int)
+    for i, pixels in enumerate(x):
+        placed = draw(cfg, rng)
+        factors = [getattr(pf, cfg.ranked_factor) for pf in placed]
+        if len(set(factors)) != len(factors):
+            raise ValueError("tied importance factors: widen the ranked factor's range")
+        ranks[i] = _ranks_from_factors(cfg.num_classes, [pf.digit for pf in placed], factors)
+        canvas = pixels.reshape(cfg.image_shape)
+        for pf in placed:
+            _paint(cfg, bank, canvas, rng, pf.digit, pf.scale, pf.brightness, pf.top, pf.left, pf.hue, pf.saturation)
+        np.round(pixels, 3, out=pixels)
+        if painted is not None:
+            painted(i, pixels, ranks[i], placed)
+    return x, ranks
+
+
+def _samples(cfg: CanvasConfig, n: int, draw) -> list[GeneratedSample]:
+    """The records of ``_paint_canvases``' rows and placements."""
+    samples = []
+    _paint_canvases(cfg, n, draw, lambda i, pixels, ranks, placed: samples.append(
+        GeneratedSample(pixels=pixels, ranks=ranks, factors=placed, image_shape=cfg.image_shape)))
+    return samples
 
 
 def iter_canvas_samples(cfg: CanvasConfig, n: int):
-    """Yields n canvas samples; digit count uniform over the configured
-    range, digits unique per image, ranks induced by the setup's named
-    factor.  Each sample is drawn only when it is asked for."""
-    bank = _glyph_bank(cfg)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    for _ in range(n):
-        yield _one_canvas_sample(cfg, bank, rng)
+    """An iterator over the records of ``canvas_arrays``' n canvases:
+    digit count uniform over the configured range, digits unique per
+    image, ranks induced by the setup's named factor."""
+    return iter(_samples(cfg, n, _dataset_placements))
 
 
 def small_variance_config(cfg: CanvasConfig) -> CanvasConfig:
@@ -322,22 +342,29 @@ def generate_canvas_dataset(cfg: CanvasConfig, n: int) -> list[GeneratedSample]:
     return list(iter_canvas_samples(cfg, n))
 
 
+def _check_probe_canvas(cfg: CanvasConfig, probe: str) -> None:
+    """Refuses, naming the canvas key, a canvas that the calibration set
+    (``probe="calib"``) or the adjusting sweeps (``"adjust"``) cannot be
+    drawn on."""
+    digits = len(CALIBRATION_SCALES) if probe == "calib" else 3
+    if cfg.num_classes < digits:
+        raise ValueError(
+            f"'canvas.num_classes' must be at least {digits}, the digits of a {probe} canvas, got {cfg.num_classes}"
+        )
+    if probe == "calib" and not cfg.setup.startswith("S"):
+        raise ValueError(f"setup mismatch: calibration requires a scale-ranked 'canvas.setup', got {cfg.setup!r}")
+    if probe == "calib" and int(round(cfg.glyph_size * max(CALIBRATION_SCALES))) > cfg.canvas_size:
+        raise ValueError(
+            f"placement infeasible: 'canvas.glyph_size' {cfg.glyph_size} at the calibration scale "
+            f"{max(CALIBRATION_SCALES)} exceeds canvas_size {cfg.canvas_size}"
+        )
+
+
 def generate_calibration_set(cfg: CanvasConfig, n: int = 50) -> list[GeneratedSample]:
     """Samples with exactly 4 positive digits whose scales are a random
     bijection onto {1.0, 1.5, 2.0, 2.5}; ranks follow the scale levels."""
-    if not cfg.setup.startswith("S"):
-        raise ValueError("setup mismatch: calibration requires a scale-ranked setup")
-    if int(round(cfg.glyph_size * max(CALIBRATION_SCALES))) > cfg.canvas_size:
-        raise ValueError("placement infeasible: calibration scales exceed canvas_size")
-    bank = _glyph_bank(cfg)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    samples = []
-    for _ in range(n):
-        digits = rng.choice(cfg.num_classes, size=4, replace=False)
-        scales = [CALIBRATION_SCALES[int(i)] for i in rng.permutation(4)]
-        placed = [_digit(cfg, rng, int(d), scale, 1.0) for d, scale in zip(digits, scales)]
-        samples.append(_sample(cfg, bank, placed, rng))
-    return samples
+    _check_probe_canvas(cfg, "calib")
+    return _samples(cfg, n, _calibration_placements)
 
 
 def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50):
@@ -355,6 +382,7 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     sweep is built only when it is asked for."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    _check_probe_canvas(cfg, "adjust")
     bank = _glyph_bank(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     by_scale = cfg.ranked_factor == "scale"
@@ -402,18 +430,18 @@ def generate_adjust_sequences(
     return sequences
 
 
-def iter_feature_rows(
+def feature_arrays(
     num_classes: int,
     dim: int,
     n: int,
     factor_range: tuple[float, float] = (0.5, 3.0),
     seed: int = 0,
     noise: float = 0.05,
-):
-    """Yields the n (features, ranks) rows of the linear surrogate
-    dataset: every class owns a fixed random unit direction; an instance
-    is the sum of factor * direction over its present classes plus
-    Gaussian noise, ranked by factor.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, dim) features and (n, num_classes) ranks of the linear
+    surrogate dataset, written a row at a time: every class owns a fixed
+    random unit direction; an instance is the sum of factor * direction
+    over its present classes plus Gaussian noise, ranked by factor.
 
     Class presence is a uniform random subset, redrawn when empty so
     every instance has at least one positive.
@@ -425,52 +453,47 @@ def iter_feature_rows(
     rng = np.random.Generator(np.random.PCG64(seed))
     directions = rng.standard_normal((num_classes, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    for _ in range(n):
+    x = np.empty((n, dim))
+    ranks = np.empty((n, num_classes), dtype=int)
+    for features, row_ranks in zip(x, ranks):
         mask = rng.integers(0, 2, size=num_classes).astype(bool)
         while not mask.any():
             mask = rng.integers(0, 2, size=num_classes).astype(bool)
         factors = rng.uniform(factor_range[0], factor_range[1], size=num_classes) * mask
-        features = factors @ directions
+        features[:] = factors @ directions
         if noise:
-            features = features + noise * rng.standard_normal(dim)
+            features += noise * rng.standard_normal(dim)
         present = np.flatnonzero(mask)
         values = factors[present]
         if len(set(values.tolist())) != len(values):
             raise RuntimeError("tied factors; ranks would not be dense")
-        yield features, _ranks_from_factors(num_classes, present.tolist(), values.tolist())
-
-
-def generate_feature_dataset(*args, **kwargs) -> list[RankedInstance]:
-    """Every row of ``iter_feature_rows``, as a list of records."""
-    return [RankedInstance(features=f, ranks=r) for f, r in iter_feature_rows(*args, **kwargs)]
-
-
-def dataset_arrays(rows, n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """One preallocated (n, d) float matrix and (n, k) int matrix whose
-    row i is the i-th (features, ranks) pair of ``rows``.  A pair is
-    dropped once it is copied, so the dataset is held once.  ``rows``
-    must yield exactly n pairs."""
-    x = np.empty((n, d))
-    ranks = np.empty((n, k), dtype=int)
-    count = 0
-    for features, row_ranks in rows:
-        if count == n:
-            raise ValueError(f"rows yields more than n={n} pairs")
-        x[count] = features
-        ranks[count] = row_ranks
-        count += 1
-    if count != n:
-        raise ValueError(f"rows yields {count} pairs, not n={n}")
+        row_ranks[:] = _ranks_from_factors(num_classes, present.tolist(), values.tolist())
     return x, ranks
 
 
+def generate_feature_dataset(*args, **kwargs) -> list[RankedInstance]:
+    """The rows of ``feature_arrays``, as records over its arrays."""
+    return [RankedInstance(features=f, ranks=r) for f, r in zip(*feature_arrays(*args, **kwargs))]
+
+
 def canvas_arrays(cfg: CanvasConfig, n: int, image_dir=None) -> tuple[np.ndarray, np.ndarray]:
-    """``dataset_arrays`` of ``iter_canvas_samples``; with ``image_dir``,
-    each sample's image and labels row are written in the same pass."""
-    samples = iter_canvas_samples(cfg, n)
-    if image_dir is not None:
-        samples = _dumped(image_dir, samples)
-    return dataset_arrays(((s.pixels, s.ranks) for s in samples), n, cfg.feature_length, cfg.num_classes)
+    """The (n, d) pixels and (n, K) ranks of n dataset canvases (see
+    ``iter_canvas_samples``); with ``image_dir``, each canvas's image and
+    labels row are written as soon as its row is painted."""
+    if image_dir is None:
+        return _paint_canvases(cfg, n, _dataset_placements)
+    os.makedirs(image_dir, exist_ok=True)
+    with open(os.path.join(image_dir, "labels.jsonl"), "w", encoding="ascii", newline="\n") as labels:
+
+        def dump(i, pixels, ranks, placed):
+            """Row i's PPM (3 channels) or PGM (1 channel) image and its
+            labels row (ranks and per-digit factors)."""
+            name = f"{i:05d}.{_PNM[cfg.channels][1]}"
+            write_pnm(os.path.join(image_dir, name), pixels.reshape(cfg.image_shape))
+            row = {"image": name, "ranks": ranks.tolist(), "factors": [pf.to_dict() for pf in placed]}
+            labels.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+
+        return _paint_canvases(cfg, n, _dataset_placements, dump)
 
 
 # ---------------------------------------------------------------------------
@@ -819,21 +842,3 @@ def write_pnm(path, img: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{_PNM[c][0]}\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
-
-
-def _dumped(directory, samples):
-    """Passes ``samples`` through, writing each one's PPM (3 channels) or
-    PGM (1 channel) and its labels.jsonl row (ranks and the per-digit
-    factor records) into ``directory`` as it goes by."""
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "labels.jsonl"), "w", encoding="ascii", newline="\n") as fh:
-        for i, sample in enumerate(samples):
-            name = f"{i:05d}.{_PNM[sample.image_shape[2]][1]}"
-            write_pnm(os.path.join(directory, name), sample.pixels.reshape(sample.image_shape))
-            row = {
-                "image": name,
-                "ranks": sample.ranks.tolist(),
-                "factors": [pf.to_dict() for pf in sample.factors],
-            }
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
-            yield sample

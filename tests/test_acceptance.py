@@ -32,10 +32,9 @@ from mlrank.synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
     canvas_arrays,
-    dataset_arrays,
+    feature_arrays,
     generate_calibration_set,
     iter_adjust_sweeps,
-    iter_feature_rows,
 )
 
 from oracles import (
@@ -82,8 +81,7 @@ ADJUST_SEED = 302
 @pytest.fixture(scope="module")
 def feature_split():
     """The (x, ranks) train and test row slices of one feature dataset."""
-    rows = iter_feature_rows(n=5000, seed=FEATURE_SEED, **FEATURE_CFG)
-    x, ranks = dataset_arrays(rows, 5000, FEATURE_CFG["dim"], FEATURE_CFG["num_classes"])
+    x, ranks = feature_arrays(n=5000, seed=FEATURE_SEED, **FEATURE_CFG)
     return (x[:4000], ranks[:4000]), (x[4000:], ranks[4000:])
 
 
@@ -402,7 +400,7 @@ def test_criterion_09_cli_determinism(tmp_path):
 
 
 def test_criterion_10_lsep_two_stage_contract():
-    x, ranks = dataset_arrays(iter_feature_rows(4, 8, 80, seed=23), 80, 8, 4)
+    x, ranks = feature_arrays(4, 8, 80, seed=23)
     base = dict(method="lsep", mode="strong", epochs=4, learning_rate=1e-2,
                 hidden=(6,), seed=13)
     stage1_only, _ = train_arrays(x, ranks, TrainConfig(stage2_epochs=0, **base))

@@ -722,6 +722,42 @@ class TestExitCodes:
         assert f"checkpoint '{key}' must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "adjust-exp", "calib-exp"])
+    def test_canvas_seed_is_usage_error(self, tmp_path, capsys, command):
+        # The seed is the command's own setting.  A canvas seed used to be
+        # accepted and then silently replaced by it.
+        ckpt = tmp_path / "ckpt.json"
+        make_plain_canvas_checkpoint(ckpt)
+        setting = {"canvas": {**SMALL_CANVAS, "seed": 5}, "n": 2}
+        args = ["--config", str(tmp_path / "c.json"), "--seed", "1", "--out", str(tmp_path / "out")]
+        if command != "generate":
+            setting["steps"] = 2
+            args += ["--checkpoint", str(ckpt)]
+        (tmp_path / "c.json").write_text(json.dumps(setting))
+        assert run(command, *args) == 1
+        assert "unknown canvas config keys: ['seed']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, canvas, key", [
+        ("calib-exp", {"setup": "B"}, "canvas.setup"),
+        ("calib-exp", {"num_classes": 3, "digit_count_range": [1, 3]}, "canvas.num_classes"),
+        ("calib-exp", {"glyph_size": 14, "scale_range": [1.0, 2.0]}, "canvas.glyph_size"),
+        ("adjust-exp", {"num_classes": 2, "digit_count_range": [1, 2]}, "canvas.num_classes"),
+    ], ids=["calib-brightness-setup", "calib-3-classes", "calib-glyph-too-large", "adjust-2-classes"])
+    def test_canvas_without_room_for_the_probe_set_is_data_error(self, tmp_path, capsys, command, canvas, key):
+        # Each used to fail after --out existed, the class counts with
+        # NumPy's "Cannot take a larger sample than population".
+        canvas = {**SMALL_CANVAS, **canvas}
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, init_model(32 * 32, canvas.get("num_classes", 10), "gmlr", hidden=(4,), seed=0))
+        cfgp = tmp_path / "p.json"
+        cfgp.write_text(json.dumps({"canvas": canvas, "steps": 2, "n": 2}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfgp), "--checkpoint", str(ckpt), "--seed", "1",
+                   "--out", str(out)) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", [{"early_stop": True}, {"learning_rat": 0.1}])
     def test_unknown_train_config_key_is_usage_error(self, tmp_path, capsys, setting):
         ds = tmp_path / "d.jsonl"
@@ -963,6 +999,24 @@ class TestSettingTypes:
         out = tmp_path / "e"
         assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hidden", [[3, "x", None], "absent", [4.0], [5], [4, 4], "4"])
+    def test_checkpoint_hidden_must_list_its_layer_widths(self, tmp_path, capsys, hidden):
+        # load_checkpoint used to ignore the key.
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, init_model(3, 3, "gmlr", hidden=(4,), seed=1))
+        doc = json.loads(ckpt.read_text())
+        if hidden == "absent":
+            del doc["hidden"]
+        else:
+            doc["hidden"] = hidden
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "e"
+        assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
+        assert "checkpoint 'hidden' must list its hidden affine layers' widths [4]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("fault, message", [

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -34,8 +35,7 @@ from mlrank.synthgen import (
     CanvasConfig,
     RankedInstance,
     canvas_arrays,
-    dataset_arrays,
-    iter_feature_rows,
+    feature_arrays,
 )
 
 from oracles import fd_gradient, max_rel_error
@@ -199,11 +199,6 @@ class TestAdam:
         assert one.t == per_array.t == 60
 
 
-def feature_arrays(num_classes, dim, n, seed):
-    """The (x, ranks) of ``n`` feature rows."""
-    return dataset_arrays(iter_feature_rows(num_classes, dim, n, seed=seed), n, dim, num_classes)
-
-
 class TestTrain:
     def setup_method(self):
         self.dataset = feature_arrays(3, 6, 60, seed=17)
@@ -259,11 +254,12 @@ class TestTrain:
         assert offsets == list(np.cumsum([0] + [v.nbytes for v in values[:-1]]))
 
     def test_nan_abort_diagnostic(self):
-        params = init_model(6, 3, "gmlr", (4,), seed=1)
-        params.weights[0][0, 0] = np.nan
+        x, ranks = self.dataset
+        x = x.copy()
+        x[7, 2] = np.nan
         cfg = TrainConfig(method="gmlr", mode="strong", epochs=1, hidden=(4,), seed=1)
         with pytest.raises(TrainingDiverged) as info:
-            train_arrays(*self.dataset, cfg, init_params=params)
+            train_arrays(x, ranks, cfg)
         assert info.value.epoch == 0
         assert "parameter norm" in str(info.value)
 
@@ -312,7 +308,7 @@ class TestLsepThresholdObjective:
 
     def test_adam_step_moves_only_thresholds(self, kind):
         params, x, ranks = lsep_model(kind)
-        before = params.copy()
+        before = copy.deepcopy(params)
         thresholds = [params.weights[-1][:, 3:], params.biases[-1][3:]]
         _, grads = lsep_threshold_objective(params, x, ranks)
         adam_step(thresholds, grads, AdamState.for_values(thresholds), lr=0.1, weight_decay=1e-5)
@@ -511,6 +507,19 @@ class TestCheckpoint:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("hidden", [[3, "x", None], "absent"])
+    def test_committed_checkpoint_with_another_hidden_is_refused(self, tmp_path, hidden):
+        with open(os.path.join(COMMITTED_CHECKPOINTS, "feature_gmlr_strong.json")) as fh:
+            doc = json.load(fh)
+        if hidden == "absent":
+            del doc["hidden"]
+        else:
+            doc["hidden"] = hidden
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="checkpoint 'hidden' must list"):
+            load_checkpoint(path)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         params = init_model(4, 2, "gmlr", hidden=(3,), seed=10)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -627,12 +636,6 @@ class TestFrontEndSelection:
         assert params.front_end is None
         assert [w.shape for w in params.weights] == [(1024, 4), (4, 8)]
 
-    def test_init_params_must_match_front_end(self):
-        x, ranks, shape = small_canvases(4)
-        mlp = init_model(1024, 4, "gmlr", hidden=(4,), seed=1)
-        with pytest.raises(ValueError, match="front end"):
-            train_arrays(x, ranks, TrainConfig(epochs=1, hidden=(4,)), shape, init_params=mlp)
-
     def test_train_on_records_is_train_arrays(self):
         # ``train`` is kept for the benchmark's checkpoint script: stacking
         # its records must give train_arrays' parameters bit for bit.
@@ -689,7 +692,7 @@ class TestFrontEndSelection:
 DETERMINISM_SCRIPT = """
 import hashlib
 from mlrank.model import TrainConfig, train_arrays
-from mlrank.synthgen import CanvasConfig, canvas_arrays, dataset_arrays, iter_feature_rows
+from mlrank.synthgen import CanvasConfig, canvas_arrays, feature_arrays
 
 def digest(params):
     h = hashlib.sha256()
@@ -697,7 +700,7 @@ def digest(params):
         h.update(arr.tobytes())
     return h.hexdigest()
 
-features = dataset_arrays(iter_feature_rows(6, 24, 256, seed=5), 256, 24, 6)
+features = feature_arrays(6, 24, 256, seed=5)
 canvas_cfg = CanvasConfig(canvas_size=48, glyph_size=12, num_classes=4, digit_count_range=(1, 3), seed=3)
 canvases = canvas_arrays(canvas_cfg, 48)
 cfg = dict(epochs=2, batch_size=32, learning_rate=5e-3, seed=1)

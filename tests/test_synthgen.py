@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,14 +23,13 @@ from mlrank.synthgen import (
     CanvasConfig,
     RankedInstance,
     canvas_arrays,
-    dataset_arrays,
+    feature_arrays,
     generate_adjust_sequences,
     generate_calibration_set,
     generate_canvas_dataset,
     generate_feature_dataset,
     iter_adjust_sweeps,
     iter_canvas_samples,
-    iter_feature_rows,
     read_dataset_jsonl,
     small_variance_config,
     write_dataset_jsonl,
@@ -56,6 +56,13 @@ def write_idx(tmp_path, images, labels):
     return img_path, lbl_path
 
 
+def idx_bank_cfg(tmp_path, **kw):
+    """``small_cfg`` on a stored bank of two random glyphs per digit."""
+    images = np.random.default_rng(6).integers(0, 256, size=(20, 28, 28))
+    img_path, lbl_path = write_idx(tmp_path, images, np.tile(np.arange(10), 2))
+    return small_cfg(glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path), **kw)
+
+
 @pytest.fixture(params=["gray", "color", "idx-bank"])
 def sweep_cfg(request, tmp_path):
     """``small_cfg`` on gray builtin glyphs, colour builtin glyphs, or a
@@ -65,9 +72,7 @@ def sweep_cfg(request, tmp_path):
         if request.param == "color":
             kw["color_mode"] = "color"
         elif request.param == "idx-bank":
-            images = np.random.default_rng(6).integers(0, 256, size=(20, 28, 28))
-            img_path, lbl_path = write_idx(tmp_path, images, np.tile(np.arange(10), 2))
-            kw.update(glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
+            return idx_bank_cfg(tmp_path, **kw)
         return small_cfg(**kw)
 
     return make
@@ -243,6 +248,19 @@ class TestCanvasDataset:
         assert [json.loads(row)["ranks"] for row in labels] == ranks.tolist()
         assert len(list((tmp_path / "images").glob("0000[0-5].p?m"))) == 6
 
+    @pytest.mark.parametrize("records", ["canvas", "calibration"])
+    def test_records_are_the_rows_of_one_block(self, records):
+        cfg = small_cfg(color_mode="color")
+        if records == "canvas":
+            samples = list(iter_canvas_samples(cfg, 6))
+        else:
+            samples = generate_calibration_set(cfg, 6)
+        own = samples[0].pixels.base
+        assert own.shape == (6, cfg.feature_length) and own.flags.c_contiguous
+        for i, sample in enumerate(samples):
+            assert sample.pixels.base is own and np.shares_memory(sample.pixels, own[i])
+        assert own.tobytes() == np.stack([s.pixels for s in samples]).tobytes()
+
 
 class TestSmallVariance:
     def test_scale_window(self):
@@ -312,17 +330,21 @@ class TestAdjustSequences:
 
     @pytest.mark.parametrize("setup", ["S", "B"])
     def test_records_are_the_samples_of_their_factors(self, sweep_cfg, setup):
-        # Each step's record equals the sample the per-canvas renderer
-        # gives its placed digits: bytes, ranks and factors.
+        # Each step's record equals the canvas the dataset painter gives
+        # its placed digits: bytes and ranks.  A sweep picks stored glyphs
+        # from default_rng(0), the painter from its config's seed.
         cfg = sweep_cfg(setup=setup)
-        bank = synthgen._glyph_bank(cfg)
+        painter_cfg = dataclasses.replace(cfg, seed=0)
         for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=6):
             for sample in seq.samples:
-                rng = None if bank.glyphs is None else np.random.default_rng(0)
-                want = synthgen._sample(cfg, bank, list(sample.factors), rng)
-                assert sample.pixels.tobytes() == want.pixels.tobytes()
-                np.testing.assert_array_equal(sample.ranks, want.ranks)
-                assert sample.factors == want.factors and sample.image_shape == want.image_shape
+                x, ranks = synthgen._paint_canvases(painter_cfg, 1, lambda cfg, rng: sample.factors)
+                assert sample.pixels.tobytes() == x[0].tobytes()
+                np.testing.assert_array_equal(sample.ranks, ranks[0])
+                assert sample.image_shape == cfg.image_shape
+
+    def test_refuses_fewer_than_three_classes(self):
+        with pytest.raises(ValueError, match="'canvas.num_classes' must be at least 3"):
+            next(iter_adjust_sweeps(small_cfg(num_classes=2, digit_count_range=(1, 2)), 2, 5))
 
     def test_builtin_bank_builds_no_rng(self, monkeypatch):
         # Sweep canvases are composed without an rng; only stored glyph
@@ -355,16 +377,19 @@ class TestCalibrationSet:
         with pytest.raises(ValueError, match="setup mismatch"):
             generate_calibration_set(small_cfg(setup="B"), 5)
 
+    @pytest.mark.parametrize("canvas, key", [
+        ({"num_classes": 3, "digit_count_range": (1, 3)}, "canvas.num_classes"),
+        ({"glyph_size": 20, "scale_range": (1.0, 2.0)}, "canvas.glyph_size"),
+    ])
+    def test_refuses_a_canvas_without_room_for_it(self, canvas, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            generate_calibration_set(small_cfg(**canvas), 5)
+
     def test_determinism(self):
         a = generate_calibration_set(small_cfg(), 5)
         b = generate_calibration_set(small_cfg(), 5)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.pixels, sb.pixels)
-
-
-def feature_arrays(num_classes, dim, n, **kwargs):
-    """The (x, ranks) of ``n`` rows of ``iter_feature_rows``."""
-    return dataset_arrays(iter_feature_rows(num_classes, dim, n, **kwargs), n, dim, num_classes)
 
 
 class TestFeatureDataset:
@@ -401,12 +426,69 @@ class TestFeatureDataset:
         with pytest.raises(ValueError):
             feature_arrays(6, 4, 10)
 
-    def test_arrays_refuse_a_row_count_other_than_n(self):
-        rows = list(iter_feature_rows(4, 6, 3, seed=9))
-        with pytest.raises(ValueError, match="yields 2 pairs, not n=3"):
-            dataset_arrays(iter(rows[:2]), 3, 6, 4)
-        with pytest.raises(ValueError, match="more than n=2"):
-            dataset_arrays(iter(rows), 2, 6, 4)
+
+def sha256_of(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """The bytes of every dataset generator's arrays, records and dumped
+    images, recorded before the generators filled their own matrices: a
+    change to how they are filled may move no byte."""
+
+    @pytest.mark.parametrize("case,digest", [
+        ("color B-mix", "28ad5fd7d4c1acac6033727770149d8b1f15c2b6d1af34c2f10af9a9643bbb46"),
+        ("gray S-mix", "005f6076e963ca4f0a68e79d08be99d3feb1f5eef057b1dea5e4de11f27fd3c7"),
+        ("small-variance", "e4e29253052528327deba5476b66ffcfba4eaab4b1dbb97f1b6ebb47d2821a26"),
+        # The stored glyph picks share the rng with the placement draws.
+        ("idx bank", "c9467fbdf5610570529278d3175046dc65b675fce17b2a661ac9803ca69a04a6"),
+    ])
+    def test_canvas_arrays(self, tmp_path, case, digest):
+        cfg = {
+            "color B-mix": lambda: small_cfg(setup="B-mix", color_mode="color"),
+            "gray S-mix": lambda: small_cfg(setup="S-mix", digit_count_range=(2, 8)),
+            "small-variance": lambda: small_variance_config(small_cfg(seed=8)),
+            "idx bank": lambda: idx_bank_cfg(tmp_path, setup="S-mix"),
+        }[case]()
+        x, ranks = canvas_arrays(cfg, 24)
+        assert x.shape == (24, cfg.feature_length) and x.dtype == np.float64
+        assert ranks.shape == (24, cfg.num_classes) and ranks.dtype == np.dtype(int)
+        assert sha256_of(x, ranks.astype("<i8")) == digest
+
+    def test_calibration_set_from_idx_bank(self, tmp_path):
+        cfg = idx_bank_cfg(tmp_path)
+        samples = generate_calibration_set(cfg, 12)
+        assert all(s.pixels.dtype == np.float64 and s.image_shape == cfg.image_shape for s in samples)
+        rows = [a for s in samples for a in (s.pixels, s.ranks.astype("<i8"))]
+        factors = json.dumps([[pf.to_dict() for pf in s.factors] for s in samples]).encode()
+        digest = sha256_of(*rows, np.frombuffer(factors, dtype=np.uint8))
+        assert digest == "461a49f7ca1dce64e82ffce1487bd8e44ef539d2f6ddb645dbcaafbb156daa58"
+
+    @pytest.mark.parametrize("args,kwargs,digest", [
+        ((6, 24, 5000), {"seed": 101}, "3fc4696ca035281fb6d5c2950dd54f77852f470176e0d132d0309fe51262d3ef"),
+        ((4, 8, 300), {"seed": 7, "noise": 0.0, "factor_range": (0.25, 4.0)},
+         "863397767fd99a795329d73f4f7ecb3149ef56ed7ebec3748b45190b5ef605e6"),
+    ])
+    def test_feature_arrays(self, args, kwargs, digest):
+        x, ranks = feature_arrays(*args, **kwargs)
+        assert x.shape == (args[2], args[1]) and x.dtype == np.float64
+        assert ranks.shape == (args[2], args[0]) and ranks.dtype == np.dtype(int)
+        assert sha256_of(x, ranks.astype("<i8")) == digest
+
+    @pytest.mark.parametrize("color_mode,digest", [
+        ("gray", "1418dd69bdbb3f71090c6aec97a5e14896c908817a0a219856e0a0bb50d970b5"),
+        ("color", "4688d597253fc1dbb02c7c3b6711af243d42f8854229cadce529343119ca5297"),
+    ])
+    def test_dumped_images(self, tmp_path, color_mode, digest):
+        cfg = small_cfg(setup="S-mix", color_mode=color_mode)
+        canvas_arrays(cfg, 7, image_dir=tmp_path / "images")
+        h = hashlib.sha256()
+        for path in sorted((tmp_path / "images").iterdir()):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert h.hexdigest() == digest
 
 
 class TestRecordWrappers:
