@@ -37,11 +37,10 @@ from .model import (
 from .predict import Prediction
 from .synthgen import (
     CanvasConfig,
+    calibration_arrays,
     canvas_arrays,
     feature_arrays,
-    generate_calibration_set,
     iter_adjust_sweeps,
-    iter_canvas_samples,
     read_dataset_jsonl,
     write_dataset_jsonl,
 )

@@ -37,9 +37,9 @@ from .synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
     _check_probe_canvas,
+    calibration_arrays,
     canvas_arrays,
     feature_arrays,
-    generate_calibration_set,
     iter_adjust_sweeps,
     read_dataset_jsonl,
     small_variance_config,
@@ -195,12 +195,15 @@ def _feature_config(d: dict) -> dict:
     defaults = {"num_classes": 6, "dim": 24, "factor_range": [0.5, 3.0], "noise": 0.05}
     _refuse_unknown(d, defaults, "feature")
     f = {**defaults, **d}
-    return {
-        "num_classes": _integer(f["num_classes"], "feature.num_classes", 1),
-        "dim": _integer(f["dim"], "feature.dim", 1),
-        "factor_range": list(_pair(f["factor_range"], "feature.factor_range", _number)),
-        "noise": float(_number(f["noise"], "feature.noise")),
-    }
+    num_classes = _integer(f["num_classes"], "feature.num_classes", 1)
+    dim = _integer(f["dim"], "feature.dim", num_classes)
+    lo, hi = _pair(f["factor_range"], "feature.factor_range", _number)
+    if not 0 < lo < hi:
+        raise ValueError(f"'feature.factor_range' must satisfy 0 < lo < hi, got {[lo, hi]!r}")
+    noise = _number(f["noise"], "feature.noise")
+    if noise < 0:
+        raise ValueError(f"'feature.noise' must be at least 0, got {noise!r}")
+    return {"num_classes": num_classes, "dim": dim, "factor_range": [lo, hi], "noise": float(noise)}
 
 
 def _load_model_and_data(cfg):
@@ -269,14 +272,14 @@ def cmd_generate(args) -> int:
     out = _out_dir(cfg)
     image_shape = None
     if kind == "feature":
-        x, ranks = feature_arrays(n=n, seed=seed, **feature)
+        x, ranks, _ = feature_arrays(n=n, seed=seed, **feature)
     else:
         image_dir = None
         if dump_images:
             image_dir = os.path.join(out, "images")
             resolved["dump_images"] = True
         drawn = small_variance_config(canvas) if kind == "small-variance" else canvas
-        x, ranks = canvas_arrays(drawn, n, image_dir)
+        x, ranks, _ = canvas_arrays(drawn, n, image_dir)
         image_shape = canvas.image_shape
     path = os.path.join(out, "dataset.jsonl")
     write_dataset_jsonl(path, x, ranks, generator=resolved, image_shape=image_shape)
@@ -380,21 +383,15 @@ def cmd_calib_exp(args) -> int:
     # Every sample puts one digit at each level; a std needs two.
     n = _integer(cfg.get("n", 50), "n", 2)
     seed, out, params, canvas = _probe_setup(cfg, "calib")
-    samples = generate_calibration_set(canvas, n)
-    out_heads, pred = predict_batch(params, np.stack([sample.pixels for sample in samples]))
+    x, _, factors = calibration_arrays(canvas, n)
+    out_heads, pred = predict_batch(params, x)
     # gmlr's second head is the log-variance; other methods have no sigma.
     sigma = np.exp(0.5 * out_heads[:, params.num_classes :]) if params.head == "gmlr" else None
-    collected: dict[float, list[float]] = {lv: [] for lv in CALIBRATION_SCALES}
-    sigmas: dict[float, list[float]] = {lv: [] for lv in CALIBRATION_SCALES}
-    for i, sample in enumerate(samples):
-        for pf in sample.factors:
-            collected[pf.scale].append(float(pred.scores[i, pf.digit]))
-            if sigma is not None:
-                sigmas[pf.scale].append(float(sigma[i, pf.digit]))
     rows = []
     for lv in CALIBRATION_SCALES:
-        vals = np.asarray(collected[lv])
-        mean_sigma = float(np.mean(sigmas[lv])) if sigmas[lv] else float("nan")
+        at = factors == lv
+        vals = pred.scores[at]
+        mean_sigma = float(np.mean(sigma[at])) if sigma is not None else float("nan")
         rows.append((lv, repr(float(np.mean(vals))), repr(float(np.std(vals, ddof=1))), repr(mean_sigma)))
     _write_csv(
         os.path.join(out, "calibration.csv"),

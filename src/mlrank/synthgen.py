@@ -6,13 +6,15 @@ the ground-truth ranks.  Setups: "S" varies scale only, "B" brightness
 only, "S-mix"/"B-mix" vary both but rank by the named factor alone.  A
 fast feature-space generator provides a linear surrogate for loss and
 training studies.  Sequence and calibration generators build the probe
-sets for the behavioural experiments.  Each generator fills the arrays
-it returns a row at a time: ``feature_arrays`` its rows, and one loop
-(``_paint_canvases``, or ``iter_adjust_sweeps`` per sweep) paints each
-canvas into its row of one block, every digit through ``_paint``.
-Records carry per-digit factors as views over those rows;
-``RankedInstance`` and the list wrappers (``generate_*_dataset``,
-``generate_adjust_sequences``) serve only the benchmark's scripts.
+sets for the behavioural experiments.  Every dataset generator
+(``feature_arrays``, ``canvas_arrays``, ``calibration_arrays``) returns
+``(x, ranks, factors)``: a factor row holds the ranked factor of each
+present class and 0 for an absent one, and one batched rule
+(``_factor_ranks``) ranks each row dense 1..m by ascending factor, exact
+ties broken by ascending class index.  Each fills its arrays a row at a
+time, painting every canvas into its row of one block through ``_paint``.
+``RankedInstance`` and the record wrappers (``generate_*``) serve only the
+benchmark's scripts; their records are views over the same rows.
 
 All randomness flows through numpy's PCG64 generator seeded from the
 config, so a (config, seed, n) triple reproduces byte-identical output
@@ -229,14 +231,17 @@ def _glyph_bank(cfg: CanvasConfig) -> GlyphBank:
     return load_idx_glyphs(cfg.idx_images, cfg.idx_labels)
 
 
-def _ranks_from_factors(num_classes: int, digits, factors) -> np.ndarray:
-    """Dense positive ranks 1..m by ascending factor; exact factor ties
-    break by ascending digit index."""
-    ranks = np.zeros(num_classes, dtype=int)
-    order = sorted(range(len(digits)), key=lambda i: (factors[i], digits[i]))
-    for rank, i in enumerate(order, start=1):
-        ranks[digits[i]] = rank
-    return ranks
+def _factor_ranks(factors: np.ndarray) -> np.ndarray:
+    """The (n, K) ranks of an (n, K) factor matrix.  In each row the
+    present classes (factor > 0) take the dense ranks 1..m by ascending
+    factor, exact ties broken by ascending class index, and the absent
+    classes 0: class u's rank counts the present v with (f_v, v) <=
+    (f_u, u), all in one (n, K, K) comparison."""
+    present = factors > 0
+    f_u, f_v = factors[:, :, None], factors[:, None, :]
+    classes = np.arange(factors.shape[1])
+    before = (f_v < f_u) | ((f_v == f_u) & (classes <= classes[:, None]))
+    return np.where(present, (before & present[:, None, :]).sum(axis=2), 0)
 
 
 def _digit(cfg: CanvasConfig, rng, digit: int, scale: float, brightness: float) -> DigitFactors:
@@ -288,45 +293,36 @@ def _calibration_placements(cfg: CanvasConfig, rng) -> tuple[DigitFactors, ...]:
     return tuple(_digit(cfg, rng, int(d), scale, 1.0) for d, scale in zip(digits, scales))
 
 
-def _paint_canvases(cfg: CanvasConfig, n: int, draw, painted=None) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, d) pixels and (n, K) ranks of n canvases.  For canvas i,
-    ``draw(cfg, rng)`` places its digits, row i of the ranks takes their
-    ranks by the setup's named factor, and the digits are painted (the
-    rng picks stored glyphs) straight into row i of one zeroed block,
-    which is then rounded in place and passed, with its ranks and the
-    placements, to ``painted(i, pixels, ranks, placed)`` when given."""
+def _paint_canvases(cfg: CanvasConfig, n: int, draw):
+    """The (n, d) pixels, (n, K) ranks and (n, K) factors of n canvases,
+    and each canvas's placements.  For canvas i, ``draw(cfg, rng)``
+    places its digits, row i of the factors takes each digit's named
+    factor, and the digits are painted (the rng picks stored glyphs)
+    straight into row i of one zeroed block, which is then rounded in
+    place.  The ranks follow from the factors (``_factor_ranks``)."""
     bank = _glyph_bank(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     x = np.zeros((n, cfg.feature_length))
-    ranks = np.zeros((n, cfg.num_classes), dtype=int)
-    for i, pixels in enumerate(x):
+    factors = np.zeros((n, cfg.num_classes))
+    placements = []
+    for pixels, row_factors in zip(x, factors):
         placed = draw(cfg, rng)
-        factors = [getattr(pf, cfg.ranked_factor) for pf in placed]
-        if len(set(factors)) != len(factors):
-            raise ValueError("tied importance factors: widen the ranked factor's range")
-        ranks[i] = _ranks_from_factors(cfg.num_classes, [pf.digit for pf in placed], factors)
         canvas = pixels.reshape(cfg.image_shape)
         for pf in placed:
+            row_factors[pf.digit] = getattr(pf, cfg.ranked_factor)
             _paint(cfg, bank, canvas, rng, pf.digit, pf.scale, pf.brightness, pf.top, pf.left, pf.hue, pf.saturation)
         np.round(pixels, 3, out=pixels)
-        if painted is not None:
-            painted(i, pixels, ranks[i], placed)
-    return x, ranks
+        placements.append(placed)
+    return x, _factor_ranks(factors), factors, placements
 
 
 def _samples(cfg: CanvasConfig, n: int, draw) -> list[GeneratedSample]:
     """The records of ``_paint_canvases``' rows and placements."""
-    samples = []
-    _paint_canvases(cfg, n, draw, lambda i, pixels, ranks, placed: samples.append(
-        GeneratedSample(pixels=pixels, ranks=ranks, factors=placed, image_shape=cfg.image_shape)))
-    return samples
-
-
-def iter_canvas_samples(cfg: CanvasConfig, n: int):
-    """An iterator over the records of ``canvas_arrays``' n canvases:
-    digit count uniform over the configured range, digits unique per
-    image, ranks induced by the setup's named factor."""
-    return iter(_samples(cfg, n, _dataset_placements))
+    x, ranks, _, placements = _paint_canvases(cfg, n, draw)
+    return [
+        GeneratedSample(pixels=pixels, ranks=row_ranks, factors=placed, image_shape=cfg.image_shape)
+        for pixels, row_ranks, placed in zip(x, ranks, placements)
+    ]
 
 
 def small_variance_config(cfg: CanvasConfig) -> CanvasConfig:
@@ -338,8 +334,9 @@ def small_variance_config(cfg: CanvasConfig) -> CanvasConfig:
 
 
 def generate_canvas_dataset(cfg: CanvasConfig, n: int) -> list[GeneratedSample]:
-    """Every sample of ``iter_canvas_samples``, as a list."""
-    return list(iter_canvas_samples(cfg, n))
+    """The canvases of ``canvas_arrays`` as records: each one's pixels
+    and ranks are its rows, and its factors are its digits' placements."""
+    return _samples(cfg, n, _dataset_placements)
 
 
 def _check_probe_canvas(cfg: CanvasConfig, probe: str) -> None:
@@ -360,9 +357,18 @@ def _check_probe_canvas(cfg: CanvasConfig, probe: str) -> None:
         )
 
 
+def calibration_arrays(cfg: CanvasConfig, n: int = 50) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, d) pixels, (n, K) ranks and (n, K) factors of n calibration
+    canvases: exactly 4 positive digits each, whose scales are a random
+    bijection onto ``CALIBRATION_SCALES``, so ``factors == level`` marks
+    one digit per canvas at each level."""
+    _check_probe_canvas(cfg, "calib")
+    return _paint_canvases(cfg, n, _calibration_placements)[:3]
+
+
 def generate_calibration_set(cfg: CanvasConfig, n: int = 50) -> list[GeneratedSample]:
-    """Samples with exactly 4 positive digits whose scales are a random
-    bijection onto {1.0, 1.5, 2.0, 2.5}; ranks follow the scale levels."""
+    """The canvases of ``calibration_arrays`` as records, as
+    ``generate_canvas_dataset`` gives them."""
     _check_probe_canvas(cfg, "calib")
     return _samples(cfg, n, _calibration_placements)
 
@@ -411,12 +417,14 @@ def generate_adjust_sequences(
 ) -> list[AdjustSequence]:
     """``iter_adjust_sweeps`` as a list of ``AdjustSequence`` records: one
     ``GeneratedSample`` per step, whose pixels are that step's row of the
-    sweep's block."""
+    sweep's block and whose ranks are ``_factor_ranks``' of its factors."""
     by_scale = cfg.ranked_factor == "scale"
     sequences = []
     for digits, roles, factors, block in iter_adjust_sweeps(cfg, n_sequences, steps):
+        swept = np.zeros((steps, cfg.num_classes))
+        swept[:, list(digits)] = factors
         samples = []
-        for pixels, step_factors in zip(block, factors):
+        for pixels, ranks, step_factors in zip(block, _factor_ranks(swept), factors):
             placed = tuple(
                 DigitFactors(
                     digit=r.digit, scale=f if by_scale else 1.0, brightness=1.0 if by_scale else f,
@@ -424,7 +432,6 @@ def generate_adjust_sequences(
                 )
                 for r, f in zip(roles, step_factors)
             )
-            ranks = _ranks_from_factors(cfg.num_classes, digits, step_factors)
             samples.append(GeneratedSample(pixels=pixels, ranks=ranks, factors=placed, image_shape=cfg.image_shape))
         sequences.append(AdjustSequence(digits=digits, samples=tuple(samples)))
     return sequences
@@ -437,11 +444,12 @@ def feature_arrays(
     factor_range: tuple[float, float] = (0.5, 3.0),
     seed: int = 0,
     noise: float = 0.05,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, dim) features and (n, num_classes) ranks of the linear
-    surrogate dataset, written a row at a time: every class owns a fixed
-    random unit direction; an instance is the sum of factor * direction
-    over its present classes plus Gaussian noise, ranked by factor.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, dim) features, (n, num_classes) ranks and (n, num_classes)
+    factors of the linear surrogate dataset, written a row at a time:
+    every class owns a fixed random unit direction; an instance is the
+    sum of factor * direction over its present classes plus Gaussian
+    noise, ranked by factor (``_factor_ranks``).
 
     Class presence is a uniform random subset, redrawn when empty so
     every instance has at least one positive.
@@ -454,46 +462,40 @@ def feature_arrays(
     directions = rng.standard_normal((num_classes, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     x = np.empty((n, dim))
-    ranks = np.empty((n, num_classes), dtype=int)
-    for features, row_ranks in zip(x, ranks):
+    factors = np.empty((n, num_classes))
+    for features, row_factors in zip(x, factors):
         mask = rng.integers(0, 2, size=num_classes).astype(bool)
         while not mask.any():
             mask = rng.integers(0, 2, size=num_classes).astype(bool)
-        factors = rng.uniform(factor_range[0], factor_range[1], size=num_classes) * mask
-        features[:] = factors @ directions
+        row_factors[:] = drawn = rng.uniform(factor_range[0], factor_range[1], size=num_classes) * mask
+        features[:] = drawn @ directions
         if noise:
             features += noise * rng.standard_normal(dim)
-        present = np.flatnonzero(mask)
-        values = factors[present]
-        if len(set(values.tolist())) != len(values):
-            raise RuntimeError("tied factors; ranks would not be dense")
-        row_ranks[:] = _ranks_from_factors(num_classes, present.tolist(), values.tolist())
-    return x, ranks
+    return x, _factor_ranks(factors), factors
 
 
 def generate_feature_dataset(*args, **kwargs) -> list[RankedInstance]:
     """The rows of ``feature_arrays``, as records over its arrays."""
-    return [RankedInstance(features=f, ranks=r) for f, r in zip(*feature_arrays(*args, **kwargs))]
+    return [RankedInstance(features=f, ranks=r) for f, r, _ in zip(*feature_arrays(*args, **kwargs))]
 
 
-def canvas_arrays(cfg: CanvasConfig, n: int, image_dir=None) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, d) pixels and (n, K) ranks of n dataset canvases (see
-    ``iter_canvas_samples``); with ``image_dir``, each canvas's image and
-    labels row are written as soon as its row is painted."""
-    if image_dir is None:
-        return _paint_canvases(cfg, n, _dataset_placements)
-    os.makedirs(image_dir, exist_ok=True)
-    with open(os.path.join(image_dir, "labels.jsonl"), "w", encoding="ascii", newline="\n") as labels:
-
-        def dump(i, pixels, ranks, placed):
-            """Row i's PPM (3 channels) or PGM (1 channel) image and its
-            labels row (ranks and per-digit factors)."""
-            name = f"{i:05d}.{_PNM[cfg.channels][1]}"
-            write_pnm(os.path.join(image_dir, name), pixels.reshape(cfg.image_shape))
-            row = {"image": name, "ranks": ranks.tolist(), "factors": [pf.to_dict() for pf in placed]}
-            labels.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
-
-        return _paint_canvases(cfg, n, _dataset_placements, dump)
+def canvas_arrays(cfg: CanvasConfig, n: int, image_dir=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, d) pixels, (n, K) ranks and (n, K) factors of n dataset
+    canvases: digit count uniform over the configured range, digits
+    unique per canvas, ranks by the setup's named factor.  With
+    ``image_dir``, each canvas's PPM (3 channels) or PGM (1 channel)
+    image and its labels row (ranks and per-digit placements) are
+    written there once all are painted."""
+    x, ranks, factors, placements = _paint_canvases(cfg, n, _dataset_placements)
+    if image_dir is not None:
+        os.makedirs(image_dir, exist_ok=True)
+        with open(os.path.join(image_dir, "labels.jsonl"), "w", encoding="ascii", newline="\n") as labels:
+            for i, (pixels, row_ranks, placed) in enumerate(zip(x, ranks, placements)):
+                name = f"{i:05d}.{_PNM[cfg.channels][1]}"
+                write_pnm(os.path.join(image_dir, name), pixels.reshape(cfg.image_shape))
+                row = {"image": name, "ranks": row_ranks.tolist(), "factors": [pf.to_dict() for pf in placed]}
+                labels.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+    return x, ranks, factors
 
 
 # ---------------------------------------------------------------------------

@@ -132,3 +132,14 @@ def max_rel_error(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e
     reference = np.asarray(reference, dtype=float)
     denom = np.maximum(np.abs(reference), floor)
     return float(np.max(np.abs(analytic - reference) / denom))
+
+
+def factor_ranks_by_sort(factors) -> np.ndarray:
+    """Each row's dense ranks 1..m of its positive factors, by a sort on
+    (factor, class index); 0 where the factor is 0."""
+    ranks = np.zeros(np.shape(factors), dtype=int)
+    for row, out in zip(np.asarray(factors).tolist(), ranks):
+        present = sorted((f, c) for c, f in enumerate(row) if f > 0)
+        for rank, (_, c) in enumerate(present, start=1):
+            out[c] = rank
+    return ranks

@@ -31,9 +31,9 @@ from mlrank.model import (
 from mlrank.synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
+    calibration_arrays,
     canvas_arrays,
     feature_arrays,
-    generate_calibration_set,
     iter_adjust_sweeps,
 )
 
@@ -81,7 +81,7 @@ ADJUST_SEED = 302
 @pytest.fixture(scope="module")
 def feature_split():
     """The (x, ranks) train and test row slices of one feature dataset."""
-    x, ranks = feature_arrays(n=5000, seed=FEATURE_SEED, **FEATURE_CFG)
+    x, ranks, _ = feature_arrays(n=5000, seed=FEATURE_SEED, **FEATURE_CFG)
     return (x[:4000], ranks[:4000]), (x[4000:], ranks[4000:])
 
 
@@ -99,7 +99,7 @@ def feature_models(feature_split):
 def canvas_model():
     # The arrays the generate and train commands build, held once.
     cfg = CanvasConfig(seed=CANVAS_SEED, **CANVAS_CFG)
-    x, ranks = canvas_arrays(cfg, CANVAS_N_TRAIN)
+    x, ranks, _ = canvas_arrays(cfg, CANVAS_N_TRAIN)
     cfg_train = TrainConfig(method="gmlr", mode="strong", **CANVAS_TRAIN)
     params, _ = train_arrays(x, ranks, cfg_train, cfg.image_shape)
     return params
@@ -254,20 +254,14 @@ def test_criterion_05_strong_beats_weak(feature_split, feature_models):
 
 @pytest.mark.slow
 def test_criterion_06_calibration_monotonicity(canvas_model):
-    calib = generate_calibration_set(CanvasConfig(seed=CALIB_SEED, **CANVAS_CFG), 50)
-    # mu and sigma from the head output, as calib-exp reads them
-    out, _ = predict_batch(canvas_model, np.stack([sample.pixels for sample in calib]))
+    x, _, factors = calibration_arrays(CanvasConfig(seed=CALIB_SEED, **CANVAS_CFG), 50)
+    # mu and sigma from the head output, grouped by level as calib-exp groups them
+    out, _ = predict_batch(canvas_model, x)
     k = canvas_model.num_classes
     mu, sigma = out[:, :k], np.exp(0.5 * out[:, k:])
-    collected = {lv: [] for lv in CALIBRATION_SCALES}
-    sigmas = {lv: [] for lv in CALIBRATION_SCALES}
-    for i, sample in enumerate(calib):
-        for pf in sample.factors:
-            collected[pf.scale].append(float(mu[i, pf.digit]))
-            sigmas[pf.scale].append(float(sigma[i, pf.digit]))
-    means = [float(np.mean(collected[lv])) for lv in CALIBRATION_SCALES]
+    means = [float(np.mean(mu[factors == lv])) for lv in CALIBRATION_SCALES]
     increasing = all(a < b for a, b in zip(means, means[1:]))
-    mean_sig = [float(np.mean(sigmas[lv])) for lv in CALIBRATION_SCALES]
+    mean_sig = [float(np.mean(sigma[factors == lv])) for lv in CALIBRATION_SCALES]
     sigma_increasing = all(a < b for a, b in zip(mean_sig, mean_sig[1:]))
     # variance observation is reported, not gated
     print(
@@ -400,7 +394,7 @@ def test_criterion_09_cli_determinism(tmp_path):
 
 
 def test_criterion_10_lsep_two_stage_contract():
-    x, ranks = feature_arrays(4, 8, 80, seed=23)
+    x, ranks, _ = feature_arrays(4, 8, 80, seed=23)
     base = dict(method="lsep", mode="strong", epochs=4, learning_rate=1e-2,
                 hidden=(6,), seed=13)
     stage1_only, _ = train_arrays(x, ranks, TrainConfig(stage2_epochs=0, **base))

@@ -21,8 +21,10 @@ from mlrank.model import (
     train_arrays,
 )
 from mlrank.synthgen import (
+    CALIBRATION_SCALES,
     CanvasConfig,
     canvas_arrays,
+    generate_calibration_set,
     iter_adjust_sweeps,
     write_dataset_jsonl,
 )
@@ -209,7 +211,7 @@ class TestCanvasTrain:
         kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in canvas.items()}
         cfg = CanvasConfig(seed=4, **kwargs)
         library, _ = train_arrays(
-            *canvas_arrays(cfg, 6),
+            *canvas_arrays(cfg, 6)[:2],
             TrainConfig(method="crpc", mode="strong", epochs=2, batch_size=4, seed=5),
             cfg.image_shape,
         )
@@ -412,18 +414,26 @@ class TestExperiments:
 
     def test_calib_exp_shape(self, tmp_path):
         ckpt = self._canvas_checkpoint(tmp_path)
+        canvas = {"canvas_size": 32, "glyph_size": 8, "setup": "S"}
         cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps({
-            "canvas": {"canvas_size": 32, "glyph_size": 8, "setup": "S"}, "n": 6,
-        }))
+        cfgp.write_text(json.dumps({"canvas": canvas, "n": 6}))
         out = tmp_path / "cal"
         assert run("calib-exp", "--config", str(cfgp), "--checkpoint", str(ckpt),
                    "--seed", "13", "--out", str(out)) == 0
         rows = read_csv(out / "calibration.csv")
         assert rows[0] == ["level", "mean", "std", "mean_pred_sigma"]
         assert [r[0] for r in rows[1:]] == ["1.0", "1.5", "2.0", "2.5"]
-        for r in rows[1:]:
-            assert np.isfinite(float(r[3]))  # gmlr provides sigma
+        # Each level's scores, gathered digit by digit from the records'
+        # placements, give the statistics calib-exp takes by level mask.
+        params, _ = load_checkpoint(ckpt)
+        samples = generate_calibration_set(CanvasConfig(seed=13, **canvas), 6)
+        head_out, pred = predict_batch(params, np.stack([s.pixels for s in samples]))
+        sigma = np.exp(0.5 * head_out[:, params.num_classes :])
+        for row, level in zip(rows[1:], CALIBRATION_SCALES, strict=True):
+            at = [(i, pf.digit) for i, s in enumerate(samples) for pf in s.factors if pf.scale == level]
+            scores = [pred.scores[i, c] for i, c in at]
+            want = [np.mean(scores), np.std(scores, ddof=1), np.mean([sigma[i, c] for i, c in at])]
+            np.testing.assert_allclose([float(v) for v in row[1:]], want, rtol=1e-12)
 
     def test_calib_exp_sigma_nan_for_crpc(self, tmp_path):
         ckpt = self._canvas_checkpoint(tmp_path, method="crpc")
@@ -484,7 +494,7 @@ class TestExperiments:
                 return real(*args, **kwargs)
             return call
 
-        for name in ("_ranks_from_factors", "GeneratedSample"):
+        for name in ("_factor_ranks", "GeneratedSample"):
             monkeypatch.setattr(mlrank.synthgen, name, counted(name, getattr(mlrank.synthgen, name)))
         blocks, batches = [], []
         real_sweeps, real_predict = mlrank.cli.iter_adjust_sweeps, mlrank.cli.predict_batch
@@ -891,6 +901,10 @@ class TestSettingTypes:
         ({"seed": True}, "seed"),
         ({"kind": "feature", "feature": {"num_classes": 6.9}}, "feature.num_classes"),
         ({"kind": "feature", "feature": {"factor_range": [0.5, float("inf")]}}, "feature.factor_range"),
+        ({"kind": "feature", "feature": {"factor_range": [3.0, 0.5]}}, "feature.factor_range"),
+        ({"kind": "feature", "feature": {"factor_range": [0.0, 1.0]}}, "feature.factor_range"),
+        ({"kind": "feature", "feature": {"dim": 5}}, "feature.dim"),
+        ({"kind": "feature", "feature": {"noise": -0.05}}, "feature.noise"),
         ({"kind": "feature", "feature": 3}, "feature"),
         ({"canvas": {**SMALL_CANVAS, "canvas_size": 64.5}}, "canvas.canvas_size"),
         ({"canvas": {**SMALL_CANVAS, "scale_range": 5}}, "canvas.scale_range"),

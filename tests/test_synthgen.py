@@ -20,8 +20,10 @@ from mlrank.metrics import spearman_rho
 from mlrank.synthgen import (
     BRIGHTNESS_FLOOR,
     CALIBRATION_SCALES,
+    SETUPS,
     CanvasConfig,
     RankedInstance,
+    calibration_arrays,
     canvas_arrays,
     feature_arrays,
     generate_adjust_sequences,
@@ -29,12 +31,13 @@ from mlrank.synthgen import (
     generate_canvas_dataset,
     generate_feature_dataset,
     iter_adjust_sweeps,
-    iter_canvas_samples,
     read_dataset_jsonl,
     small_variance_config,
     write_dataset_jsonl,
     write_pnm,
 )
+
+from oracles import factor_ranks_by_sort
 
 
 def small_cfg(**kw):
@@ -148,7 +151,7 @@ class TestCanvasConfig:
 class TestCanvasDataset:
     def test_shapes_and_rank_consistency(self):
         cfg = small_cfg(setup="S")
-        samples = list(iter_canvas_samples(cfg, 30))
+        samples = generate_canvas_dataset(cfg, 30)
         assert len(samples) == 30
         for s in samples:
             assert s.pixels.shape == (cfg.feature_length,)
@@ -166,13 +169,13 @@ class TestCanvasDataset:
 
     def test_setup_pins_unranked_factor(self):
         for setup, pinned in (("S", "brightness"), ("B", "scale")):
-            samples = iter_canvas_samples(small_cfg(setup=setup), 10)
+            samples = generate_canvas_dataset(small_cfg(setup=setup), 10)
             for s in samples:
                 for pf in s.factors:
                     assert getattr(pf, pinned) == 1.0
 
     def test_brightness_ranking(self):
-        samples = iter_canvas_samples(small_cfg(setup="B"), 20)
+        samples = generate_canvas_dataset(small_cfg(setup="B"), 20)
         for s in samples:
             by_digit = {pf.digit: pf for pf in s.factors}
             positives = sorted(np.flatnonzero(s.ranks > 0), key=lambda c: s.ranks[c])
@@ -186,7 +189,7 @@ class TestCanvasDataset:
         # Brightness draws used to be clamped up to the floor, so every
         # draw below it tied with the others and generation failed.
         cfg = CanvasConfig(setup=setup, color_mode=color_mode)
-        samples = list(iter_canvas_samples(cfg, 2000))
+        samples = generate_canvas_dataset(cfg, 2000)
         assert len(samples) == 2000
         lo, hi = cfg.brightness_bounds
         assert all(lo <= pf.brightness <= hi for s in samples for pf in s.factors)
@@ -199,7 +202,7 @@ class TestCanvasDataset:
         # Pins the bytes of the S-setup datasets, calibration sets and
         # sweeps, which one painting helper renders for all three.
         cfg = small_cfg(setup="S", color_mode=color_mode)
-        samples = list(iter_canvas_samples(cfg, 20)) + generate_calibration_set(cfg, 10)
+        samples = generate_canvas_dataset(cfg, 20) + generate_calibration_set(cfg, 10)
         samples += [s for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=6) for s in seq.samples]
         h = hashlib.sha256()
         for s in samples:
@@ -210,8 +213,8 @@ class TestCanvasDataset:
 
     def test_determinism(self):
         cfg = small_cfg(setup="S-mix")
-        a = iter_canvas_samples(cfg, 8)
-        b = iter_canvas_samples(cfg, 8)
+        a = generate_canvas_dataset(cfg, 8)
+        b = generate_canvas_dataset(cfg, 8)
         for sa, sb in zip(a, b, strict=True):
             np.testing.assert_array_equal(sa.pixels, sb.pixels)
             np.testing.assert_array_equal(sa.ranks, sb.ranks)
@@ -219,7 +222,7 @@ class TestCanvasDataset:
 
     def test_color_mode(self):
         cfg = small_cfg(color_mode="color")
-        samples = iter_canvas_samples(cfg, 5)
+        samples = generate_canvas_dataset(cfg, 5)
         for s in samples:
             assert s.pixels.shape == (48 * 48 * 3,)
             for pf in s.factors:
@@ -228,7 +231,7 @@ class TestCanvasDataset:
 
     def test_mix_unranked_factor_independent_of_rank(self):
         cfg = small_cfg(setup="S-mix", digit_count_range=(3, 8))
-        samples = iter_canvas_samples(cfg, 1000)
+        samples = generate_canvas_dataset(cfg, 1000)
         ranks, other = [], []
         for s in samples:
             for pf in s.factors:
@@ -240,8 +243,8 @@ class TestCanvasDataset:
     @pytest.mark.parametrize("cfg", [small_cfg(setup="B-mix", color_mode="color"),
                                      small_variance_config(small_cfg())])
     def test_arrays_are_the_stacked_samples(self, tmp_path, cfg):
-        samples = list(iter_canvas_samples(cfg, 6))
-        x, ranks = canvas_arrays(cfg, 6, image_dir=tmp_path / "images")
+        samples = generate_canvas_dataset(cfg, 6)
+        x, ranks, _ = canvas_arrays(cfg, 6, image_dir=tmp_path / "images")
         np.testing.assert_array_equal(x, np.stack([s.pixels for s in samples]))
         np.testing.assert_array_equal(ranks, np.stack([s.ranks for s in samples]))
         labels = (tmp_path / "images" / "labels.jsonl").read_text().splitlines()
@@ -252,7 +255,7 @@ class TestCanvasDataset:
     def test_records_are_the_rows_of_one_block(self, records):
         cfg = small_cfg(color_mode="color")
         if records == "canvas":
-            samples = list(iter_canvas_samples(cfg, 6))
+            samples = generate_canvas_dataset(cfg, 6)
         else:
             samples = generate_calibration_set(cfg, 6)
         own = samples[0].pixels.base
@@ -264,7 +267,7 @@ class TestCanvasDataset:
 
 class TestSmallVariance:
     def test_scale_window(self):
-        samples = iter_canvas_samples(small_variance_config(small_cfg(setup="S")), 40)
+        samples = generate_canvas_dataset(small_variance_config(small_cfg(setup="S")), 40)
         for s in samples:
             for pf in s.factors:
                 assert 1.0 <= pf.scale <= 1.5
@@ -276,8 +279,8 @@ class TestSmallVariance:
             small_variance_config(small_cfg(setup="B"))
 
     def test_determinism(self):
-        a, _ = canvas_arrays(small_variance_config(small_cfg()), 6)
-        b, _ = canvas_arrays(small_variance_config(small_cfg()), 6)
+        a = canvas_arrays(small_variance_config(small_cfg()), 6)[0]
+        b = canvas_arrays(small_variance_config(small_cfg()), 6)[0]
         np.testing.assert_array_equal(a, b)
 
 
@@ -337,7 +340,7 @@ class TestAdjustSequences:
         painter_cfg = dataclasses.replace(cfg, seed=0)
         for seq in generate_adjust_sequences(cfg, n_sequences=3, steps=6):
             for sample in seq.samples:
-                x, ranks = synthgen._paint_canvases(painter_cfg, 1, lambda cfg, rng: sample.factors)
+                x, ranks, _, _ = synthgen._paint_canvases(painter_cfg, 1, lambda cfg, rng: sample.factors)
                 assert sample.pixels.tobytes() == x[0].tobytes()
                 np.testing.assert_array_equal(sample.ranks, ranks[0])
                 assert sample.image_shape == cfg.image_shape
@@ -395,14 +398,14 @@ class TestCalibrationSet:
 class TestFeatureDataset:
     def test_noise_free_single_class(self):
         # with one class present and no noise the features are factor * direction
-        x, ranks = feature_arrays(1, 4, 50, factor_range=(0.5, 2.0), seed=3, noise=0.0)
+        x, ranks, _ = feature_arrays(1, 4, 50, factor_range=(0.5, 2.0), seed=3, noise=0.0)
         norms = np.linalg.norm(x, axis=1)
         np.testing.assert_allclose(x / norms[:, None], np.tile(x[0] / norms[0], (50, 1)), atol=1e-12)
         assert ((0.5 <= norms) & (norms <= 2.0)).all()
         assert ranks.tolist() == [[1]] * 50
 
     def test_ranks_follow_factors(self):
-        x, ranks = feature_arrays(5, 8, 100, seed=4, noise=0.0)
+        x, ranks, _ = feature_arrays(5, 8, 100, seed=4, noise=0.0)
         # recover factors by projecting onto the (regenerated) directions
         rng = np.random.Generator(np.random.PCG64(4))
         dirs = rng.standard_normal((5, 8))
@@ -417,14 +420,108 @@ class TestFeatureDataset:
             assert len(positives) >= 1
 
     def test_determinism(self):
-        xa, ranks_a = feature_arrays(4, 6, 20, seed=9)
-        xb, ranks_b = feature_arrays(4, 6, 20, seed=9)
+        xa, ranks_a, _ = feature_arrays(4, 6, 20, seed=9)
+        xb, ranks_b, _ = feature_arrays(4, 6, 20, seed=9)
         assert xa.tobytes() == xb.tobytes()
         np.testing.assert_array_equal(ranks_a, ranks_b)
 
     def test_dim_check(self):
         with pytest.raises(ValueError):
             feature_arrays(6, 4, 10)
+
+
+def assert_factors_of_records(cfg, factors, records):
+    """Row i of ``factors`` holds the named factor of each digit placed on
+    record i and 0 for every other class."""
+    assert factors.shape == (len(records), cfg.num_classes) and factors.dtype == np.float64
+    for row, record in zip(factors, records, strict=True):
+        want = np.zeros(cfg.num_classes)
+        for pf in record.factors:
+            want[pf.digit] = getattr(pf, cfg.ranked_factor)
+        assert row.tobytes() == want.tobytes()
+
+
+class TestFactors:
+    """Every generator's (n, K) factor matrix holds the ranked factor of
+    each present class and 0 for an absent one, and its ranks are the
+    batched rule's, which a per-row sort on (factor, class) reproduces."""
+
+    def test_the_rule_on_a_worked_example(self):
+        factors = np.array([[0.0, 2.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.5, 0.0]])
+        ranks = synthgen._factor_ranks(factors)
+        assert ranks.dtype == np.dtype(int)
+        assert ranks.tolist() == [[0, 2, 1, 3], [0, 0, 0, 0], [2, 0, 1, 0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=5, max_size=5), min_size=1, max_size=12))
+    def test_the_rule_is_a_sort_on_factor_then_class(self, rows):
+        factors = np.array(rows)
+        np.testing.assert_array_equal(synthgen._factor_ranks(factors), factor_ranks_by_sort(factors))
+
+    @pytest.mark.parametrize("cfg", [
+        *(pytest.param(small_cfg(setup=setup, color_mode=mode), id=f"{setup}-{mode}")
+          for setup in SETUPS for mode in ("gray", "color")),
+        pytest.param(small_variance_config(small_cfg(seed=8)), id="small-variance"),
+    ])
+    def test_canvas_factors_are_the_records_placements(self, cfg):
+        x, ranks, factors = canvas_arrays(cfg, 12)
+        records = generate_canvas_dataset(cfg, 12)
+        assert x.tobytes() == np.stack([r.pixels for r in records]).tobytes()
+        assert_factors_of_records(cfg, factors, records)
+        np.testing.assert_array_equal(ranks, np.stack([r.ranks for r in records]))
+        np.testing.assert_array_equal(ranks, factor_ranks_by_sort(factors))
+
+    def test_calibration_factors_are_the_records_placements(self):
+        cfg = small_cfg(color_mode="color")
+        x, ranks, factors = calibration_arrays(cfg, 12)
+        records = generate_calibration_set(cfg, 12)
+        assert x.tobytes() == np.stack([r.pixels for r in records]).tobytes()
+        assert_factors_of_records(cfg, factors, records)
+        np.testing.assert_array_equal(ranks, np.stack([r.ranks for r in records]))
+        np.testing.assert_array_equal(ranks, factor_ranks_by_sort(factors))
+        # A mask per level marks one digit of every canvas.
+        for level in CALIBRATION_SCALES:
+            assert (factors == level).sum(axis=1).tolist() == [1] * 12
+
+    @pytest.mark.parametrize("setup", ["S", "B"])
+    @pytest.mark.parametrize("steps", [3, 5, 50])
+    def test_sweep_records_take_the_ranks_of_their_factors(self, setup, steps):
+        cfg = small_cfg(setup=setup)
+        sweeps = iter_adjust_sweeps(cfg, 2, steps)
+        for (digits, _, factors, _), seq in zip(sweeps, generate_adjust_sequences(cfg, 2, steps), strict=True):
+            swept = np.zeros((steps, cfg.num_classes))
+            swept[:, list(digits)] = factors
+            assert_factors_of_records(cfg, swept, seq.samples)
+            np.testing.assert_array_equal(np.stack([s.ranks for s in seq.samples]), factor_ranks_by_sort(swept))
+
+    def test_a_three_step_sweep_breaks_its_tie_by_class_index(self):
+        cfg = small_cfg(setup="S", scale_range=(1.0, 3.0))
+        seqs = generate_adjust_sequences(cfg, 4, 3)
+        assert any(list(seq.digits) != sorted(seq.digits) for seq in seqs)
+        for seq in seqs:
+            middle = seq.samples[1]
+            # At t = 0.5 all three digits share the scale 2.0.
+            assert [pf.scale for pf in middle.factors] == [2.0, 2.0, 2.0]
+            assert middle.ranks[sorted(seq.digits)].tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((6, 24, 500), {"seed": 101}),
+        ((4, 8, 300), {"seed": 7, "noise": 0.0, "factor_range": (0.25, 4.0)}),
+    ])
+    def test_feature_factors_make_the_rows_and_their_ranks(self, args, kwargs):
+        k, d, n = args
+        x, ranks, factors = feature_arrays(*args, **kwargs)
+        assert factors.shape == (n, k) and factors.dtype == np.float64
+        np.testing.assert_array_equal(factors > 0, ranks > 0)
+        lo, hi = kwargs.get("factor_range", (0.5, 3.0))
+        present = factors[factors > 0]
+        assert ((lo <= present) & (present <= hi)).all()
+        np.testing.assert_array_equal(ranks, factor_ranks_by_sort(factors))
+        if not kwargs.get("noise", 0.05):
+            # Without noise a row is its factors times the class directions.
+            directions = np.random.Generator(np.random.PCG64(kwargs["seed"])).standard_normal((k, d))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            np.testing.assert_allclose(x, factors @ directions, rtol=0, atol=1e-12)
 
 
 def sha256_of(*arrays) -> str:
@@ -453,7 +550,7 @@ class TestPinnedBytes:
             "small-variance": lambda: small_variance_config(small_cfg(seed=8)),
             "idx bank": lambda: idx_bank_cfg(tmp_path, setup="S-mix"),
         }[case]()
-        x, ranks = canvas_arrays(cfg, 24)
+        x, ranks, _ = canvas_arrays(cfg, 24)
         assert x.shape == (24, cfg.feature_length) and x.dtype == np.float64
         assert ranks.shape == (24, cfg.num_classes) and ranks.dtype == np.dtype(int)
         assert sha256_of(x, ranks.astype("<i8")) == digest
@@ -473,7 +570,7 @@ class TestPinnedBytes:
          "863397767fd99a795329d73f4f7ecb3149ef56ed7ebec3748b45190b5ef605e6"),
     ])
     def test_feature_arrays(self, args, kwargs, digest):
-        x, ranks = feature_arrays(*args, **kwargs)
+        x, ranks, _ = feature_arrays(*args, **kwargs)
         assert x.shape == (args[2], args[1]) and x.dtype == np.float64
         assert ranks.shape == (args[2], args[0]) and ranks.dtype == np.dtype(int)
         assert sha256_of(x, ranks.astype("<i8")) == digest
@@ -498,14 +595,14 @@ class TestRecordWrappers:
     def test_canvas_records_are_the_canvas_arrays(self):
         cfg = small_cfg(setup="B-mix", color_mode="color")
         records = [s.to_instance() for s in generate_canvas_dataset(cfg, 6)]
-        x, ranks = canvas_arrays(cfg, 6)
+        x, ranks, _ = canvas_arrays(cfg, 6)
         assert all(r.image_shape == cfg.image_shape for r in records)
         assert np.stack([r.features for r in records]).tobytes() == x.tobytes()
         assert np.stack([r.ranks for r in records]).tobytes() == ranks.tobytes()
 
     def test_feature_records_are_the_feature_arrays(self):
         records = generate_feature_dataset(4, 6, 30, seed=9)
-        x, ranks = feature_arrays(4, 6, 30, seed=9)
+        x, ranks, _ = feature_arrays(4, 6, 30, seed=9)
         assert all(r.image_shape is None for r in records)
         assert np.stack([r.features for r in records]).tobytes() == x.tobytes()
         assert np.stack([r.ranks for r in records]).tobytes() == ranks.tobytes()
@@ -769,7 +866,7 @@ def block_values(rng, kind, shape):
 
 class TestJsonl:
     def test_round_trip_and_byte_determinism(self, tmp_path):
-        x, ranks = feature_arrays(3, 5, 12, seed=1)
+        x, ranks, _ = feature_arrays(3, 5, 12, seed=1)
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
         write_dataset_jsonl(p1, x, ranks, generator={"kind": "feature"})
@@ -785,7 +882,7 @@ class TestJsonl:
 
     def test_header_line_count(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        write_dataset_jsonl(path, *feature_arrays(2, 3, 7, seed=2))
+        write_dataset_jsonl(path, *feature_arrays(2, 3, 7, seed=2)[:2])
         lines = path.read_text().splitlines()
         assert len(lines) == 8
         assert json.loads(lines[0])["k"] == 2
@@ -800,7 +897,7 @@ class TestJsonl:
 
     def test_image_shape_round_trip(self, tmp_path):
         cfg = small_cfg(color_mode="color")
-        pixels, ranks = canvas_arrays(cfg, 4)
+        pixels, ranks, _ = canvas_arrays(cfg, 4)
         path = tmp_path / "c.jsonl"
         write_dataset_jsonl(path, pixels, ranks, image_shape=cfg.image_shape)
         # The header line is parsed on both ways; this is the binary one.
@@ -809,7 +906,7 @@ class TestJsonl:
         assert header["image_shape"] == [48, 48, 3]
         np.testing.assert_array_equal(x, pixels)
         features = tmp_path / "f.jsonl"
-        write_dataset_jsonl(features, *feature_arrays(3, 5, 4, seed=1))
+        write_dataset_jsonl(features, *feature_arrays(3, 5, 4, seed=1)[:2])
         (header, _, _), way = read_and_way(features)
         assert way == "binary"
         assert "image_shape" not in header
@@ -817,13 +914,13 @@ class TestJsonl:
     @pytest.mark.parametrize("kind", ["gray", "colour B-mix", "small-variance", "feature"])
     def test_both_ways_read_the_same_arrays(self, tmp_path, kind):
         if kind == "feature":
-            (x, ranks), shape = feature_arrays(6, 24, 40, seed=3), None
+            (x, ranks, _), shape = feature_arrays(6, 24, 40, seed=3), None
         else:
             cfg = {
                 "gray": small_cfg(), "colour B-mix": small_cfg(setup="B-mix", color_mode="color"),
                 "small-variance": small_variance_config(small_cfg()),
             }[kind]
-            (x, ranks), shape = canvas_arrays(cfg, 12), cfg.image_shape
+            (x, ranks, _), shape = canvas_arrays(cfg, 12), cfg.image_shape
         path = tmp_path / "d.jsonl"
         write_dataset_jsonl(path, x, ranks, image_shape=shape)
         (header, x_binary, ranks_binary), way = read_and_way(path)
@@ -857,7 +954,7 @@ class TestJsonl:
 
     @pytest.mark.parametrize("fault", SIDECAR_FAULTS)
     def test_a_binary_copy_that_does_not_hold_the_file_is_ignored(self, tmp_path, fault):
-        x, ranks = feature_arrays(3, 5, 6, seed=1)
+        x, ranks, _ = feature_arrays(3, 5, 6, seed=1)
         path = tmp_path / "d.jsonl"
         write_dataset_jsonl(path, x, ranks)
         faulty_sidecar(path, x, ranks, fault)
@@ -868,7 +965,7 @@ class TestJsonl:
 
     def test_a_malformed_file_beside_a_stale_copy_names_its_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        write_dataset_jsonl(path, *feature_arrays(3, 5, 6, seed=1))
+        write_dataset_jsonl(path, *feature_arrays(3, 5, 6, seed=1)[:2])
         lines = path.read_text().splitlines(keepends=True)
         lines[3] = lines[3][:-3] + "\n"
         path.write_text("".join(lines))
@@ -1056,7 +1153,7 @@ class TestJsonl:
             read_dataset_jsonl(path)
 
     def test_written_rows_are_parsed_a_block_at_a_time(self, tmp_path):
-        x, ranks = feature_arrays(6, 24, 700, seed=3)
+        x, ranks, _ = feature_arrays(6, 24, 700, seed=3)
         path = tmp_path / "w.jsonl"
         write_dataset_jsonl(path, x, ranks)
         os.remove(tmp_path / "w.jsonl.npy")
@@ -1166,10 +1263,10 @@ class TestJsonl:
 
     def test_canvases_take_the_table_and_features_the_reprs(self, tmp_path):
         cfg = CanvasConfig(canvas_size=64, glyph_size=18, scale_range=(1.0, 2.5), seed=4)
-        canvases, canvas_ranks = canvas_arrays(cfg, 40)
+        canvases, canvas_ranks, _ = canvas_arrays(cfg, 40)
         assert write_and_ways(tmp_path / "c.jsonl", canvases, canvas_ranks, cfg.image_shape) == [
             (32, "table"), (8, "table")]
-        features, feature_ranks = feature_arrays(6, 24, 700, seed=3)
+        features, feature_ranks, _ = feature_arrays(6, 24, 700, seed=3)
         assert write_and_ways(tmp_path / "f.jsonl", features, feature_ranks) == [
             (341, "repr"), (341, "repr"), (18, "repr")]
         assert_written_as_reference(tmp_path / "c.jsonl", canvases, canvas_ranks, cfg.image_shape)
@@ -1178,7 +1275,7 @@ class TestJsonl:
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_line_endings_and_a_missing_last_one_read_the_same(self, tmp_path, newline):
         lf = tmp_path / "lf.jsonl"
-        write_dataset_jsonl(lf, *feature_arrays(3, 5, 4, seed=1))
+        write_dataset_jsonl(lf, *feature_arrays(3, 5, 4, seed=1)[:2])
         want, way = read_and_way(lf)
         assert way == "binary"
         text = lf.read_text().replace("\n", newline)
@@ -1204,7 +1301,7 @@ class TestJsonl:
 
         tracemalloc.start()
         try:
-            generate_peak, (x, ranks) = peak_of(lambda: canvas_arrays(cfg, 200))
+            generate_peak, (x, ranks, _) = peak_of(lambda: canvas_arrays(cfg, 200))
             write_dataset_jsonl(path, x, ranks, image_shape=cfg.image_shape)
             del x, ranks
             binary_peak, ((_, x, _), binary_way) = peak_of(lambda: read_and_way(path))
@@ -1253,7 +1350,7 @@ class TestIdx:
         labels = np.tile(np.arange(10, dtype=np.uint8), 2)
         img_path, lbl_path = write_idx(tmp_path, images, labels)
         cfg = small_cfg(glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
-        x, _ = canvas_arrays(cfg, 5)
+        x = canvas_arrays(cfg, 5)[0]
         assert x.shape == (5, cfg.feature_length) and x.any()
 
     def test_adjust_sequences_from_idx_bank_pinned(self, tmp_path):

@@ -17,6 +17,7 @@ TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "traci
 ABSENT_TARGETS = {
     "mlrank.cli.generate_canvas_dataset",
     "mlrank.cli.generate_small_variance_dataset",
+    "mlrank.cli.generate_calibration_set",
     "mlrank.cli.generate_adjust_sequences",
     "mlrank.cli.generate_feature_dataset",
     "mlrank.model.bucket_order_from_ranks",
@@ -49,6 +50,8 @@ ZERO_METRICS = {
     "model.forward_calls",
     "model.predict_s",
     "predict.s",
+    "synthgen.generate_s",
+    "synthgen.canvases",
 }
 
 
