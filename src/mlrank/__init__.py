@@ -7,9 +7,10 @@ generators, and a CLI harness for the behavioural experiments.
 """
 
 from .baselines import crpc_loss, crpc_slots, lsep_class_loss, lsep_rank_loss
-from .buckets import bucket_likelihood, bucket_likelihood_oracle, pair_mask
+from .buckets import pair_mask
+from .dataio import read_dataset_jsonl, write_dataset_jsonl
 from .gaussian import q_grads, q_prob
-from .gmlr import classification_loss, gmlr_objective, ranking_loss
+from .gmlr import bucket_likelihood, classification_loss, gmlr_objective, ranking_loss
 from .metrics import (
     MetricReport,
     evaluate_dataset,
@@ -41,8 +42,6 @@ from .synthgen import (
     canvas_arrays,
     feature_arrays,
     iter_adjust_sweeps,
-    read_dataset_jsonl,
-    write_dataset_jsonl,
 )
 
 __version__ = "0.1.0"

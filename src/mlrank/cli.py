@@ -24,6 +24,7 @@ import sys
 
 import numpy as np
 
+from .dataio import read_dataset_jsonl, write_dataset_jsonl
 from .metrics import evaluate_dataset
 from .model import (
     TrainConfig,
@@ -41,9 +42,7 @@ from .synthgen import (
     canvas_arrays,
     feature_arrays,
     iter_adjust_sweeps,
-    read_dataset_jsonl,
     small_variance_config,
-    write_dataset_jsonl,
 )
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .buckets import checked_ranks
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -170,7 +172,8 @@ def evaluate_dataset(predictions, ground_truth_ranks) -> MetricReport:
     """Average the six metrics over aligned predictions and rank vectors.
 
     ``predictions`` is a ``Prediction`` of (n, K) arrays and
-    ``ground_truth_ranks`` the (n, K) ranks.  Undefined correlations and
+    ``ground_truth_ranks`` the (n, K) ranks, which must be non-negative
+    integers (``checked_ranks``).  Undefined correlations and
     undefined Max-1 values are skipped per instance and counted; a
     metric undefined on every instance averages to NaN.  Sums are
     compensated (math.fsum) so the result does not depend on
@@ -178,7 +181,7 @@ def evaluate_dataset(predictions, ground_truth_ranks) -> MetricReport:
     """
     scores = np.asarray(predictions.scores, dtype=float)
     masks = np.asarray(predictions.positive_mask, dtype=bool)
-    gt = np.asarray(ground_truth_ranks, dtype=int)
+    gt = checked_ranks(ground_truth_ranks)
     if gt.ndim != 2 or scores.shape != gt.shape or masks.shape != gt.shape:
         raise ValueError(
             f"predictions of shape {scores.shape} and ground-truth ranks of shape "

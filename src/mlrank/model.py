@@ -36,11 +36,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import crpc_loss, lsep_class_loss, lsep_rank_loss
+from .buckets import checked_ranks
 from .gmlr import gmlr_objective
 from .predict import Prediction, decide
 
@@ -192,8 +194,10 @@ class TrainConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.mode not in ("weak", "strong"):
             raise ValueError("mode must be 'weak' or 'strong'")
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValueError("rates must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
         if not 0 < self.lr_decay_per_epoch <= 1:
             raise ValueError("lr_decay_per_epoch must lie in (0, 1]")
         if self.batch_size < 1:
@@ -453,7 +457,9 @@ def _packed(params: ModelParams) -> np.ndarray:
 
 def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None):
     """Train a model on the (n, d) features and (n, K) ranks; returns
-    (params, log).
+    (params, log).  The ranks must be non-negative integers
+    (``checked_ranks``); a float or negative rank is refused before any
+    work, never cast.
 
     Features that are flattened images of ``image_shape`` train behind
     the image front end, all others as a plain MLP.  The log holds
@@ -462,7 +468,7 @@ def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None):
     first, then only the threshold head on the classification loss.
     """
     x = np.asarray(x, dtype=float)
-    ranks_matrix = np.asarray(ranks, dtype=int)
+    ranks_matrix = checked_ranks(ranks)
     if x.ndim != 2 or ranks_matrix.ndim != 2 or len(x) != len(ranks_matrix) or not len(x):
         raise ValueError("dataset must be non-empty (n, d) features with (n, K) ranks")
     front_end = None if image_shape is None else FrontEnd(tuple(image_shape))

@@ -9,7 +9,9 @@ Every method reduces to a score vector plus a bipartition rule:
 
 Predicted ranks are dense 1..m over the positives, higher score means
 higher rank, and exact score ties always break by ascending class index
-so outputs are reproducible.
+so outputs are reproducible: of two equal-scored positives the lower
+index takes the higher rank.  (The generators break factor ties the
+other way: there the lower index takes the lower rank.)
 
 The rules act on (n, width) head-output arrays and give (n, K)
 arrays; ``decide`` is the one code path, and one instance is the n = 1

@@ -2,16 +2,27 @@
 
 Everything here deliberately takes the dumbest correct path (quadrature,
 double loops, explicit enumeration) so it shares no code with the
-library's implementations.
+library's implementations.  One exception: ``bucket_likelihood_oracle``
+takes its input checks (``mlrank.gmlr._likelihood_inputs``) and the
+clamped pair probability Q (``mlrank.gaussian.q_prob``) from the
+library.  The likelihood is defined on the clamped Q, so an oracle on
+the unclamped one would disagree wherever Q < 1e-12, which criterion
+01's draws reach; the enumeration and the strict pairs are its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+
+from mlrank.gaussian import q_prob
+from mlrank.gmlr import _likelihood_inputs
+
+ENUMERATION_BOUND = 8
 
 
 def erf_quadrature(x: float) -> float:
@@ -143,3 +154,52 @@ def factor_ranks_by_sort(factors) -> np.ndarray:
         for rank, (_, c) in enumerate(present, start=1):
             out[c] = rank
     return ranks
+
+
+def bucket_likelihood_oracle(mu, sigma, ranks) -> np.ndarray:
+    """(n,) brute-force likelihoods over every strict relation consistent
+    with each row's bucket order.
+
+    A bucket order pins the orientation of every cross-bucket pair and
+    leaves tied (equal-rank) pairs free.  Per row, the oracle enumerates
+    every complete orientation of all its tied pairs (u < v of equal
+    rank) at once and sums the full pairwise products, each term using
+    P(z_u >= z_v) or its exact complement per the chosen orientation.
+    Because each tied pair is marginalized by the sum, the total
+    collapses onto the strict-pair product formula, which is exactly
+    what this function exists to verify numerically.
+    """
+    mu, sigma, ranks = _likelihood_inputs(mu, sigma, ranks)
+    if ranks.shape[1] > ENUMERATION_BOUND:
+        raise ValueError("enumeration bound exceeded")
+    p = q_prob(mu[:, :, None] - mu[:, None, :], np.hypot(sigma[:, :, None], sigma[:, None, :]))
+    # Cross-bucket pairs carry the same orientation in every term.
+    total = np.where(ranks[:, :, None] > ranks[:, None, :], p, 1.0).prod(axis=(1, 2))
+    u, v = np.triu_indices(ranks.shape[1], 1)
+    tied = ranks[:, u] == ranks[:, v]
+    for row, (q, ties) in enumerate(zip(p[:, u, v], tied)):
+        total[row] *= _orientation_sum(q[ties])
+    return total
+
+
+def _orientation_sum(tied: np.ndarray) -> float:
+    """Sum over all 2^t orientations of t tied pairs of the product of
+    P(z_u >= z_v) or its complement, in chunks of 2^16 orientations."""
+    t = tied.size
+    total = 0.0
+    chunk = 1 << 16
+    for start in range(0, 1 << t, chunk):
+        stop = min(start + chunk, 1 << t)
+        if start == 0 and stop == 1 << t and t <= 16:
+            bits = _orientation_bits(t)
+        else:
+            idx = np.arange(start, stop, dtype=np.uint64)[:, None]
+            bits = ((idx >> np.arange(t, dtype=np.uint64)) & 1).astype(bool)
+        total += float(np.where(bits, tied, 1.0 - tied).prod(axis=1).sum())
+    return total
+
+
+@lru_cache(maxsize=32)
+def _orientation_bits(t: int) -> np.ndarray:
+    idx = np.arange(1 << t, dtype=np.uint64)[:, None]
+    return ((idx >> np.arange(t, dtype=np.uint64)) & 1).astype(bool)

@@ -13,8 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from mlrank.buckets import bucket_likelihood, bucket_likelihood_oracle, pair_mask
+from mlrank.buckets import pair_mask
 from mlrank.gaussian import q_prob
+from mlrank.gmlr import bucket_likelihood
 from mlrank.metrics import (
     evaluate_dataset,
     goodman_kruskal_gamma,
@@ -38,6 +39,7 @@ from mlrank.synthgen import (
 )
 
 from oracles import (
+    bucket_likelihood_oracle,
     fd_gradient,
     gamma_brute,
     kendall_tau_b_brute,

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from mlrank.buckets import bucket_likelihood, bucket_likelihood_oracle, pair_mask
+from mlrank.buckets import pair_mask
+from mlrank.gmlr import bucket_likelihood
 
-from oracles import ordered_partitions, partition_ranks
+from oracles import bucket_likelihood_oracle, ordered_partitions, partition_ranks
 
 PHI_INV_SQRT2 = 0.7602499389065233
 

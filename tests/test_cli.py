@@ -10,6 +10,7 @@ import mlrank.cli
 import mlrank.model
 import mlrank.synthgen
 from mlrank.cli import main
+from mlrank.dataio import write_dataset_jsonl
 from mlrank.model import (
     FrontEnd,
     ModelParams,
@@ -26,7 +27,6 @@ from mlrank.synthgen import (
     canvas_arrays,
     generate_calibration_set,
     iter_adjust_sweeps,
-    write_dataset_jsonl,
 )
 
 

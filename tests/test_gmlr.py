@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mlrank.buckets import bucket_likelihood, pair_mask
-from mlrank.gmlr import classification_loss, gmlr_objective, ranking_loss
+from mlrank.buckets import pair_mask
+from mlrank.gmlr import bucket_likelihood, classification_loss, gmlr_objective, ranking_loss
 
 from oracles import fd_gradient, max_rel_error
 

@@ -272,6 +272,17 @@ class TestBatchedAgainstOracles:
                 report.skipped_max1) == (skipped["tau_b"], skipped["rho"], skipped["gamma"], skipped["m1"])
         assert report.n_instances == len(gt)
 
+    @pytest.mark.parametrize("gt,dtype", [
+        ([[1.7, 0.0]], None),  # would score as rank 1
+        ([[1.0, 0.0]], None),  # an integral float is refused too, not cast
+        ([[1, -1]], None),
+        ([[True, False]], None),
+        ([[2**63, 0]], np.uint64),
+    ])
+    def test_refuses_ranks_that_are_not_non_negative_integers(self, gt, dtype):
+        with pytest.raises(ValueError, match="ranks must be non-negative integers that fit int64"):
+            evaluate_dataset(batch([[0.2, 0.1]], [[1, 0]]), np.array(gt, dtype=dtype))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="aligned"):
             evaluate_dataset(batch([[0.1, 0.2]], [[1, 0]]), [[1, 0, 0]])

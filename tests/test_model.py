@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -199,9 +200,39 @@ class TestAdam:
         assert one.t == per_array.t == 60
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -math.inf),
+        ("learning_rate", 0.0), ("learning_rate", -1e-3),
+        ("weight_decay", math.nan), ("weight_decay", math.inf), ("weight_decay", -1e-5),
+    ])
+    def test_refuses_a_rate_that_is_not_finite_or_out_of_range(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+
+    def test_accepts_zero_weight_decay(self):
+        assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
+
+
 class TestTrain:
     def setup_method(self):
         self.dataset = feature_arrays(3, 6, 60, seed=17)[:2]
+
+    @pytest.mark.parametrize("bad", [
+        lambda r: r + 0.7,  # 1.7 would train as 1
+        lambda r: r.astype(float),  # even integral floats are not cast
+        lambda r: np.where(np.arange(r.shape[1]) == 0, -1, r),
+        lambda r: r > 0,
+        lambda r: np.where(r == r.max(), 2**63, r).astype(np.uint64),
+    ])
+    def test_refuses_bad_ranks_before_any_work(self, bad, monkeypatch):
+        x, ranks = self.dataset
+        built = []
+        monkeypatch.setattr(mlrank.model, "init_model", lambda *args, **kwargs: built.append(args))
+        cfg = TrainConfig(method="gmlr", mode="strong", epochs=1, hidden=(4,), seed=1)
+        with pytest.raises(ValueError, match="ranks must be non-negative integers that fit int64"):
+            train_arrays(x, bad(ranks), cfg)
+        assert built == []
 
     def test_zero_epochs_keeps_init(self):
         cfg = TrainConfig(method="gmlr", mode="strong", epochs=0, hidden=(4,), seed=2)

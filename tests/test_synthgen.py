@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mlrank.dataio as dataio
 import mlrank.synthgen as synthgen
+from mlrank.dataio import read_dataset_jsonl, write_dataset_jsonl, write_pnm
 from mlrank.glyphs import bilinear_resize, load_idx_glyphs, rasterize_digit
 from mlrank.metrics import spearman_rho
 from mlrank.synthgen import (
@@ -31,10 +33,7 @@ from mlrank.synthgen import (
     generate_canvas_dataset,
     generate_feature_dataset,
     iter_adjust_sweeps,
-    read_dataset_jsonl,
     small_variance_config,
-    write_dataset_jsonl,
-    write_pnm,
 )
 
 from oracles import factor_ranks_by_sort
@@ -429,6 +428,12 @@ class TestFeatureDataset:
         with pytest.raises(ValueError):
             feature_arrays(6, 4, 10)
 
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    def test_refuses_fewer_than_one_class(self, num_classes):
+        # With no class to draw, the redraw of an empty class mask never ends.
+        with pytest.raises(ValueError, match="num_classes must be at least 1"):
+            feature_arrays(num_classes, 4, 10)
+
 
 def assert_factors_of_records(cfg, factors, records):
     """Row i of ``factors`` holds the named factor of each digit placed on
@@ -672,7 +677,7 @@ def write_lines(path, d, lines, newline="\n"):
 def walked_read(path):
     """``read_dataset_jsonl(path)`` with every block left to the line walk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthgen, "_parse_block", lambda *args: False)
+        mp.setattr(dataio, "_parse_block", lambda *args: False)
         return read_dataset_jsonl(path)
 
 
@@ -724,7 +729,7 @@ def read_and_way(path):
     """``read_dataset_jsonl(path)`` and the way its arrays came: "binary"
     from the file's binary copy, "parsed" from its rows."""
     ways = []
-    real = synthgen._sidecar_arrays
+    real = dataio._sidecar_arrays
 
     def spy(*args):
         got = real(*args)
@@ -732,7 +737,7 @@ def read_and_way(path):
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthgen, "_sidecar_arrays", spy)
+        mp.setattr(dataio, "_sidecar_arrays", spy)
         result = read_dataset_jsonl(path)
     return result, ways[0]
 
@@ -826,8 +831,8 @@ def write_and_ways(path, x, ranks, image_shape=None):
         return wrapped
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthgen, "_table_lines", spy("table", synthgen._table_lines))
-        mp.setattr(synthgen, "_repr_lines", spy("repr", synthgen._repr_lines))
+        mp.setattr(dataio, "_table_lines", spy("table", dataio._table_lines))
+        mp.setattr(dataio, "_repr_lines", spy("repr", dataio._repr_lines))
         write_dataset_jsonl(path, x, ranks, image_shape=image_shape)
     return taken
 
@@ -1148,7 +1153,7 @@ class TestJsonl:
             '{"u":"a"}\n'
             '"a"]}\n'
         )
-        assert synthgen._line_count(path) - 1 > os.path.getsize(path) // (2 * 51)
+        assert dataio._line_count(path) - 1 > os.path.getsize(path) // (2 * 51)
         with pytest.raises(ValueError, match="room.jsonl:2: "):
             read_dataset_jsonl(path)
 
@@ -1158,14 +1163,14 @@ class TestJsonl:
         write_dataset_jsonl(path, x, ranks)
         os.remove(tmp_path / "w.jsonl.npy")
         taken = []
-        real = synthgen._parse_block
+        real = dataio._parse_block
 
         def spy(lines, *args):
             taken.append((len(lines), real(lines, *args)))
             return taken[-1][1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(synthgen, "_parse_block", spy)
+            mp.setattr(dataio, "_parse_block", spy)
             _, back, ranks_back = read_dataset_jsonl(path)
         assert taken == [(341, True), (341, True), (18, True)]
         assert back.tobytes() == x.tobytes()
@@ -1195,7 +1200,7 @@ class TestJsonl:
             path = tmp_path / "lines.txt"
             path.write_bytes(bytes(data) + end)
             with open(path, encoding="latin-1") as fh:
-                assert synthgen._line_count(path) == sum(1 for _ in fh)
+                assert dataio._line_count(path) == sum(1 for _ in fh)
 
     def test_rows_are_written_as_json_dumps(self, tmp_path):
         # Write blocks hold 32 rows of 1000 values.  The first block's
