@@ -7,7 +7,7 @@ generators, and a CLI harness for the behavioural experiments.
 """
 
 from .baselines import crpc_loss, crpc_slots, lsep_class_loss, lsep_rank_loss
-from .buckets import pair_mask
+from .buckets import dense_ranks, pair_mask
 from .dataio import read_dataset_jsonl, write_dataset_jsonl
 from .gaussian import q_grads, q_prob
 from .gmlr import bucket_likelihood, classification_loss, gmlr_objective, ranking_loss

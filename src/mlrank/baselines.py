@@ -17,7 +17,8 @@ order of ``crpc_slots``; the value stored at a slot is the logit of "u
 outranks v".
 
 Every loss takes a batch, the (n, width) head output and the (n, K)
-ranks, and returns the (n,) losses and the (n, width) head gradient.
+ranks, which must be non-negative integers (``head_batch``), and
+returns the (n,) losses and the (n, width) head gradient.
 Pairwise terms come from (n, K, K) pair masks (``pair_mask``); a
 pair's gradient reaches its winner through a row sum and its loser
 through a column sum of the pair matrix.

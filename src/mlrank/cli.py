@@ -264,6 +264,8 @@ def cmd_generate(args) -> int:
     if kind in ("canvas", "small-variance"):
         canvas = _canvas_config(_section(cfg, "canvas"), seed)
         resolved["canvas"] = canvas.to_dict()
+        # Derived before ``out`` exists, so a canvas it refuses leaves none.
+        drawn = small_variance_config(canvas) if kind == "small-variance" else canvas
     elif kind == "feature":
         feature = resolved["feature"] = _feature_config(_section(cfg, "feature"))
     else:
@@ -277,7 +279,6 @@ def cmd_generate(args) -> int:
         if dump_images:
             image_dir = os.path.join(out, "images")
             resolved["dump_images"] = True
-        drawn = small_variance_config(canvas) if kind == "small-variance" else canvas
         x, ranks, _ = canvas_arrays(drawn, n, image_dir)
         image_shape = canvas.image_shape
     path = os.path.join(out, "dataset.jsonl")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .buckets import head_batch, pair_mask
+from .buckets import checked_ranks, head_batch, pair_mask
 from .gaussian import q_grads
 
 
@@ -73,19 +73,17 @@ def ranking_loss(mu, log_var, mask):
 
 
 def _likelihood_inputs(mu, sigma, ranks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, K) float means, standard deviations and int ranks; ValueError
-    unless the three are aligned with K >= 1, every rank is
-    non-negative, every mean finite and every deviation finite and
+    """(n, K) float means, standard deviations and int64 ranks; ValueError
+    unless the ranks pass ``checked_ranks``, the three are aligned with
+    K >= 1, every mean is finite and every deviation finite and
     positive."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    ranks = np.asarray(ranks, dtype=int)
+    ranks = checked_ranks(ranks)
     if ranks.ndim != 2 or ranks.shape[1] == 0 or mu.shape != ranks.shape or sigma.shape != ranks.shape:
         raise ValueError(
             f"mu {mu.shape}, sigma {sigma.shape} and ranks {ranks.shape} must be aligned (n, K) arrays with K >= 1"
         )
-    if (ranks < 0).any():
-        raise ValueError("ranks must be non-negative")
     if not (np.isfinite(mu).all() and ((sigma > 0) & (sigma < np.inf)).all()):
         raise ValueError("the likelihood requires finite mu and finite sigma > 0")
     return mu, sigma, ranks
@@ -102,7 +100,8 @@ def bucket_likelihood(mu, sigma, ranks) -> np.ndarray:
 def gmlr_objective(out, ranks, mode: str):
     """Weighted per-instance objective: total = Lc/K + Lr/|pairs|.
 
-    ``out`` is the (n, 2K) head output, means then log-variances.
+    ``out`` is the (n, 2K) head output, means then log-variances, and
+    ``ranks`` the (n, K) non-negative integer ranks (``head_batch``).
     Returns the (n,) totals and their (n, 2K) gradient.  ``mode``
     selects the supervision order (``pair_mask``).  When a row's pair
     set is empty its ranking term and weight are both zero.

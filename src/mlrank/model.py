@@ -359,7 +359,6 @@ def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, work: di
     """Mean per-instance loss over the batch plus parameter gradients;
     ``work`` as in ``_forward_batch``."""
     x = np.asarray(x, dtype=float)
-    ranks_matrix = np.asarray(ranks_matrix, dtype=int)
     out, cache = _forward_batch(params, x, work)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite network output")
@@ -510,10 +509,10 @@ def train(dataset, cfg: TrainConfig):
 
 def predict_batch(params: ModelParams, x) -> tuple[np.ndarray, Prediction]:
     """Forward passes over ``PREDICT_CHUNK``-row chunks of the (n, d)
-    feature matrix, then the method's bipartition and rank rule.
+    feature matrix, then the method's scores and bipartition rule.
 
     Returns the (n, width) head output and a ``Prediction`` of (n, K)
-    scores, positive masks and ranks.
+    scores and positive masks.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:

@@ -7,11 +7,11 @@ Every method reduces to a score vector plus a bipartition rule:
 * crpc: scores are the soft-vote tallies, positive iff strictly above
   the virtual label's tally.
 
-Predicted ranks are dense 1..m over the positives, higher score means
-higher rank, and exact score ties always break by ascending class index
-so outputs are reproducible: of two equal-scored positives the lower
-index takes the higher rank.  (The generators break factor ties the
-other way: there the lower index takes the lower rank.)
+A ``Prediction`` carries only the scores and the bipartition, which
+is all the commands read.  Predicted ranks, when wanted, are
+``buckets.dense_ranks(pred.scores, pred.positive_mask)``: dense 1..m
+over the positives by ascending score, exact ties broken by class
+index, the rule the generators rank their factors by.
 
 The rules act on (n, width) head-output arrays and give (n, K)
 arrays; ``decide`` is the one code path, and one instance is the n = 1
@@ -30,30 +30,10 @@ from .baselines import crpc_slots
 
 @dataclass(frozen=True)
 class Prediction:
-    """Scores, bipartition and ranks of a batch, each an (n, K) array."""
+    """Scores and bipartition of a batch, each an (n, K) array."""
 
     scores: np.ndarray
     positive_mask: np.ndarray
-    predicted_ranks: np.ndarray
-
-
-def ranks_from_scores(scores, positive_mask) -> np.ndarray:
-    """Dense ranks 1..m for the positives by ascending score, 0 elsewhere,
-    along the last axis.
-
-    Ties break by ascending class index: of two equal-scored positives
-    the lower index receives the higher rank.
-    """
-    scores = np.asarray(scores, dtype=float)
-    positive_mask = np.asarray(positive_mask, dtype=bool)
-    # Stable, so equal scores keep ascending class order: best first.
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    ordered_mask = np.take_along_axis(positive_mask, order, axis=-1)
-    seen = np.cumsum(ordered_mask, axis=-1)
-    ordered = np.where(ordered_mask, seen[..., -1:] - seen + 1, 0)
-    ranks = np.empty_like(ordered)
-    np.put_along_axis(ranks, order, ordered, axis=-1)
-    return ranks
 
 
 def crpc_tally(logits: np.ndarray, num_classes: int) -> np.ndarray:
@@ -69,8 +49,7 @@ def crpc_tally(logits: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def decide(head: str, out: np.ndarray, num_classes: int) -> Prediction:
-    """The method's scores, bipartition and ranks from (n, width) head
-    outputs."""
+    """The method's scores and bipartition from (n, width) head outputs."""
     k = num_classes
     if head == "gmlr":
         scores = out[:, :k]
@@ -82,4 +61,4 @@ def decide(head: str, out: np.ndarray, num_classes: int) -> Prediction:
         tally = crpc_tally(out, k)
         scores = tally[:, :k]
         mask = scores > tally[:, k:]
-    return Prediction(scores=scores, positive_mask=mask, predicted_ranks=ranks_from_scores(scores, mask))
+    return Prediction(scores=scores, positive_mask=mask)

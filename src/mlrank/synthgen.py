@@ -9,11 +9,12 @@ training studies.  Sequence and calibration generators build the probe
 sets for the behavioural experiments.  Every dataset generator
 (``feature_arrays``, ``canvas_arrays``, ``calibration_arrays``) returns
 ``(x, ranks, factors)``: a factor row holds the ranked factor of each
-present class and 0 for an absent one, and one batched rule
-(``_factor_ranks``) ranks each row dense 1..m by ascending factor, exact
-ties broken by ascending class index: of two tied classes the lower index
-takes the lower rank.  Each fills its arrays a row at a time, painting
-every canvas into its row of one block through ``_paint``.
+present class and 0 for an absent one, and the one rank rule,
+``buckets.dense_ranks(factors, factors > 0)``, ranks each row dense 1..m
+by ascending factor, exact ties broken by class index: of two tied
+classes the lower index takes the higher rank.  Each fills its arrays a
+row at a time, painting every canvas into its row of one block through
+``_paint``.
 ``RankedInstance`` and the record wrappers (``generate_*``) serve only the
 benchmark's scripts; their records are views over the same rows.
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .buckets import dense_ranks
 from .dataio import _PNM, write_pnm
 from .glyphs import GlyphBank, builtin_bank, hsv_to_rgb, load_idx_glyphs
 
@@ -195,20 +197,6 @@ def _glyph_bank(cfg: CanvasConfig) -> GlyphBank:
     return load_idx_glyphs(cfg.idx_images, cfg.idx_labels)
 
 
-def _factor_ranks(factors: np.ndarray) -> np.ndarray:
-    """The (n, K) ranks of an (n, K) factor matrix.  In each row the
-    present classes (factor > 0) take the dense ranks 1..m by ascending
-    factor, exact ties broken by ascending class index (the lower index
-    takes the lower rank), and the absent
-    classes 0: class u's rank counts the present v with (f_v, v) <=
-    (f_u, u), all in one (n, K, K) comparison."""
-    present = factors > 0
-    f_u, f_v = factors[:, :, None], factors[:, None, :]
-    classes = np.arange(factors.shape[1])
-    before = (f_v < f_u) | ((f_v == f_u) & (classes <= classes[:, None]))
-    return np.where(present, (before & present[:, None, :]).sum(axis=2), 0)
-
-
 def _digit(cfg: CanvasConfig, rng, digit: int, scale: float, brightness: float) -> DigitFactors:
     """Draw a digit's hue and saturation (colour canvases only), then a
     position that fits it at ``scale``; returns its factors."""
@@ -264,7 +252,7 @@ def _paint_canvases(cfg: CanvasConfig, n: int, draw):
     places its digits, row i of the factors takes each digit's named
     factor, and the digits are painted (the rng picks stored glyphs)
     straight into row i of one zeroed block, which is then rounded in
-    place.  The ranks follow from the factors (``_factor_ranks``)."""
+    place.  The ranks follow from the factors (``dense_ranks``)."""
     bank = _glyph_bank(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     x = np.zeros((n, cfg.feature_length))
@@ -278,7 +266,7 @@ def _paint_canvases(cfg: CanvasConfig, n: int, draw):
             _paint(cfg, bank, canvas, rng, pf.digit, pf.scale, pf.brightness, pf.top, pf.left, pf.hue, pf.saturation)
         np.round(pixels, 3, out=pixels)
         placements.append(placed)
-    return x, _factor_ranks(factors), factors, placements
+    return x, dense_ranks(factors, factors > 0), factors, placements
 
 
 def _samples(cfg: CanvasConfig, n: int, draw) -> list[GeneratedSample]:
@@ -294,7 +282,9 @@ def small_variance_config(cfg: CanvasConfig) -> CanvasConfig:
     """The small-variance dataset's config: a scale-ranked setup with its
     scale range narrowed to [1, 1.5]."""
     if not cfg.setup.startswith("S"):
-        raise ValueError("setup mismatch: small-variance dataset requires a scale-ranked setup")
+        raise ValueError(
+            f"setup mismatch: the small-variance dataset requires a scale-ranked 'canvas.setup', got {cfg.setup!r}"
+        )
     return dataclasses.replace(cfg, scale_range=(1.0, 1.5))
 
 
@@ -382,14 +372,14 @@ def generate_adjust_sequences(
 ) -> list[AdjustSequence]:
     """``iter_adjust_sweeps`` as a list of ``AdjustSequence`` records: one
     ``GeneratedSample`` per step, whose pixels are that step's row of the
-    sweep's block and whose ranks are ``_factor_ranks``' of its factors."""
+    sweep's block and whose ranks are ``dense_ranks``' of its factors."""
     by_scale = cfg.ranked_factor == "scale"
     sequences = []
     for digits, roles, factors, block in iter_adjust_sweeps(cfg, n_sequences, steps):
         swept = np.zeros((steps, cfg.num_classes))
         swept[:, list(digits)] = factors
         samples = []
-        for pixels, ranks, step_factors in zip(block, _factor_ranks(swept), factors):
+        for pixels, ranks, step_factors in zip(block, dense_ranks(swept, swept > 0), factors):
             placed = tuple(
                 DigitFactors(
                     digit=r.digit, scale=f if by_scale else 1.0, brightness=1.0 if by_scale else f,
@@ -414,7 +404,7 @@ def feature_arrays(
     factors of the linear surrogate dataset, written a row at a time:
     every class owns a fixed random unit direction; an instance is the
     sum of factor * direction over its present classes plus Gaussian
-    noise, ranked by factor (``_factor_ranks``).
+    noise, ranked by factor (``dense_ranks``).
 
     Class presence is a uniform random subset, redrawn when empty so
     every instance has at least one positive.
@@ -438,7 +428,7 @@ def feature_arrays(
         features[:] = drawn @ directions
         if noise:
             features += noise * rng.standard_normal(dim)
-    return x, _factor_ranks(factors), factors
+    return x, dense_ranks(factors, factors > 0), factors
 
 
 def generate_feature_dataset(*args, **kwargs) -> list[RankedInstance]:

@@ -145,14 +145,18 @@ def max_rel_error(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e
     return float(np.max(np.abs(analytic - reference) / denom))
 
 
-def factor_ranks_by_sort(factors) -> np.ndarray:
-    """Each row's dense ranks 1..m of its positive factors, by a sort on
-    (factor, class index); 0 where the factor is 0."""
-    ranks = np.zeros(np.shape(factors), dtype=int)
-    for row, out in zip(np.asarray(factors).tolist(), ranks):
-        present = sorted((f, c) for c, f in enumerate(row) if f > 0)
-        for rank, (_, c) in enumerate(present, start=1):
-            out[c] = rank
+def ranks_by_sort(values, present) -> np.ndarray:
+    """Each row's dense ranks 1..m of its present classes, by a sort on
+    (value, -class index); 0 where the class is absent.  Rows are the
+    last axis of ``values`` and ``present``."""
+    values = np.asarray(values)
+    k = values.shape[-1]
+    ranks = np.zeros(values.shape, dtype=int)
+    rows = zip(values.reshape(-1, k).tolist(), np.reshape(present, (-1, k)).tolist(), ranks.reshape(-1, k))
+    for row, mask, out in rows:
+        ordered = sorted((v, -c) for c, (v, p) in enumerate(zip(row, mask)) if p)
+        for rank, (_, minus_c) in enumerate(ordered, start=1):
+            out[-minus_c] = rank
     return ranks
 
 

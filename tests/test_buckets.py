@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from mlrank.baselines import crpc_loss, lsep_class_loss, lsep_rank_loss
 from mlrank.buckets import pair_mask
-from mlrank.gmlr import bucket_likelihood
+from mlrank.gmlr import bucket_likelihood, gmlr_objective
+from mlrank.model import batch_objective, init_model
 
 from oracles import bucket_likelihood_oracle, ordered_partitions, partition_ranks
 
@@ -95,6 +97,36 @@ class TestStrictRelation:
     def test_weak_order_shape(self):
         # weak supervision is the two-bucket order: positives over negatives
         assert set(weak_pairs([2, 1, 0, 0])) == mask_pairs([1, 1, 0, 0])
+
+
+# Each takes one instance's (1, 2) ranks.
+RANKED = {
+    "gmlr_objective": lambda r: gmlr_objective(np.zeros((1, 4)), r, "strong"),
+    "crpc_loss": lambda r: crpc_loss(np.zeros((1, 3)), r, "strong"),
+    "lsep_rank_loss": lambda r: lsep_rank_loss(np.zeros((1, 4)), r, "strong"),
+    "lsep_class_loss": lambda r: lsep_class_loss(np.zeros((1, 4)), r),
+    "batch_objective": lambda r: batch_objective(
+        init_model(3, 2, "gmlr", hidden=(), seed=0), np.ones((1, 3)), r, "gmlr", "strong"),
+    "bucket_likelihood": lambda r: bucket_likelihood(np.zeros((1, 2)), np.ones((1, 2)), r),
+}
+
+
+class TestRankInputs:
+    @pytest.mark.parametrize("fn", RANKED.values(), ids=RANKED.keys())
+    @pytest.mark.parametrize("ranks", [[[1.7, 0]], [[1.0, 0.0]], [[True, False]], [[-1, 0]]],
+                             ids=["fraction", "integral-float", "bool", "negative"])
+    def test_losses_refuse_ranks_that_are_not_non_negative_integers(self, fn, ranks):
+        with pytest.raises(ValueError, match="ranks must be non-negative integers that fit int64"):
+            fn(ranks)
+
+    @pytest.mark.parametrize("fn", RANKED.values(), ids=RANKED.keys())
+    def test_any_integer_dtype_gives_the_int64_result(self, fn):
+        # The first item is the loss (or the likelihood) in every case.
+        np.testing.assert_array_equal(fn(np.array([[1, 0]], dtype=np.uint8))[0], fn(np.array([[1, 0]]))[0])
+
+    def test_pair_mask_compares_the_values_it_is_given(self):
+        # No cast to int: 1.7 and 1.2 would both truncate to 1.
+        assert pair_mask([[1.7, 1.2]], "strong").tolist() == [[[False, True], [False, False]]]
 
 
 class TestBucketLikelihood:

@@ -122,6 +122,21 @@ class TestGenerate:
         header = json.loads((out / "dataset.jsonl").read_text().splitlines()[0])
         assert header["generator"]["kind"] == "small-variance"
 
+    @pytest.mark.parametrize("canvas, message", [
+        ({"canvas_size": 48, "glyph_size": 12, "setup": "B"},
+         "setup mismatch: the small-variance dataset requires a scale-ranked 'canvas.setup', got 'B'"),
+        # The narrowed scale range reaches 1.5, and 24 * 1.5 exceeds 32.
+        ({"canvas_size": 32, "glyph_size": 24, "scale_range": [1.0, 1.2]}, "placement infeasible"),
+    ])
+    def test_small_variance_refuses_its_canvas_before_out_exists(self, tmp_path, capsys, canvas, message):
+        out = tmp_path / "gen"
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"canvas": canvas}))
+        assert run("generate", "--config", str(cfgp), "--kind", "small-variance",
+                   "--n", "4", "--seed", "1", "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bytes_do_not_depend_on_output_directory(self, tmp_path):
         cfgp = tmp_path / "g.json"
         cfgp.write_text(json.dumps({"kind": "canvas", "canvas": {
@@ -494,7 +509,7 @@ class TestExperiments:
                 return real(*args, **kwargs)
             return call
 
-        for name in ("_factor_ranks", "GeneratedSample"):
+        for name in ("dense_ranks", "GeneratedSample"):
             monkeypatch.setattr(mlrank.synthgen, name, counted(name, getattr(mlrank.synthgen, name)))
         blocks, batches = [], []
         real_sweeps, real_predict = mlrank.cli.iter_adjust_sweeps, mlrank.cli.predict_batch

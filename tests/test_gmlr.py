@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mlrank.buckets import pair_mask
-from mlrank.gmlr import bucket_likelihood, classification_loss, gmlr_objective, ranking_loss
+from mlrank.gmlr import classification_loss, gmlr_objective, ranking_loss
 
-from oracles import fd_gradient, max_rel_error
+from oracles import bucket_likelihood_oracle, fd_gradient, max_rel_error
 
 LOG2 = math.log(2.0)
 # Frozen from the quadrature oracle: -log Phi(1), -2 log Phi(1/sqrt(2)).
@@ -84,14 +84,18 @@ class TestRankingLoss:
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_is_minus_log_bucket_likelihood(self):
-        # the ranking term is -log of the likelihood criterion 01 verifies
+        # The ranking term is -log of the bucket-order likelihood, here
+        # summed by the oracle over every orientation of the tied pairs.
         rng = np.random.default_rng(21)
         mu = rng.normal(scale=1.5, size=(500, 6))
         log_var = rng.uniform(-2.0, 2.0, size=(500, 6))
+        # Six classes on four rank values: every row has a tie.
         ranks = rng.integers(0, 4, size=(500, 6))
         loss, _, _ = ranking_loss(mu, log_var, pair_mask(ranks, "strong"))
-        want = -np.log(bucket_likelihood(mu, np.exp(log_var / 2), ranks))
-        assert max_rel_error(loss, want, floor=1e-300) <= 1e-12
+        want = -np.log(bucket_likelihood_oracle(mu, np.exp(log_var / 2), ranks))
+        # A row without strict pairs has loss 0; its oracle sum is 1 to
+        # within rounding, hence the absolute tolerance.
+        np.testing.assert_allclose(loss, want, rtol=1e-12, atol=1e-13)
 
 
 class TestObjective:

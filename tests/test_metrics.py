@@ -17,7 +17,7 @@ from mlrank.metrics import (
     spearman_rho,
 )
 
-from mlrank.predict import Prediction, ranks_from_scores
+from mlrank.predict import Prediction
 
 from oracles import gamma_brute, kendall_tau_b_brute, spearman_brute
 
@@ -163,7 +163,7 @@ def batch(score_rows, mask_rows) -> Prediction:
     """A ``Prediction`` of (n, K) arrays from row lists."""
     scores = np.asarray(score_rows, dtype=float)
     masks = np.asarray(mask_rows, dtype=bool)
-    return Prediction(scores, masks, ranks_from_scores(scores, masks))
+    return Prediction(scores, masks)
 
 
 class TestEvaluateDataset:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
+from mlrank.buckets import dense_ranks
 from mlrank.model import PREDICT_CHUNK, init_model, predict_batch
-from mlrank.predict import decide, ranks_from_scores
+from mlrank.predict import Prediction, decide
+
+from oracles import ranks_by_sort
 
 
 def crpc_scores(values, k):
@@ -23,9 +27,14 @@ def crpc_scores(values, k):
 
 
 def predict_one(head, out, k):
-    """``decide`` on a one-row batch: the (1, K) scores, mask and ranks
-    of one head-output vector."""
+    """``decide`` on a one-row batch: the (1, K) scores and mask of one
+    head-output vector."""
     return decide(head, np.asarray(out, dtype=float)[None, :], k)
+
+
+def predicted_ranks(pred):
+    """The ranks a caller derives from a ``Prediction``."""
+    return dense_ranks(pred.scores, pred.positive_mask)
 
 
 def predict_gmlr(mu):
@@ -50,11 +59,11 @@ class TestPredictGmlr:
     def test_sign_rule_and_ranks(self):
         pred = predict_gmlr([0.5, -0.2, 1.3])
         assert pred.positive_mask.tolist() == [[True, False, True]]
-        assert pred.predicted_ranks.tolist() == [[1, 0, 2]]
+        assert predicted_ranks(pred).tolist() == [[1, 0, 2]]
 
     def test_no_positives(self):
         pred = predict_gmlr([-1.0, -2.0])
-        assert pred.predicted_ranks.tolist() == [[0, 0]]
+        assert predicted_ranks(pred).tolist() == [[0, 0]]
 
     def test_zero_boundary_is_positive(self):
         pred = predict_gmlr([0.0, -0.1])
@@ -72,7 +81,7 @@ class TestPredictLsep:
 
     def test_ranks(self):
         pred = predict_lsep([3.0, 2.0, 1.0], [0.0, 0.0, 2.0])
-        assert pred.predicted_ranks.tolist() == [[2, 1, 0]]
+        assert predicted_ranks(pred).tolist() == [[2, 1, 0]]
 
 
 class TestPredictCrpc:
@@ -86,7 +95,7 @@ class TestPredictCrpc:
         values[crpc_slot(0, 2)] = 10.0
         pred = predict_crpc(values, 2)
         assert pred.positive_mask.tolist() == [[True, False]]
-        assert pred.predicted_ranks[0, 0] == 1
+        assert predicted_ranks(pred)[0, 0] == 1
 
     def test_matches_scores_recomputation(self):
         rng = np.random.default_rng(2)
@@ -103,13 +112,9 @@ class TestRankAssignment:
             k = int(rng.integers(1, 9))
             scores = rng.normal(size=k)
             mask = rng.integers(0, 2, size=k).astype(bool)
-            ranks = ranks_from_scores(scores, mask)
+            ranks = dense_ranks(scores, mask)
             positives = np.flatnonzero(mask)
-            # oracle: sort positives by descending score, assign m..1
-            expect = np.zeros(k, dtype=int)
-            for i, c in enumerate(sorted(positives, key=lambda c: (-scores[c], c))):
-                expect[c] = len(positives) - i
-            assert ranks.tolist() == expect.tolist()
+            assert ranks.tolist() == ranks_by_sort(scores, mask).tolist()
             assert sorted(ranks[positives].tolist()) == list(range(1, len(positives) + 1))
             assert not ranks[~mask].any()
 
@@ -124,21 +129,13 @@ class TestRankAssignment:
         assert shifted.positive_mask.all()  # bipartition moved
 
     def test_tie_break_by_class_index(self):
-        ranks = ranks_from_scores(np.array([0.5, 0.5, 0.1]), np.array([True, True, True]))
+        ranks = dense_ranks(np.array([0.5, 0.5, 0.1]), np.array([True, True, True]))
         # equal scores: lower class index wins the higher rank
         assert ranks.tolist() == [3, 2, 1]
 
 
 # ---------------------------------------------------------------------------
 # The batched path
-
-
-def sort_oracle_ranks(scores, mask):
-    expect = np.zeros(len(scores), dtype=int)
-    positives = [c for c in range(len(scores)) if mask[c]]
-    for i, c in enumerate(sorted(positives, key=lambda c: (-scores[c], c))):
-        expect[c] = len(positives) - i
-    return expect
 
 
 @st.composite
@@ -156,10 +153,11 @@ class TestBatchedRanks:
     @given(tied_score_batches())
     def test_against_sort_oracle(self, batch):
         scores, mask = batch
-        ranks = ranks_from_scores(scores, mask)
+        ranks = dense_ranks(scores, mask)
         assert ranks.shape == scores.shape
-        for row in range(len(scores)):
-            assert ranks[row].tolist() == sort_oracle_ranks(scores[row], mask[row]).tolist()
+        np.testing.assert_array_equal(ranks, ranks_by_sort(scores, mask))
+        # Leading axes are batch axes.
+        np.testing.assert_array_equal(dense_ranks(scores[None], mask[None]), ranks[None])
 
 
 class TestPredictBatch:
@@ -176,7 +174,7 @@ class TestPredictBatch:
         x = scale * rng.normal(size=(PREDICT_CHUNK + 1, 5))
         out, batch = predict_batch(params, x)
         assert out.shape == (PREDICT_CHUNK + 1, params.weights[-1].shape[1])
-        assert batch.scores.shape == batch.positive_mask.shape == batch.predicted_ranks.shape
+        assert batch.scores.shape == batch.positive_mask.shape == (PREDICT_CHUNK + 1, k)
         for i, row in enumerate(x):
             _, single = predict_batch(params, row[None])
             # One row through BLAS and a chunk of rows may round differently.
@@ -194,7 +192,10 @@ class TestPredictBatch:
             gaps = np.abs(scores[:, None] - scores[None, :])[np.triu_indices(k, 1)]
             assume(margin.min() > 1e-9 and (gaps.size == 0 or gaps.min() > 1e-9))
             assert batch.positive_mask[i].tolist() == single.positive_mask[0].tolist()
-            assert batch.predicted_ranks[i].tolist() == single.predicted_ranks[0].tolist()
+            assert predicted_ranks(batch)[i].tolist() == predicted_ranks(single)[0].tolist()
+
+    def test_carries_only_what_the_commands_read(self):
+        assert [f.name for f in dataclasses.fields(Prediction)] == ["scores", "positive_mask"]
 
     def test_empty_batch(self):
         params = init_model(3, 2, "gmlr", hidden=(), seed=0)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import mlrank.dataio as dataio
 import mlrank.synthgen as synthgen
+from mlrank.buckets import dense_ranks
 from mlrank.dataio import read_dataset_jsonl, write_dataset_jsonl, write_pnm
 from mlrank.glyphs import bilinear_resize, load_idx_glyphs, rasterize_digit
 from mlrank.metrics import spearman_rho
@@ -36,7 +37,7 @@ from mlrank.synthgen import (
     small_variance_config,
 )
 
-from oracles import factor_ranks_by_sort
+from oracles import ranks_by_sort
 
 
 def small_cfg(**kw):
@@ -448,20 +449,21 @@ def assert_factors_of_records(cfg, factors, records):
 
 class TestFactors:
     """Every generator's (n, K) factor matrix holds the ranked factor of
-    each present class and 0 for an absent one, and its ranks are the
-    batched rule's, which a per-row sort on (factor, class) reproduces."""
+    each present class and 0 for an absent one, and its ranks are
+    ``dense_ranks(factors, factors > 0)``, which a per-row sort on
+    (factor, -class) reproduces."""
 
     def test_the_rule_on_a_worked_example(self):
         factors = np.array([[0.0, 2.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.5, 0.0]])
-        ranks = synthgen._factor_ranks(factors)
+        ranks = dense_ranks(factors, factors > 0)
         assert ranks.dtype == np.dtype(int)
-        assert ranks.tolist() == [[0, 2, 1, 3], [0, 0, 0, 0], [2, 0, 1, 0]]
+        assert ranks.tolist() == [[0, 3, 1, 2], [0, 0, 0, 0], [2, 0, 1, 0]]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=5, max_size=5), min_size=1, max_size=12))
     def test_the_rule_is_a_sort_on_factor_then_class(self, rows):
         factors = np.array(rows)
-        np.testing.assert_array_equal(synthgen._factor_ranks(factors), factor_ranks_by_sort(factors))
+        np.testing.assert_array_equal(dense_ranks(factors, factors > 0), ranks_by_sort(factors, factors > 0))
 
     @pytest.mark.parametrize("cfg", [
         *(pytest.param(small_cfg(setup=setup, color_mode=mode), id=f"{setup}-{mode}")
@@ -474,7 +476,7 @@ class TestFactors:
         assert x.tobytes() == np.stack([r.pixels for r in records]).tobytes()
         assert_factors_of_records(cfg, factors, records)
         np.testing.assert_array_equal(ranks, np.stack([r.ranks for r in records]))
-        np.testing.assert_array_equal(ranks, factor_ranks_by_sort(factors))
+        np.testing.assert_array_equal(ranks, ranks_by_sort(factors, factors > 0))
 
     def test_calibration_factors_are_the_records_placements(self):
         cfg = small_cfg(color_mode="color")
@@ -483,7 +485,7 @@ class TestFactors:
         assert x.tobytes() == np.stack([r.pixels for r in records]).tobytes()
         assert_factors_of_records(cfg, factors, records)
         np.testing.assert_array_equal(ranks, np.stack([r.ranks for r in records]))
-        np.testing.assert_array_equal(ranks, factor_ranks_by_sort(factors))
+        np.testing.assert_array_equal(ranks, ranks_by_sort(factors, factors > 0))
         # A mask per level marks one digit of every canvas.
         for level in CALIBRATION_SCALES:
             assert (factors == level).sum(axis=1).tolist() == [1] * 12
@@ -497,7 +499,7 @@ class TestFactors:
             swept = np.zeros((steps, cfg.num_classes))
             swept[:, list(digits)] = factors
             assert_factors_of_records(cfg, swept, seq.samples)
-            np.testing.assert_array_equal(np.stack([s.ranks for s in seq.samples]), factor_ranks_by_sort(swept))
+            np.testing.assert_array_equal(np.stack([s.ranks for s in seq.samples]), ranks_by_sort(swept, swept > 0))
 
     def test_a_three_step_sweep_breaks_its_tie_by_class_index(self):
         cfg = small_cfg(setup="S", scale_range=(1.0, 3.0))
@@ -507,7 +509,7 @@ class TestFactors:
             middle = seq.samples[1]
             # At t = 0.5 all three digits share the scale 2.0.
             assert [pf.scale for pf in middle.factors] == [2.0, 2.0, 2.0]
-            assert middle.ranks[sorted(seq.digits)].tolist() == [1, 2, 3]
+            assert middle.ranks[sorted(seq.digits)].tolist() == [3, 2, 1]
 
     @pytest.mark.parametrize("args,kwargs", [
         ((6, 24, 500), {"seed": 101}),
@@ -521,7 +523,7 @@ class TestFactors:
         lo, hi = kwargs.get("factor_range", (0.5, 3.0))
         present = factors[factors > 0]
         assert ((lo <= present) & (present <= hi)).all()
-        np.testing.assert_array_equal(ranks, factor_ranks_by_sort(factors))
+        np.testing.assert_array_equal(ranks, ranks_by_sort(factors, factors > 0))
         if not kwargs.get("noise", 0.05):
             # Without noise a row is its factors times the class directions.
             directions = np.random.Generator(np.random.PCG64(kwargs["seed"])).standard_normal((k, d))
