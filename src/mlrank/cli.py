@@ -8,6 +8,9 @@ one shared key set, so one config file serves both.  Every command
 requires an output directory and writes a ``resolved_config.json``
 echo next to its outputs; re-running any command with the same
 resolved config and seed reproduces its output files byte for byte.
+``adjust-exp`` paints and forwards each distinct canvas of a sweep once
+(``adjust_means``); repeated steps take the scores of the step they
+repeat.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.
 """
@@ -349,17 +352,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def adjust_means(params, canvas: CanvasConfig, n_sequences: int, steps: int) -> np.ndarray:
+    """(steps, 3) mean scores of the low, middle and high digits over the
+    ``iter_adjust_sweeps`` of ``canvas``, one sweep in memory at a time.
+
+    A sweep block forwards only its rows that differ from the row before
+    them, as one batch; a repeated row takes the scores of the row it
+    repeats.  The scores are those of forwarding every row wherever the
+    BLAS gives a row the same bits in a product of either row count, and
+    otherwise differ from them by rounding alone."""
+    sums = np.zeros((steps, 3))
+    for digits, _, _, block in iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps):
+        fresh = np.r_[True, (block[1:] != block[:-1]).any(axis=1)]
+        _, pred = predict_batch(params, block[fresh])
+        sums += pred.scores[np.cumsum(fresh) - 1][:, list(digits)]
+    return sums / n_sequences
+
+
 def cmd_adjust_exp(args) -> int:
     cfg = _settings(args, _PROBE_KEYS)
     n_sequences = _integer(cfg.get("n_sequences", 50), "n_sequences", 1)
     steps = _integer(cfg.get("steps", 50), "steps", 2)
     seed, out, params, canvas = _probe_setup(cfg, "adjust")
-    sums = np.zeros((steps, 3))
-    # One sweep in memory at a time: its (steps, d) block is one batch.
-    for digits, _, _, block in iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps):
-        _, pred = predict_batch(params, block)
-        sums += pred.scores[:, list(digits)]
-    means = sums / n_sequences
+    means = adjust_means(params, canvas, n_sequences, steps)
     rows = [
         (step + 1, repr(float(means[step, 0])), repr(float(means[step, 1])), repr(float(means[step, 2])))
         for step in range(steps)

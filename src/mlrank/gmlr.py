@@ -35,15 +35,22 @@ from .buckets import checked_ranks, head_batch, pair_mask
 from .gaussian import q_grads
 
 
-def classification_loss(mu, log_var, ranks):
+def classification_loss(mu, log_var, positive):
     """(n,) Bernoulli NLL summed over classes, plus (n, K) gradients.
 
-    Returns (loss, grad_mu, grad_log_var).  A class is a target positive
-    iff its rank is > 0.  P(negative) is evaluated as Q(-mu, sigma), the
-    exact complement of Q(mu, sigma), which keeps tail accuracy.
+    Returns (loss, grad_mu, grad_log_var).  ``positive`` is the (n, K)
+    boolean mask of the target positives (``ranks > 0``); a mask of
+    another dtype or shape is a ValueError.  P(negative) is evaluated as
+    Q(-mu, sigma), the exact complement of Q(mu, sigma), which keeps
+    tail accuracy.
     """
+    positive = np.asarray(positive)
+    if positive.dtype != bool or positive.shape != np.shape(mu):
+        raise ValueError(
+            f"positive must be a boolean mask of mu's shape {np.shape(mu)}, got {positive.dtype} {positive.shape}"
+        )
     sigma = np.exp(0.5 * log_var)
-    sgn = np.where(np.asarray(ranks) > 0, 1.0, -1.0)
+    sgn = np.where(positive, 1.0, -1.0)
     # Per class the active term is -log Q(sgn * mu, sigma).
     q, dq_dm, dq_ds = q_grads(sgn * mu, sigma)
     grad_sigma = -dq_ds / q
@@ -110,7 +117,7 @@ def gmlr_objective(out, ranks, mode: str):
     out, ranks = head_batch(out, ranks, 2 * k)
     mask = pair_mask(ranks, mode)
     mu, log_var = out[:, :k], out[:, k:]
-    lc, gc_mu, gc_lv = classification_loss(mu, log_var, ranks)
+    lc, gc_mu, gc_lv = classification_loss(mu, log_var, ranks > 0)
     lr, gr_mu, gr_lv = ranking_loss(mu, log_var, mask)
     pairs = mask.sum(axis=(1, 2))
     lam1 = 1.0 / k

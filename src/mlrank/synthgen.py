@@ -14,7 +14,9 @@ present class and 0 for an absent one, and the one rank rule,
 by ascending factor, exact ties broken by class index: of two tied
 classes the lower index takes the higher rank.  Each fills its arrays a
 row at a time, painting every canvas into its row of one block through
-``_paint``.
+``_paint``.  Glyphs are drawn at whole-pixel sizes (``_glyph_px``), so
+an adjusting sweep's consecutive steps often draw the same canvas; a
+repeated step copies the row before it instead of painting it.
 ``RankedInstance`` and the record wrappers (``generate_*``) serve only the
 benchmark's scripts; their records are views over the same rows.
 
@@ -87,7 +89,7 @@ class CanvasConfig:
         if self.glyph_size < 4:
             raise ValueError("glyph_size must be at least 4")
         max_scale = self.scale_range[1] if self.uses_scale else 1.0
-        if int(round(self.glyph_size * max_scale)) > self.canvas_size:
+        if _glyph_px(self, max_scale) > self.canvas_size:
             raise ValueError(
                 "placement infeasible: glyph_size * max scale exceeds canvas_size"
             )
@@ -197,12 +199,18 @@ def _glyph_bank(cfg: CanvasConfig) -> GlyphBank:
     return load_idx_glyphs(cfg.idx_images, cfg.idx_labels)
 
 
+def _glyph_px(cfg: CanvasConfig, scale: float) -> int:
+    """The side in pixels of a glyph drawn at ``scale``: glyphs are drawn
+    at whole-pixel sizes."""
+    return int(round(cfg.glyph_size * scale))
+
+
 def _digit(cfg: CanvasConfig, rng, digit: int, scale: float, brightness: float) -> DigitFactors:
     """Draw a digit's hue and saturation (colour canvases only), then a
     position that fits it at ``scale``; returns its factors."""
     hue = float(rng.uniform()) if cfg.color_mode == "color" else None
     sat = float(rng.uniform()) if cfg.color_mode == "color" else None
-    px = max(4, int(round(cfg.glyph_size * scale)))
+    px = _glyph_px(cfg, scale)
     top = int(rng.integers(0, cfg.canvas_size - px + 1))
     left = int(rng.integers(0, cfg.canvas_size - px + 1))
     return DigitFactors(
@@ -216,7 +224,7 @@ def _paint(cfg: CanvasConfig, bank: GlyphBank, canvas: np.ndarray, rng, digit: i
     (size, size, channels) ``canvas`` view with its top-left corner at
     (``top``, ``left``); colour canvases tint it at ``hue`` and
     ``saturation``.  ``rng`` picks stored glyphs and is unused otherwise."""
-    px = max(4, int(round(cfg.glyph_size * scale)))
+    px = _glyph_px(cfg, scale)
     glyph = bank.render(digit, px, rng)
     if brightness != 1.0:
         glyph = glyph * brightness
@@ -305,7 +313,7 @@ def _check_probe_canvas(cfg: CanvasConfig, probe: str) -> None:
         )
     if probe == "calib" and not cfg.setup.startswith("S"):
         raise ValueError(f"setup mismatch: calibration requires a scale-ranked 'canvas.setup', got {cfg.setup!r}")
-    if probe == "calib" and int(round(cfg.glyph_size * max(CALIBRATION_SCALES))) > cfg.canvas_size:
+    if probe == "calib" and _glyph_px(cfg, max(CALIBRATION_SCALES)) > cfg.canvas_size:
         raise ValueError(
             f"placement infeasible: 'canvas.glyph_size' {cfg.glyph_size} at the calibration scale "
             f"{max(CALIBRATION_SCALES)} exceeds canvas_size {cfg.canvas_size}"
@@ -339,8 +347,12 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     with the scale each was placed to fit); the ``steps`` (low, middle,
     high) factor triples; and a fresh (steps, d) block whose row i is
     step i's canvas, painted in place and rounded once.  Stored glyph
-    banks pick each step's glyphs from a fresh ``default_rng(0)``.  Each
-    sweep is built only when it is asked for."""
+    banks pick each step's glyphs from a fresh ``default_rng(0)``, so
+    every step picks the same glyphs.  Glyphs are drawn at whole-pixel
+    sizes, so consecutive steps often draw the same pixels: a step whose
+    glyph sizes and brightnesses are those of the step before it copies
+    that step's row instead of painting it.  Each sweep is built only
+    when it is asked for."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
     _check_probe_canvas(cfg, "adjust")
@@ -351,6 +363,10 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     mid = 0.5 * (lo + hi)
     ts = [step / (steps - 1) for step in range(steps)]
     factors = tuple((lo + t * (hi - lo), mid, hi - t * (hi - lo)) for t in ts)
+    # Each step's (scale, brightness) per role, and the (pixel size,
+    # brightness) each role's glyph is drawn at.
+    looks = [tuple((f, 1.0) if by_scale else (1.0, f) for f in step_factors) for step_factors in factors]
+    drawn = [tuple((_glyph_px(cfg, s), b) for s, b in step_looks) for step_looks in looks]
     for _ in range(n_sequences):
         digits = tuple(int(d) for d in rng.choice(cfg.num_classes, size=3, replace=False))
         # Each role is placed to fit its largest sweep extent.
@@ -359,11 +375,14 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
             for digit, extent in zip(digits, (hi, mid, hi))
         )
         block = np.zeros((steps, cfg.feature_length))
-        for canvas, step_factors in zip(block.reshape(steps, *cfg.image_shape), factors):
+        for step, step_looks in enumerate(looks):
+            if step and drawn[step] == drawn[step - 1]:
+                block[step] = block[step - 1]
+                continue
+            canvas = block[step].reshape(cfg.image_shape)
             glyph_rng = None if bank.glyphs is None else np.random.default_rng(0)
-            for r, f in zip(roles, step_factors):
-                _paint(cfg, bank, canvas, glyph_rng, r.digit, f if by_scale else 1.0, 1.0 if by_scale else f,
-                       r.top, r.left, r.hue, r.saturation)
+            for r, (scale, brightness) in zip(roles, step_looks):
+                _paint(cfg, bank, canvas, glyph_rng, r.digit, scale, brightness, r.top, r.left, r.hue, r.saturation)
         yield digits, roles, factors, np.round(block, 3, out=block)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mlrank.buckets import pair_mask
+from mlrank.cli import adjust_means
 from mlrank.gaussian import q_prob
 from mlrank.gmlr import bucket_likelihood
 from mlrank.metrics import (
@@ -35,7 +36,6 @@ from mlrank.synthgen import (
     calibration_arrays,
     canvas_arrays,
     feature_arrays,
-    iter_adjust_sweeps,
 )
 
 from oracles import (
@@ -279,13 +279,8 @@ def test_criterion_06_calibration_monotonicity(canvas_model):
 
 @pytest.mark.slow
 def test_criterion_07_adjusting_effects(canvas_model):
-    sweeps = iter_adjust_sweeps(CanvasConfig(seed=ADJUST_SEED, **CANVAS_CFG), n_sequences=50, steps=50)
-    sums = np.zeros((50, 3))
-    # one batch per sweep block, as adjust-exp predicts it
-    for digits, _, _, block in sweeps:
-        _, pred = predict_batch(canvas_model, block)
-        sums += pred.scores[:, list(digits)]
-    means = sums / 50
+    # the sweep scoring adjust-exp runs
+    means = adjust_means(canvas_model, CanvasConfig(seed=ADJUST_SEED, **CANVAS_CFG), n_sequences=50, steps=50)
     steps = np.arange(1, 51)
     rho_low = spearman_rho(steps, means[:, 0])
     rho_high = spearman_rho(steps, means[:, 2])

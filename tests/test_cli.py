@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +71,10 @@ def make_affine_gmlr_checkpoint(path, k=3, bias=-0.25):
 
 
 SMALL_CANVAS = {"canvas_size": 32, "glyph_size": 8, "setup": "S"}
+# tests/test_acceptance.py CANVAS_CFG
+ACCEPTANCE_CANVAS = {
+    "canvas_size": 64, "glyph_size": 18, "setup": "S", "scale_range": (1.0, 2.5), "digit_count_range": (3, 4),
+}
 
 
 def make_plain_canvas_checkpoint(path):
@@ -498,9 +504,13 @@ class TestExperiments:
         got = np.array([[float(v) for v in r[1:]] for r in read_csv(out / "adjust.csv")[1:]])
         np.testing.assert_allclose(got, want / 3, rtol=1e-12, atol=1e-14)
 
-    def test_adjust_exp_predicts_each_sweep_block_and_builds_no_records(self, tmp_path, monkeypatch):
+    def test_adjust_exp_forwards_each_distinct_sweep_canvas_once(self, tmp_path, monkeypatch):
+        # Glyphs are drawn at whole-pixel sizes: over 50 scale steps the
+        # acceptance canvas draws 28 distinct (low, high) size pairs, and
+        # every brightness step is distinct.
         ckpt = tmp_path / "ckpt.json"
-        make_plain_canvas_checkpoint(ckpt)
+        params = init_model(64 * 64, 10, "gmlr", hidden=(8,), seed=0, front_end=FrontEnd((64, 64, 1)))
+        save_checkpoint(ckpt, params, meta={"mode": "strong"})
         built = []
 
         def counted(name, real):
@@ -511,29 +521,54 @@ class TestExperiments:
 
         for name in ("dense_ranks", "GeneratedSample"):
             monkeypatch.setattr(mlrank.synthgen, name, counted(name, getattr(mlrank.synthgen, name)))
-        blocks, batches = [], []
-        real_sweeps, real_predict = mlrank.cli.iter_adjust_sweeps, mlrank.cli.predict_batch
-
-        def sweeps(*args, **kwargs):
-            for sweep in real_sweeps(*args, **kwargs):
-                blocks.append(sweep[3])
-                yield sweep
+        rows, real_predict = [], mlrank.cli.predict_batch
 
         def predict(params, x):
-            batches.append(x)
+            rows.append(len(x))
             return real_predict(params, x)
 
-        monkeypatch.setattr(mlrank.cli, "iter_adjust_sweeps", sweeps)
         monkeypatch.setattr(mlrank.cli, "predict_batch", predict)
-        cfgp = tmp_path / "a.json"
-        cfgp.write_text(json.dumps({"canvas": SMALL_CANVAS, "n_sequences": 3, "steps": 5}))
-        assert run("adjust-exp", "--config", str(cfgp), "--checkpoint", str(ckpt),
-                   "--seed", "11", "--out", str(tmp_path / "adj")) == 0
+        for setup, fresh in (("S", 28), ("B", 50)):
+            rows.clear()
+            canvas = {**ACCEPTANCE_CANVAS, "setup": setup}
+            cfgp = tmp_path / f"{setup}.json"
+            cfgp.write_text(json.dumps({"canvas": canvas, "n_sequences": 2, "steps": 50}))
+            out = tmp_path / setup
+            assert run("adjust-exp", "--config", str(cfgp), "--checkpoint", str(ckpt),
+                       "--seed", "11", "--out", str(out)) == 0
+            assert rows == [fresh, fresh]
+            # Every step forwarded, one full block per sweep, gives the same bytes.
+            sums = np.zeros((50, 3))
+            for digits, _, _, block in iter_adjust_sweeps(CanvasConfig(seed=11, **canvas), 2, 50):
+                sums += real_predict(params, block)[1].scores[:, list(digits)]
+            want = [[str(step + 1), *(repr(float(v)) for v in means)] for step, means in enumerate(sums / 2)]
+            assert read_csv(out / "adjust.csv")[1:] == want
         assert built == []
-        # One prediction per sweep, on the (steps, d) block it was painted in.
-        assert len(batches) == len(blocks) == 3
-        for x, block in zip(batches, blocks):
-            assert x is block and x.shape == (5, 32 * 32)
+
+    def test_adjust_csv_bit_identical_at_1_and_2_blas_threads(self, tmp_path):
+        """The determinism contract (README, Determinism) for adjust-exp
+        at the acceptance canvas config, on one machine.  OpenBLAS reads
+        its thread count when it loads, so each count runs in its own
+        process."""
+        ckpt = tmp_path / "ckpt.json"
+        params = init_model(64 * 64, 10, "gmlr", hidden=(16,), seed=1, front_end=FrontEnd((64, 64, 1)))
+        save_checkpoint(ckpt, params, meta={"mode": "strong"})
+        cfgp = tmp_path / "a.json"
+        cfgp.write_text(json.dumps({"canvas": ACCEPTANCE_CANVAS, "n_sequences": 3, "steps": 50}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mlrank.__file__)))
+        texts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"adj{threads}"
+            path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run(
+                [sys.executable, "-m", "mlrank.cli", "adjust-exp", "--config", str(cfgp),
+                 "--checkpoint", str(ckpt), "--seed", "302", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600, check=True,
+            )
+            texts.append((out / "adjust.csv").read_bytes())
+        assert texts[0].count(b"\n") == 51
+        assert texts[0] == texts[1]
 
     def test_one_config_serves_both_probe_commands(self, tmp_path):
         # shaped like the benchmark's probe.json: keys of both commands

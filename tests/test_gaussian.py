@@ -24,7 +24,7 @@ def log_q_prob(mu, sigma):
     """log Q as the classification loss takes it: minus the loss of one
     positive class."""
     log_var = np.array([[2.0 * math.log(sigma)]])
-    return -classification_loss(np.array([[float(mu)]]), log_var, np.array([[1]]))[0][0]
+    return -classification_loss(np.array([[float(mu)]]), log_var, np.array([[True]]))[0][0]
 
 
 def diff_q(u, v):

@@ -28,7 +28,7 @@ def log_var_or_zeros(mu, log_var):
 
 def cls_loss(mu, ranks, log_var=None):
     """(loss, grad_mu, grad_log_var) of one instance."""
-    loss, gmu, glv = classification_loss(row(mu), row(log_var_or_zeros(mu, log_var)), [ranks])
+    loss, gmu, glv = classification_loss(row(mu), row(log_var_or_zeros(mu, log_var)), np.array([ranks]) > 0)
     return loss[0], gmu[0], glv[0]
 
 
@@ -56,6 +56,13 @@ class TestClassificationLoss:
     def test_positive_at_one(self):
         loss, _, _ = cls_loss([1.0], [1])
         assert abs(loss - NEG_LOG_PHI_1) <= 1e-5
+
+    @pytest.mark.parametrize("positive", [[[1, 0]], [[-1, 0]], [[1.7, 0.0]], [[True]]],
+                             ids=["ranks", "negative-rank", "fraction", "shape"])
+    def test_refuses_anything_but_a_boolean_mask_of_mu_shape(self, positive):
+        # Ranks were read as ranks > 0: -1 and 1.7 gave 1.386 like [1, 0].
+        with pytest.raises(ValueError, match="positive must be a boolean mask"):
+            classification_loss(np.zeros((1, 2)), np.zeros((1, 2)), positive)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -345,6 +345,38 @@ class TestAdjustSequences:
                 np.testing.assert_array_equal(sample.ranks, ranks[0])
                 assert sample.image_shape == cfg.image_shape
 
+    @pytest.mark.parametrize("setup", ["S", "B"])
+    def test_every_row_is_the_canvas_of_its_step(self, sweep_cfg, setup, monkeypatch):
+        # At 50 steps the scale sweep's glyph sizes repeat, and a step of
+        # the sizes and brightnesses of the step before it copies that
+        # row; brightness steps are all distinct.  Each row must equal
+        # the canvas the dataset painter gives its step's placed digits.
+        # 12 * (1 + 2.7) is not whole, so the low and high sizes change
+        # at different steps.
+        cfg = sweep_cfg(setup=setup, scale_range=(1.0, 2.7))
+        painted, real_paint = [], synthgen._paint
+
+        def paint(*args):
+            painted.append(args)
+            real_paint(*args)
+
+        monkeypatch.setattr(synthgen, "_paint", paint)
+        sweeps = list(iter_adjust_sweeps(cfg, n_sequences=2, steps=50))
+        if setup == "S":
+            assert 0 < len(painted) < 2 * 50 * 3
+        else:
+            assert len(painted) == 2 * 50 * 3
+        painter_cfg = dataclasses.replace(cfg, seed=0)
+        for _, roles, factors, block in sweeps:
+            for pixels, step_factors in zip(block, factors, strict=True):
+                placed = tuple(
+                    dataclasses.replace(r, scale=f, brightness=1.0) if setup == "S"
+                    else dataclasses.replace(r, scale=1.0, brightness=f)
+                    for r, f in zip(roles, step_factors)
+                )
+                x = synthgen._paint_canvases(painter_cfg, 1, lambda cfg, rng: placed)[0]
+                assert pixels.tobytes() == x[0].tobytes()
+
     def test_refuses_fewer_than_three_classes(self):
         with pytest.raises(ValueError, match="'canvas.num_classes' must be at least 3"):
             next(iter_adjust_sweeps(small_cfg(num_classes=2, digit_count_range=(1, 2)), 2, 5))
@@ -561,6 +593,21 @@ class TestPinnedBytes:
         assert x.shape == (24, cfg.feature_length) and x.dtype == np.float64
         assert ranks.shape == (24, cfg.num_classes) and ranks.dtype == np.dtype(int)
         assert sha256_of(x, ranks.astype("<i8")) == digest
+
+    # Taken before a sweep step copied the row of the step before it.
+    @pytest.mark.parametrize("case,digest", [
+        ("gray S", "3b8190c08e26a25fbf188f4b7249742d59464bf012a661c2bf59fc615735d74c"),
+        ("color S-mix", "6b97e0cf9155b2ea456e6315945f00714f7cb62ee5a838d4838cc9c94ae795af"),
+        ("gray B", "f64ce9ad3f8859ddcd787c0295aa50990c34d318f4f5d598f582c1dd68983afe"),
+    ])
+    def test_adjust_sweeps(self, case, digest):
+        cfg = {
+            "gray S": lambda: small_cfg(setup="S"),
+            "color S-mix": lambda: small_cfg(setup="S-mix", color_mode="color"),
+            "gray B": lambda: small_cfg(setup="B"),
+        }[case]()
+        blocks = [block for *_, block in iter_adjust_sweeps(cfg, n_sequences=3, steps=50)]
+        assert sha256_of(*blocks) == digest
 
     def test_calibration_set_from_idx_bank(self, tmp_path):
         cfg = idx_bank_cfg(tmp_path)
