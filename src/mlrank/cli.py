@@ -8,9 +8,8 @@ one shared key set, so one config file serves both.  Every command
 requires an output directory and writes a ``resolved_config.json``
 echo next to its outputs; re-running any command with the same
 resolved config and seed reproduces its output files byte for byte.
-``adjust-exp`` paints and forwards each distinct canvas of a sweep once
-(``adjust_means``); repeated steps take the scores of the step they
-repeat.
+``adjust-exp`` forwards each sweep's block of distinct canvases once
+(``adjust_means``); each step takes the scores of its row of the block.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.
 """
@@ -27,9 +26,11 @@ import sys
 
 import numpy as np
 
+from .buckets import MODES
 from .dataio import read_dataset_jsonl, write_dataset_jsonl
 from .metrics import evaluate_dataset
 from .model import (
+    METHODS,
     TrainConfig,
     TrainingDiverged,
     load_checkpoint,
@@ -178,21 +179,6 @@ _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 _PROBE_KEYS = ("seed", "out", "checkpoint", "canvas", "n", "n_sequences", "steps")
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    kwargs = {k: cfg[k] for k in _TRAIN_FIELDS if k in cfg}
-    for key, minimum in (("seed", 0), ("epochs", 0), ("batch_size", 1), ("stage2_epochs", 0)):
-        if kwargs.get(key) is not None:
-            _integer(kwargs[key], key, minimum)
-    for key in ("learning_rate", "weight_decay", "lr_decay_per_epoch"):
-        if key in kwargs:
-            _number(kwargs[key], key)
-    if "hidden" in kwargs:
-        if not isinstance(kwargs["hidden"], list):
-            raise ValueError(f"'hidden' must be a list of layer widths, got {kwargs['hidden']!r}")
-        kwargs["hidden"] = tuple(_integer(width, "hidden", 1) for width in kwargs["hidden"])
-    return TrainConfig(**kwargs)
-
-
 def _feature_config(d: dict) -> dict:
     defaults = {"num_classes": 6, "dim": 24, "factor_range": [0.5, 3.0], "noise": 0.05}
     _refuse_unknown(d, defaults, "feature")
@@ -294,7 +280,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _settings(args, ("dataset", "out", *_TRAIN_FIELDS))
     _require(cfg, "seed")
-    tc = _train_config(cfg)
+    tc = TrainConfig(**{k: cfg[k] for k in _TRAIN_FIELDS if k in cfg})
     header, x, ranks = read_dataset_jsonl(_require(cfg, "dataset"))
     out = _out_dir(cfg)
     params, log = train_arrays(x, ranks, tc, header.get("image_shape"))
@@ -310,7 +296,6 @@ def cmd_train(args) -> int:
         [(e, s, repr(l), repr(lr)) for e, s, l, lr in log],
     )
     resolved = {"dataset": cfg["dataset"], "out": out, **dataclasses.asdict(tc)}
-    resolved["hidden"] = list(tc.hidden)
     _write_echo(out, "train", resolved)
     print(f"trained {tc.method}/{tc.mode} for {len(log)} epochs; checkpoint in {out}")
     return 0
@@ -356,16 +341,15 @@ def adjust_means(params, canvas: CanvasConfig, n_sequences: int, steps: int) -> 
     """(steps, 3) mean scores of the low, middle and high digits over the
     ``iter_adjust_sweeps`` of ``canvas``, one sweep in memory at a time.
 
-    A sweep block forwards only its rows that differ from the row before
-    them, as one batch; a repeated row takes the scores of the row it
-    repeats.  The scores are those of forwarding every row wherever the
-    BLAS gives a row the same bits in a product of either row count, and
-    otherwise differ from them by rounding alone."""
+    A sweep's block of distinct canvases forwards as one batch, and each
+    step takes the scores of its row (``index``).  The scores are those
+    of forwarding every step wherever the BLAS gives a row the same bits
+    in a product of either row count, and otherwise differ from them by
+    rounding alone."""
     sums = np.zeros((steps, 3))
-    for digits, _, _, block in iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps):
-        fresh = np.r_[True, (block[1:] != block[:-1]).any(axis=1)]
-        _, pred = predict_batch(params, block[fresh])
-        sums += pred.scores[np.cumsum(fresh) - 1][:, list(digits)]
+    for digits, _, _, block, index in iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps):
+        _, pred = predict_batch(params, block)
+        sums += pred.scores[index][:, list(digits)]
     return sums / n_sequences
 
 
@@ -481,8 +465,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model on a JSONL dataset")
     common(p)
     p.add_argument("--dataset")
-    p.add_argument("--method", choices=("gmlr", "lsep", "crpc"))
-    p.add_argument("--mode", choices=("weak", "strong"))
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--learning-rate", type=float, dest="learning_rate")

@@ -37,12 +37,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import crpc_loss, lsep_class_loss, lsep_rank_loss
-from .buckets import checked_ranks
+from .buckets import MODES, checked_ranks
 from .gmlr import gmlr_objective
 from .predict import Prediction, decide
 
@@ -190,20 +191,32 @@ class TrainConfig:
     stage2_epochs: int | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if self.mode not in ("weak", "strong"):
-            raise ValueError("mode must be 'weak' or 'strong'")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
-        if not 0 < self.lr_decay_per_epoch <= 1:
-            raise ValueError("lr_decay_per_epoch must lie in (0, 1]")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.epochs < 0 or (self.stage2_epochs is not None and self.stage2_epochs < 0):
-            raise ValueError("epochs and stage2_epochs must be non-negative")
+        for name, choices in (("method", METHODS), ("mode", MODES)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"'{name}' must be one of {choices}, got {getattr(self, name)!r}")
+        for name, minimum in (("seed", 0), ("epochs", 0), ("batch_size", 1), ("stage2_epochs", 0)):
+            if name != "stage2_epochs" or self.stage2_epochs is not None:
+                setattr(self, name, _count(getattr(self, name), name, minimum))
+        if not isinstance(self.hidden, (tuple, list)):
+            raise ValueError(f"'hidden' must be a list of layer widths, got {self.hidden!r}")
+        self.hidden = tuple(_count(width, "hidden", 1) for width in self.hidden)
+        for name, ok, rule in (
+            ("learning_rate", lambda v: v > 0, "> 0"),
+            ("weight_decay", lambda v: v >= 0, ">= 0"),
+            ("lr_decay_per_epoch", lambda v: 0 < v <= 1, "in (0, 1]"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and ok(value)):
+                raise ValueError(f"'{name}' must be a finite number {rule}, got {value!r}")
+
+
+def _count(value, name: str, minimum: int) -> int:
+    """``value`` as an int when it is an integer (NumPy's too, not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"'{name}' must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def init_model(

@@ -15,8 +15,8 @@ by ascending factor, exact ties broken by class index: of two tied
 classes the lower index takes the higher rank.  Each fills its arrays a
 row at a time, painting every canvas into its row of one block through
 ``_paint``.  Glyphs are drawn at whole-pixel sizes (``_glyph_px``), so
-an adjusting sweep's consecutive steps often draw the same canvas; a
-repeated step copies the row before it instead of painting it.
+an adjusting sweep's consecutive steps often draw the same canvas; its
+block holds each distinct canvas once, and an index maps steps to rows.
 ``RankedInstance`` and the record wrappers (``generate_*``) serve only the
 benchmark's scripts; their records are views over the same rows.
 
@@ -342,17 +342,19 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     range minimum to its maximum, the high digit the opposite way, the
     middle digit constant.
 
-    Each sweep is ``(digits, roles, factors, block)``: the low, middle
-    and high digits; their placements (position, hue and saturation,
-    with the scale each was placed to fit); the ``steps`` (low, middle,
-    high) factor triples; and a fresh (steps, d) block whose row i is
-    step i's canvas, painted in place and rounded once.  Stored glyph
-    banks pick each step's glyphs from a fresh ``default_rng(0)``, so
-    every step picks the same glyphs.  Glyphs are drawn at whole-pixel
-    sizes, so consecutive steps often draw the same pixels: a step whose
-    glyph sizes and brightnesses are those of the step before it copies
-    that step's row instead of painting it.  Each sweep is built only
-    when it is asked for."""
+    Each sweep is ``(digits, roles, factors, block, index)``: the low,
+    middle and high digits; their placements (position, hue and
+    saturation, with the scale each was placed to fit); the ``steps``
+    (low, middle, high) factor triples; a fresh block of the sweep's
+    distinct canvases, painted in place and rounded once; and the
+    read-only (steps,) block row of each step's canvas, one array shared
+    by every sweep.  Glyphs are drawn at whole-pixel sizes, so a step
+    whose glyph sizes and brightnesses are those of the step before it
+    shares its row.  Stored glyph banks pick each canvas's glyphs from a
+    fresh ``default_rng(0)``, so every step picks the same glyphs.  Each
+    sweep is built only when it is asked for."""
+    if n_sequences < 1:
+        raise ValueError("n_sequences must be at least 1")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     _check_probe_canvas(cfg, "adjust")
@@ -367,6 +369,10 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     # brightness) each role's glyph is drawn at.
     looks = [tuple((f, 1.0) if by_scale else (1.0, f) for f in step_factors) for step_factors in factors]
     drawn = [tuple((_glyph_px(cfg, s), b) for s, b in step_looks) for step_looks in looks]
+    fresh = [step == 0 or drawn[step] != drawn[step - 1] for step in range(steps)]
+    index = np.cumsum(fresh) - 1
+    index.flags.writeable = False
+    painted = [step_looks for step_looks, new in zip(looks, fresh) if new]
     for _ in range(n_sequences):
         digits = tuple(int(d) for d in rng.choice(cfg.num_classes, size=3, replace=False))
         # Each role is placed to fit its largest sweep extent.
@@ -374,31 +380,28 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
             _digit(cfg, rng, digit, extent if by_scale else 1.0, 1.0)
             for digit, extent in zip(digits, (hi, mid, hi))
         )
-        block = np.zeros((steps, cfg.feature_length))
-        for step, step_looks in enumerate(looks):
-            if step and drawn[step] == drawn[step - 1]:
-                block[step] = block[step - 1]
-                continue
-            canvas = block[step].reshape(cfg.image_shape)
+        block = np.zeros((len(painted), cfg.feature_length))
+        for row, step_looks in zip(block, painted):
+            canvas = row.reshape(cfg.image_shape)
             glyph_rng = None if bank.glyphs is None else np.random.default_rng(0)
             for r, (scale, brightness) in zip(roles, step_looks):
                 _paint(cfg, bank, canvas, glyph_rng, r.digit, scale, brightness, r.top, r.left, r.hue, r.saturation)
-        yield digits, roles, factors, np.round(block, 3, out=block)
+        yield digits, roles, factors, np.round(block, 3, out=block), index
 
 
 def generate_adjust_sequences(
     cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
 ) -> list[AdjustSequence]:
     """``iter_adjust_sweeps`` as a list of ``AdjustSequence`` records: one
-    ``GeneratedSample`` per step, whose pixels are that step's row of the
-    sweep's block and whose ranks are ``dense_ranks``' of its factors."""
+    ``GeneratedSample`` per step, whose pixels are a view of its block row
+    and whose ranks are ``dense_ranks``' of its factors."""
     by_scale = cfg.ranked_factor == "scale"
     sequences = []
-    for digits, roles, factors, block in iter_adjust_sweeps(cfg, n_sequences, steps):
+    for digits, roles, factors, block, index in iter_adjust_sweeps(cfg, n_sequences, steps):
         swept = np.zeros((steps, cfg.num_classes))
         swept[:, list(digits)] = factors
         samples = []
-        for pixels, ranks, step_factors in zip(block, dense_ranks(swept, swept > 0), factors):
+        for row, ranks, step_factors in zip(index, dense_ranks(swept, swept > 0), factors):
             placed = tuple(
                 DigitFactors(
                     digit=r.digit, scale=f if by_scale else 1.0, brightness=1.0 if by_scale else f,
@@ -406,7 +409,7 @@ def generate_adjust_sequences(
                 )
                 for r, f in zip(roles, step_factors)
             )
-            samples.append(GeneratedSample(pixels=pixels, ranks=ranks, factors=placed, image_shape=cfg.image_shape))
+            samples.append(GeneratedSample(pixels=block[row], ranks=ranks, factors=placed, image_shape=cfg.image_shape))
         sequences.append(AdjustSequence(digits=digits, samples=tuple(samples)))
     return sequences
 

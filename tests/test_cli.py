@@ -498,11 +498,19 @@ class TestExperiments:
                    "--seed", "11", "--out", str(out)) == 0
         params, _ = load_checkpoint(ckpt)
         want = np.zeros((5, 3))
-        for digits, _, _, block in iter_adjust_sweeps(CanvasConfig(seed=11, **canvas), 3, 5):
-            for step, pixels in enumerate(block):
+        for digits, _, _, block, index in iter_adjust_sweeps(CanvasConfig(seed=11, **canvas), 3, 5):
+            for step, pixels in enumerate(block[index]):
                 want[step] += predict_batch(params, pixels[None])[1].scores[0, list(digits)]
         got = np.array([[float(v) for v in r[1:]] for r in read_csv(out / "adjust.csv")[1:]])
         np.testing.assert_allclose(got, want / 3, rtol=1e-12, atol=1e-14)
+
+    def test_adjust_means_refuses_no_sequences(self, tmp_path):
+        # A direct call, without the command's own check, must not
+        # average over zero sweeps.
+        params, _ = load_checkpoint(self._canvas_checkpoint(tmp_path))
+        canvas = CanvasConfig(seed=11, canvas_size=32, glyph_size=8, setup="S")
+        with pytest.raises(ValueError, match="n_sequences must be at least 1"):
+            mlrank.cli.adjust_means(params, canvas, 0, 5)
 
     def test_adjust_exp_forwards_each_distinct_sweep_canvas_once(self, tmp_path, monkeypatch):
         # Glyphs are drawn at whole-pixel sizes: over 50 scale steps the
@@ -539,8 +547,8 @@ class TestExperiments:
             assert rows == [fresh, fresh]
             # Every step forwarded, one full block per sweep, gives the same bytes.
             sums = np.zeros((50, 3))
-            for digits, _, _, block in iter_adjust_sweeps(CanvasConfig(seed=11, **canvas), 2, 50):
-                sums += real_predict(params, block)[1].scores[:, list(digits)]
+            for digits, _, _, block, index in iter_adjust_sweeps(CanvasConfig(seed=11, **canvas), 2, 50):
+                sums += real_predict(params, block[index])[1].scores[:, list(digits)]
             want = [[str(step + 1), *(repr(float(v)) for v in means)] for step, means in enumerate(sums / 2)]
             assert read_csv(out / "adjust.csv")[1:] == want
         assert built == []

@@ -213,6 +213,25 @@ class TestTrainConfig:
     def test_accepts_zero_weight_decay(self):
         assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 1.0), ("seed", -1), ("epochs", 1.5), ("epochs", "2"), ("epochs", None), ("batch_size", True),
+        ("batch_size", 0), ("stage2_epochs", np.float64(2.0)), ("stage2_epochs", -1),
+        ("hidden", (0,)), ("hidden", (4, True)), ("hidden", (2.5,)), ("hidden", 4),
+        ("learning_rate", True), ("weight_decay", False), ("lr_decay_per_epoch", True), ("lr_decay_per_epoch", "1"),
+        ("method", "sgd"), ("mode", "partial"),
+    ])
+    def test_refuses_what_it_cannot_train_naming_the_field(self, key, value):
+        # Before training starts: a bool batch size would train at 1, and
+        # a zero width would fail inside init_model.
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            TrainConfig(**{key: value})
+
+    def test_accepts_numpy_integers_as_counts(self):
+        cfg = TrainConfig(seed=np.int64(3), epochs=np.int32(2), batch_size=np.uint8(4), hidden=[np.int64(5), 6])
+        assert (cfg.seed, cfg.epochs, cfg.batch_size, cfg.hidden) == (3, 2, 4, (5, 6))
+        assert all(type(v) is int for v in (cfg.seed, cfg.epochs, cfg.batch_size, *cfg.hidden))
+        assert TrainConfig(stage2_epochs=None).stage2_epochs is None
+
 
 class TestTrain:
     def setup_method(self):

@@ -289,9 +289,9 @@ class TestAdjustSequences:
         cfg = sweep_cfg(setup="S", scale_range=(1.0, 3.0))
         sweeps = list(iter_adjust_sweeps(cfg, n_sequences=4, steps=11))
         assert len(sweeps) == 4
-        for digits, roles, factors, block in sweeps:
+        for digits, roles, factors, block, index in sweeps:
             assert len(set(digits)) == 3 and tuple(r.digit for r in roles) == digits
-            assert len(factors) == len(block) == 11
+            assert len(factors) == len(index) == 11 and len(block) == index[-1] + 1
             # low rises from the range minimum, high falls from its maximum
             assert factors[0] == pytest.approx((1.0, 2.0, 3.0))
             assert factors[-1] == pytest.approx((3.0, 2.0, 1.0))
@@ -309,25 +309,25 @@ class TestAdjustSequences:
         cfg = sweep_cfg(setup="B")
         a = iter_adjust_sweeps(cfg, n_sequences=2, steps=5)
         b = iter_adjust_sweeps(cfg, n_sequences=2, steps=5)
-        for (digits_a, roles_a, _, block_a), (digits_b, roles_b, _, block_b) in zip(a, b, strict=True):
+        for (digits_a, roles_a, _, *arrays_a), (digits_b, roles_b, _, *arrays_b) in zip(a, b, strict=True):
             assert digits_a == digits_b and roles_a == roles_b
-            assert block_a.tobytes() == block_b.tobytes()
+            assert [x.tobytes() for x in arrays_a] == [x.tobytes() for x in arrays_b]
 
     @pytest.mark.parametrize("setup", ["S", "B"])
     def test_records_are_the_sweep_blocks(self, sweep_cfg, setup):
         # ``generate_adjust_sequences`` is kept for the benchmark's probe
         # check: its records must be the sweeps' digits and block rows.
         cfg = sweep_cfg(setup=setup)
-        sweeps = iter_adjust_sweeps(cfg, n_sequences=3, steps=6)
-        for (digits, roles, factors, block), seq in zip(sweeps, generate_adjust_sequences(cfg, 3, 6), strict=True):
-            assert block.shape == (6, cfg.feature_length) and block.flags.c_contiguous
+        sweeps = zip(iter_adjust_sweeps(cfg, n_sequences=3, steps=6), generate_adjust_sequences(cfg, 3, 6), strict=True)
+        for (digits, roles, factors, block, index), seq in sweeps:
+            assert block.shape == (index[-1] + 1, cfg.feature_length) and block.flags.c_contiguous
             assert seq.digits == digits == tuple(r.digit for r in roles)
-            assert np.stack([s.pixels for s in seq.samples]).tobytes() == block.tobytes()
+            assert np.stack([s.pixels for s in seq.samples]).tobytes() == block[index].tobytes()
             # The records' pixels are the rows of one block, not copies.
             own = seq.samples[0].pixels.base
             assert own.shape == block.shape
             for step, (sample, step_factors) in enumerate(zip(seq.samples, factors, strict=True)):
-                assert sample.pixels.base is own and np.shares_memory(sample.pixels, own[step])
+                assert sample.pixels.base is own and np.shares_memory(sample.pixels, own[index[step]])
                 swept = [pf.scale if setup == "S" else pf.brightness for pf in sample.factors]
                 assert swept == list(step_factors)
 
@@ -348,8 +348,9 @@ class TestAdjustSequences:
     @pytest.mark.parametrize("setup", ["S", "B"])
     def test_every_row_is_the_canvas_of_its_step(self, sweep_cfg, setup, monkeypatch):
         # At 50 steps the scale sweep's glyph sizes repeat, and a step of
-        # the sizes and brightnesses of the step before it copies that
-        # row; brightness steps are all distinct.  Each row must equal
+        # the sizes and brightnesses of the step before it shares that
+        # step's block row; brightness steps are all distinct.  A block
+        # holds each distinct canvas once, and each step's row must equal
         # the canvas the dataset painter gives its step's placed digits.
         # 12 * (1 + 2.7) is not whole, so the low and high sizes change
         # at different steps.
@@ -366,9 +367,12 @@ class TestAdjustSequences:
             assert 0 < len(painted) < 2 * 50 * 3
         else:
             assert len(painted) == 2 * 50 * 3
+        assert len(painted) == 3 * sum(len(block) for *_, block, _ in sweeps)
         painter_cfg = dataclasses.replace(cfg, seed=0)
-        for _, roles, factors, block in sweeps:
-            for pixels, step_factors in zip(block, factors, strict=True):
+        for _, roles, factors, block, index in sweeps:
+            assert index is sweeps[0][4] and not index.flags.writeable
+            assert (block[1:] != block[:-1]).any(axis=1).all()
+            for pixels, step_factors in zip(block[index], factors, strict=True):
                 placed = tuple(
                     dataclasses.replace(r, scale=f, brightness=1.0) if setup == "S"
                     else dataclasses.replace(r, scale=1.0, brightness=f)
@@ -376,6 +380,21 @@ class TestAdjustSequences:
                 )
                 x = synthgen._paint_canvases(painter_cfg, 1, lambda cfg, rng: placed)[0]
                 assert pixels.tobytes() == x[0].tobytes()
+
+    @pytest.mark.parametrize("n_sequences, steps, message", [(0, 5, "n_sequences"), (1, 1, "steps")])
+    def test_refuses_an_empty_sweep(self, n_sequences, steps, message):
+        with pytest.raises(ValueError, match=f"{message} must be at least"):
+            next(iter_adjust_sweeps(small_cfg(), n_sequences, steps))
+
+    def test_repeated_steps_share_one_row(self):
+        cfg = small_cfg(setup="S", scale_range=(1.0, 2.7))
+        for seq in generate_adjust_sequences(cfg, n_sequences=2, steps=50):
+            pixels = [s.pixels for s in seq.samples]
+            repeats = [step for step in range(1, 50) if np.shares_memory(pixels[step], pixels[step - 1])]
+            assert 0 < len(repeats) < 49
+            for step in range(1, 50):
+                same = pixels[step].tobytes() == pixels[step - 1].tobytes()
+                assert same == (step in repeats)
 
     def test_refuses_fewer_than_three_classes(self):
         with pytest.raises(ValueError, match="'canvas.num_classes' must be at least 3"):
@@ -391,7 +410,7 @@ class TestAdjustSequences:
         for setup, color_mode in (("S", "gray"), ("B", "color")):
             cfg = small_cfg(setup=setup, color_mode=color_mode)
             sweeps = iter_adjust_sweeps(cfg, n_sequences=2, steps=5)
-            assert [len(block) for *_, block in sweeps] == [5, 5]
+            assert [len(index) for *_, index in sweeps] == [5, 5]
 
 
 class TestCalibrationSet:
@@ -527,7 +546,7 @@ class TestFactors:
     def test_sweep_records_take_the_ranks_of_their_factors(self, setup, steps):
         cfg = small_cfg(setup=setup)
         sweeps = iter_adjust_sweeps(cfg, 2, steps)
-        for (digits, _, factors, _), seq in zip(sweeps, generate_adjust_sequences(cfg, 2, steps), strict=True):
+        for (digits, _, factors, _, _), seq in zip(sweeps, generate_adjust_sequences(cfg, 2, steps), strict=True):
             swept = np.zeros((steps, cfg.num_classes))
             swept[:, list(digits)] = factors
             assert_factors_of_records(cfg, swept, seq.samples)
@@ -606,7 +625,7 @@ class TestPinnedBytes:
             "color S-mix": lambda: small_cfg(setup="S-mix", color_mode="color"),
             "gray B": lambda: small_cfg(setup="B"),
         }[case]()
-        blocks = [block for *_, block in iter_adjust_sweeps(cfg, n_sequences=3, steps=50)]
+        blocks = [block[index] for *_, block, index in iter_adjust_sweeps(cfg, n_sequences=3, steps=50)]
         assert sha256_of(*blocks) == digest
 
     def test_calibration_set_from_idx_bank(self, tmp_path):
@@ -1416,8 +1435,8 @@ class TestIdx:
         img_path, lbl_path = write_idx(tmp_path, images, labels)
         cfg = small_cfg(setup="S", glyph_source="idx-file", idx_images=str(img_path), idx_labels=str(lbl_path))
         h = hashlib.sha256()
-        for *_, block in iter_adjust_sweeps(cfg, n_sequences=3, steps=5):
-            h.update(block.tobytes())
+        for *_, block, index in iter_adjust_sweeps(cfg, n_sequences=3, steps=5):
+            h.update(block[index].tobytes())
         assert h.hexdigest() == "78c676aab0e01f82a4640c79f7a4cf71505e3e05bcee53af2e50962d48f17ebc"
 
     def test_missing_paths(self):
