@@ -34,13 +34,21 @@ three ``np.save`` records, the sha256 of the dataset file's bytes, the
 features as float64 and the ranks as int64.  The reader takes the arrays
 from it only while that digest matches the file; otherwise it parses the
 file, so the copy is a cache that can be deleted and is never named as
-input.
+input.  A parse that passes every check leaves the copy the file lacked,
+bound to the bytes the parse read (hashed as they are read), so a file
+is parsed once and later reads take the copy.  Writer and reader put a
+copy in place the same way (``_write_sidecar``): it is written under a
+temporary name beside the file and renamed over the old copy, so no
+read meets a part-written one, and a copy that cannot be written (a
+read-only directory, a full disk) is skipped without a trace.
 """
 
 from __future__ import annotations
 
 import array
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -127,6 +135,24 @@ def _sidecar(path) -> str:
     return os.fspath(path) + ".npy"
 
 
+def _write_sidecar(path, digest: bytes, x: np.ndarray, ranks: np.ndarray) -> None:
+    """Put in place the binary copy of ``path`` whose bytes hash to
+    ``digest``, from its float64 ``x`` and int64 ``ranks``: written under
+    a fresh name in the same directory, then renamed over the old copy in
+    one step.  The copy is a cache, so a write that fails is skipped and
+    leaves no file behind."""
+    target = _sidecar(path)
+    temp = f"{target}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(temp, "xb") as fh:
+            for record in (np.frombuffer(digest, dtype=np.uint8), x, ranks):
+                np.save(fh, record, allow_pickle=False)
+        os.replace(temp, target)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+
+
 def write_dataset_jsonl(path, x, ranks, generator: dict | None = None, image_shape=None) -> None:
     """Write the (n, d) features and (n, k) ranks behind a {"k", "d",
     "generator"} header, plus "image_shape" when the features are images,
@@ -152,9 +178,7 @@ def write_dataset_jsonl(path, x, ranks, generator: dict | None = None, image_sha
         for data in itertools.chain([header_line], blocks):
             digest.update(data)
             fh.write(data)
-    with open(_sidecar(path), "wb") as fh:
-        for record in (np.frombuffer(digest.digest(), dtype=np.uint8), x, ranks):
-            np.save(fh, record, allow_pickle=False)
+    _write_sidecar(path, digest.digest(), x, ranks)
 
 
 def _line_count(path) -> int:
@@ -246,6 +270,23 @@ def _check_finite(path, x, stop) -> None:
             raise ValueError(f"{path}:{start + int(bad[0]) + 2}: features must be finite")
 
 
+class _HashedReader(io.RawIOBase):
+    """The binary file ``fh``, read through: ``digest`` is the sha256 of
+    the bytes read so far, so a parse that reads to the end binds the
+    bytes it parsed, whatever the file holds before or after."""
+
+    def __init__(self, fh):
+        self._fh, self.digest = fh, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        size = self._fh.readinto(buf)
+        self.digest.update(memoryview(buf)[:size])
+        return size
+
+
 def _sha256(path) -> bytes:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -316,6 +357,8 @@ def _read_row(line: str, x: np.ndarray, ranks: np.ndarray, i: int) -> None:
     # canvas read when run on every line.
     if ("true" in line or "false" in line) and bool in map(type, values):
         raise ValueError("features must be JSON numbers, not true or false")
+    if i >= len(x):
+        raise ValueError("the file holds more rows than were counted: it changed while it was read")
     x[i] = feats
     try:
         ranks[i] = row_ranks
@@ -328,23 +371,29 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
     features and the (n, k) int64 ranks.
 
     The header line is always parsed and checked.  The arrays then come
-    from the binary copy ``write_dataset_jsonl`` puts beside the file
-    when it holds the sha256 of the file's bytes and arrays of the
-    header's k and d that pass the row checks below.  In every other case
-    (no copy, a stale digest, an unreadable or mismatched copy) the
-    file's rows are parsed, so both ways return the same arrays.
+    from the file's binary copy (module docstring) when it holds the
+    sha256 of the file's bytes and arrays of the header's k and d that
+    pass the row checks below.  In every other case (no copy, a stale
+    digest, an unreadable or mismatched copy) the file's rows are parsed,
+    so both ways return the same arrays, and a parse that passes every
+    check puts the copy of the bytes it read in place; the next read of
+    the unchanged file takes it.
 
     A malformed header or row, a feature that is not a JSON number or is
     not finite, a negative rank or a number too large for its array is a
     ValueError that names the first such line as ``file:line``.  The rows
     are counted first, so each block of rows (module docstring) is parsed
     straight into its slots of the two matrices and the dataset is never
-    held twice.  Finiteness is checked once over the filled rows, after
-    the last row or before a malformed line is named.
+    held twice; a file that then parses into more or fewer rows than were
+    counted changed while it was read, and is a ValueError too.
+    Finiteness is checked once over the filled rows, after the last row or
+    before a malformed line is named.
     """
-    # Latin-1 decodes any byte, so a non-ASCII one fails on its own line
-    # and not on the line where the decoder's read-ahead meets it.
-    with open(path, "r", encoding="latin-1") as fh:
+    with open(path, "rb", buffering=0) as raw:
+        hashed = _HashedReader(raw)
+        # Latin-1 decodes any byte, so a non-ASCII one fails on its own
+        # line and not on the line where the decoder's read-ahead meets it.
+        fh = io.TextIOWrapper(io.BufferedReader(hashed), encoding="latin-1")
         lineno = 1
         try:
             header = _json_line(fh.readline())
@@ -369,9 +418,12 @@ def read_dataset_jsonl(path) -> tuple[dict, np.ndarray, np.ndarray]:
             if lineno > 2:
                 _check_finite(path, x, lineno - 2)
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    if start != n:
+        raise ValueError(f"{path}: {n} rows were counted but {start} read: the file changed while it was read")
     _check_finite(path, x, start)
     if not n:
         raise ValueError(f"{path}: dataset has a header but no instances")
+    _write_sidecar(path, hashed.digest.digest(), x, ranks)
     return header, x, ranks
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -743,8 +744,10 @@ def write_lines(path, d, lines, newline="\n"):
 
 
 def walked_read(path):
-    """``read_dataset_jsonl(path)`` with every block left to the line walk."""
+    """``read_dataset_jsonl(path)`` with every block left to the line walk,
+    past any binary copy an earlier read left."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_sidecar_arrays", lambda *args: None)
         mp.setattr(dataio, "_parse_block", lambda *args: False)
         return read_dataset_jsonl(path)
 
@@ -1019,6 +1022,11 @@ class TestJsonl:
         path.write_text("".join(lines))
         (_, x_back, ranks_back), way = read_and_way(path)
         assert way == "parsed"
+        # The parse replaced the stale copy, so the next read takes it.
+        (_, x_again, ranks_again), way = read_and_way(path)
+        assert way == "binary"
+        assert_same_arrays(x_again, x_back)
+        assert_same_arrays(ranks_again, ranks_back)
         edited = x_back if old == "0.25" else ranks_back
         assert edited[row, col] == float(new.strip("["))
         edited[row, col] = float(old.strip("["))
@@ -1035,6 +1043,128 @@ class TestJsonl:
         assert way == "parsed"
         assert_same_arrays(x_back, x)
         np.testing.assert_array_equal(ranks_back, ranks)
+
+    @pytest.mark.parametrize("kind", ["feature", "canvas"])
+    def test_a_first_read_leaves_the_copy_the_writer_writes(self, tmp_path, kind):
+        cfg = small_cfg(color_mode="color")
+        if kind == "feature":
+            (x, ranks, _), shape = feature_arrays(6, 24, 700, seed=3), None
+        else:
+            (x, ranks, _), shape = canvas_arrays(cfg, 5), cfg.image_shape
+        path = tmp_path / "d.jsonl"
+        write_dataset_jsonl(path, x, ranks, image_shape=shape)
+        sidecar = tmp_path / "d.jsonl.npy"
+        written = sidecar.read_bytes()
+        sidecar.unlink()
+        (header, x_parsed, ranks_parsed), way = read_and_way(path)
+        assert way == "parsed"
+        assert sidecar.read_bytes() == written
+        assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "d.jsonl.npy"]
+        (again, x_binary, ranks_binary), way = read_and_way(path)
+        assert way == "binary" and again == header
+        assert_same_arrays(x_binary, x_parsed)
+        assert_same_arrays(ranks_binary, ranks_parsed)
+
+    @pytest.mark.parametrize("kind", ["broken JSON", "non-finite"])
+    def test_a_refused_file_leaves_no_copy(self, tmp_path, kind):
+        path = tmp_path / "r.jsonl"
+        write_lines(path, 24, reference_lines(24, 700, 5, [(500, kind)]))
+        with pytest.raises(ValueError, match="r.jsonl:502: "):
+            read_dataset_jsonl(path)
+        assert os.listdir(tmp_path) == ["r.jsonl"]
+
+    @pytest.mark.parametrize("failing", ["creating the file", "writing the features", "renaming it into place"])
+    def test_a_copy_that_cannot_be_written_is_skipped(self, tmp_path, failing):
+        # A read-only directory does not stop root, so the failures are
+        # raised, not caused.
+        x, ranks, _ = feature_arrays(3, 5, 6, seed=1)
+        path = tmp_path / "d.jsonl"
+        write_dataset_jsonl(path, x, ranks)
+        os.remove(tmp_path / "d.jsonl.npy")
+        saved = []
+        real_open, real_save = open, np.save
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_in_read_only_dir(file, mode="r", *args, **kwargs):
+            if mode == "xb":
+                raise PermissionError(errno.EACCES, "Permission denied", file)
+            return real_open(file, mode, *args, **kwargs)
+
+        def save_until_full(fh, record, **kwargs):
+            saved.append(len(record))
+            if len(saved) == 2:
+                full_disk()
+            real_save(fh, record, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if failing == "creating the file":
+                mp.setattr(dataio, "open", open_in_read_only_dir, raising=False)
+            elif failing == "writing the features":
+                mp.setattr(np, "save", save_until_full)
+            else:
+                mp.setattr(os, "replace", full_disk)
+            (_, x_back, ranks_back), way = read_and_way(path)
+            assert way == "parsed"
+            assert_same_arrays(x_back, x)
+            np.testing.assert_array_equal(ranks_back, ranks)
+            assert os.listdir(tmp_path) == ["d.jsonl"]
+            # The writer puts its copy in place the same way.
+            saved.clear()
+            write_dataset_jsonl(tmp_path / "w.jsonl", x, ranks)
+        assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "w.jsonl"]
+        assert (tmp_path / "w.jsonl").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("how", ["rewritten in place", "renamed over"])
+    def test_a_file_that_changes_while_it_is_parsed_leaves_no_copy_that_disagrees(self, tmp_path, how):
+        # d = 24 parses blocks of 341 rows.  The new file swaps rows 10
+        # and 20, which the first block has read, and rows 500 and 510,
+        # which it has not; every other row keeps its place and bytes.
+        x, ranks, _ = feature_arrays(6, 24, 700, seed=3)
+        order = np.arange(700)
+        order[[10, 20, 500, 510]] = [20, 10, 510, 500]
+        path, new = tmp_path / "d.jsonl", tmp_path / "new.jsonl"
+        write_dataset_jsonl(path, x, ranks)
+        write_dataset_jsonl(new, x[order], ranks[order])
+        for copy in (path, new):
+            os.remove(f"{copy}.npy")
+        real = dataio._parse_block
+
+        def change_the_file(lines, *args):
+            if new.exists():
+                if how == "renamed over":
+                    os.replace(new, path)
+                else:
+                    path.write_bytes(new.read_bytes())
+                    new.unlink()
+            return real(lines, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_parse_block", change_the_file)
+            read_dataset_jsonl(path)
+        # Whatever copy the read left, a read of the file as it now is
+        # returns its rows.
+        _, x_now, ranks_now = read_dataset_jsonl(path)
+        assert_same_arrays(x_now, x[order])
+        assert_same_arrays(ranks_now, ranks[order])
+
+    @pytest.mark.parametrize("miscount, match", [
+        pytest.param(5, r"d\.jsonl: 105 rows were counted but 100 read: the file changed", id="shrank"),
+        pytest.param(-5, r"d\.jsonl:97: the file holds more rows than were counted: it changed", id="grew"),
+    ])
+    def test_a_file_that_parses_into_other_rows_than_were_counted_is_refused(self, tmp_path, miscount, match):
+        # As if the file grew or shrank between the count and the parse.
+        x, ranks, _ = feature_arrays(6, 24, 100, seed=3)
+        path = tmp_path / "d.jsonl"
+        write_dataset_jsonl(path, x, ranks)
+        os.remove(tmp_path / "d.jsonl.npy")
+        real = dataio._line_count
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_line_count", lambda p: real(p) + miscount)
+            with pytest.raises(ValueError, match=match):
+                read_dataset_jsonl(path)
+        assert os.listdir(tmp_path) == ["d.jsonl"]
 
     def test_a_malformed_file_beside_a_stale_copy_names_its_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
