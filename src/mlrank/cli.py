@@ -11,6 +11,14 @@ resolved config and seed reproduces its output files byte for byte.
 ``adjust-exp`` forwards each sweep's block of distinct canvases once
 (``adjust_means``); each step takes the scores of its row of the block.
 
+Each setting has one rule, kept where the setting is used: ``TrainConfig``,
+``CanvasConfig``, ``feature_arrays``, the canvas generators and
+``iter_adjust_sweeps`` refuse what they cannot use, naming the config
+key.  A command checks, with the same rules (``settings``), only what no
+library call does: calib-exp's ``n`` of at least 2, ``class_index`` and
+``n_checkpoints``.  ``generate``, ``adjust-exp`` and ``calib-exp`` draw
+their arrays before they create ``--out``, so a refusal leaves none.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.
 """
 
@@ -41,13 +49,13 @@ from .model import (
 from .synthgen import (
     CALIBRATION_SCALES,
     CanvasConfig,
-    _check_probe_canvas,
     calibration_arrays,
     canvas_arrays,
     feature_arrays,
     iter_adjust_sweeps,
     small_variance_config,
 )
+from .settings import integer
 
 
 class UsageError(Exception):
@@ -116,35 +124,11 @@ def _settings(args, known) -> dict:
     return cfg
 
 
-def _integer(value, key: str, minimum: int = 0) -> int:
-    """``value`` when it is a JSON integer of at least ``minimum``.  As in
-    the dataset header, a bool or a float such as 1.0 does not count."""
-    if type(value) is not int:
-        raise ValueError(f"'{key}' must be a JSON integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"'{key}' must be at least {minimum}, got {value}")
-    return value
-
-
-def _number(value, key: str):
-    """``value`` when it is a finite JSON number (not a bool)."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
-    return value
-
-
 def _flag(value, key: str) -> bool:
     """``value`` when it is a JSON boolean; a string such as "false" is not."""
     if type(value) is not bool:
         raise ValueError(f"'{key}' must be true or false, got {value!r}")
     return value
-
-
-def _pair(value, key: str, item) -> tuple:
-    """A two-element JSON list as a tuple, each element checked by ``item``."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"'{key}' must be a list of two values, got {value!r}")
-    return tuple(item(v, key) for v in value)
 
 
 def _section(cfg: dict, key: str) -> dict:
@@ -155,23 +139,10 @@ def _section(cfg: dict, key: str) -> dict:
     return d
 
 
-def _canvas_config(d: dict, seed: int) -> CanvasConfig:
+def _canvas_config(d: dict, seed) -> CanvasConfig:
     # The seed is the command's own setting, not a canvas key.
     _refuse_unknown(d, (f.name for f in dataclasses.fields(CanvasConfig) if f.name != "seed"), "canvas")
-    kwargs = dict(d)
-    for key in ("canvas_size", "num_classes", "glyph_size"):
-        if key in kwargs:
-            _integer(kwargs[key], f"canvas.{key}", 1)
-    if "digit_count_range" in kwargs:
-        kwargs["digit_count_range"] = _pair(kwargs["digit_count_range"], "canvas.digit_count_range", _integer)
-    for key in ("scale_range", "brightness_range"):
-        if key in kwargs:
-            kwargs[key] = _pair(kwargs[key], f"canvas.{key}", _number)
-    for key in ("color_mode", "setup", "glyph_source", "idx_images", "idx_labels"):
-        if kwargs.get(key) is not None and not isinstance(kwargs[key], str):
-            raise ValueError(f"'canvas.{key}' must be a string, got {kwargs[key]!r}")
-    kwargs["seed"] = seed
-    return CanvasConfig(**kwargs)
+    return CanvasConfig(**d, seed=seed)
 
 
 _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))
@@ -182,16 +153,7 @@ _PROBE_KEYS = ("seed", "out", "checkpoint", "canvas", "n", "n_sequences", "steps
 def _feature_config(d: dict) -> dict:
     defaults = {"num_classes": 6, "dim": 24, "factor_range": [0.5, 3.0], "noise": 0.05}
     _refuse_unknown(d, defaults, "feature")
-    f = {**defaults, **d}
-    num_classes = _integer(f["num_classes"], "feature.num_classes", 1)
-    dim = _integer(f["dim"], "feature.dim", num_classes)
-    lo, hi = _pair(f["factor_range"], "feature.factor_range", _number)
-    if not 0 < lo < hi:
-        raise ValueError(f"'feature.factor_range' must satisfy 0 < lo < hi, got {[lo, hi]!r}")
-    noise = _number(f["noise"], "feature.noise")
-    if noise < 0:
-        raise ValueError(f"'feature.noise' must be at least 0, got {noise!r}")
-    return {"num_classes": num_classes, "dim": dim, "factor_range": [lo, hi], "noise": float(noise)}
+    return {**defaults, **d}
 
 
 def _load_model_and_data(cfg):
@@ -206,14 +168,12 @@ def _load_model_and_data(cfg):
     return params, x, ranks
 
 
-def _probe_setup(cfg: dict, probe: str):
-    """(seed, out, params, canvas) of a probe experiment (``probe`` is
-    "adjust" or "calib") on a canvas its probe set can be drawn on and a
-    checkpoint of the canvas's classes and feature length; warns when the
-    checkpoint was trained on another setup."""
-    seed = _integer(_require(cfg, "seed"), "seed")
-    canvas = _canvas_config(_section(cfg, "canvas"), seed)
-    _check_probe_canvas(canvas, probe)
+def _probe_setup(cfg: dict):
+    """(params, canvas) of a probe experiment: a canvas and a checkpoint
+    of its classes and feature length; warns when the checkpoint was
+    trained on another setup.  The probe set's generator refuses a
+    canvas it cannot be drawn on; a missing ``out`` is refused before."""
+    canvas = _canvas_config(_section(cfg, "canvas"), _require(cfg, "seed"))
     params, section = load_checkpoint(_require(cfg, "checkpoint"))
     # The setup of meta.trained_on.canvas, when the checkpoint records one.
     key = "meta"
@@ -235,7 +195,8 @@ def _probe_setup(cfg: dict, probe: str):
         raise ValueError(
             f"feature-length mismatch: checkpoint expects {params.input_dim}, canvas yields {canvas.feature_length}"
         )
-    return seed, _out_dir(cfg), params, canvas
+    _require(cfg, "out")
+    return params, canvas
 
 
 # ---------------------------------------------------------------------------
@@ -244,32 +205,29 @@ def _probe_setup(cfg: dict, probe: str):
 
 def cmd_generate(args) -> int:
     cfg = _settings(args, ("seed", "out", "n", "kind", "dump_images", "canvas", "feature"))
-    seed = _integer(_require(cfg, "seed"), "seed")
-    n = _integer(_require(cfg, "n"), "n", 1)
+    seed, n, out = _require(cfg, "seed"), _require(cfg, "n"), _require(cfg, "out")
     kind = cfg.get("kind", "canvas")
     dump_images = _flag(cfg.get("dump_images", False), "dump_images")
     # No ``out`` in the header's echo: the bytes must not depend on it.
     resolved: dict = {"kind": kind, "n": n, "seed": seed}
-    if kind in ("canvas", "small-variance"):
-        canvas = _canvas_config(_section(cfg, "canvas"), seed)
-        resolved["canvas"] = canvas.to_dict()
-        # Derived before ``out`` exists, so a canvas it refuses leaves none.
-        drawn = small_variance_config(canvas) if kind == "small-variance" else canvas
-    elif kind == "feature":
-        feature = resolved["feature"] = _feature_config(_section(cfg, "feature"))
-    else:
-        raise UsageError(f"unknown dataset kind {kind!r}")
-    out = _out_dir(cfg)
     image_shape = None
     if kind == "feature":
+        feature = _feature_config(_section(cfg, "feature"))
         x, ranks, _ = feature_arrays(n=n, seed=seed, **feature)
-    else:
-        image_dir = None
+        # Built once the settings are accepted, so float() sees no bad noise.
+        resolved["feature"] = {**feature, "noise": float(feature["noise"])}
+    elif kind in ("canvas", "small-variance"):
+        canvas = _canvas_config(_section(cfg, "canvas"), seed)
+        resolved["canvas"] = canvas.to_dict()
         if dump_images:
-            image_dir = os.path.join(out, "images")
             resolved["dump_images"] = True
+        image_dir = os.path.join(out, "images") if dump_images else None
+        drawn = small_variance_config(canvas) if kind == "small-variance" else canvas
         x, ranks, _ = canvas_arrays(drawn, n, image_dir)
         image_shape = canvas.image_shape
+    else:
+        raise UsageError(f"unknown dataset kind {kind!r}")
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "dataset.jsonl")
     write_dataset_jsonl(path, x, ranks, generator=resolved, image_shape=image_shape)
     _write_echo(out, "generate", {**resolved, "out": out})
@@ -346,8 +304,9 @@ def adjust_means(params, canvas: CanvasConfig, n_sequences: int, steps: int) -> 
     of forwarding every step wherever the BLAS gives a row the same bits
     in a product of either row count, and otherwise differ from them by
     rounding alone."""
+    sweeps = iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps)
     sums = np.zeros((steps, 3))
-    for digits, _, _, block, index in iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps):
+    for digits, _, _, block, index in sweeps:
         _, pred = predict_batch(params, block)
         sums += pred.scores[index][:, list(digits)]
     return sums / n_sequences
@@ -355,10 +314,10 @@ def adjust_means(params, canvas: CanvasConfig, n_sequences: int, steps: int) -> 
 
 def cmd_adjust_exp(args) -> int:
     cfg = _settings(args, _PROBE_KEYS)
-    n_sequences = _integer(cfg.get("n_sequences", 50), "n_sequences", 1)
-    steps = _integer(cfg.get("steps", 50), "steps", 2)
-    seed, out, params, canvas = _probe_setup(cfg, "adjust")
+    n_sequences, steps = cfg.get("n_sequences", 50), cfg.get("steps", 50)
+    params, canvas = _probe_setup(cfg)
     means = adjust_means(params, canvas, n_sequences, steps)
+    out = _out_dir(cfg)
     rows = [
         (step + 1, repr(float(means[step, 0])), repr(float(means[step, 1])), repr(float(means[step, 2])))
         for step in range(steps)
@@ -369,7 +328,7 @@ def cmd_adjust_exp(args) -> int:
         rows,
     )
     resolved = {
-        "checkpoint": cfg["checkpoint"], "out": out, "seed": seed,
+        "checkpoint": cfg["checkpoint"], "out": out, "seed": canvas.seed,
         "n_sequences": n_sequences, "steps": steps, "canvas": canvas.to_dict(),
     }
     _write_echo(out, "adjust-exp", resolved)
@@ -380,8 +339,8 @@ def cmd_adjust_exp(args) -> int:
 def cmd_calib_exp(args) -> int:
     cfg = _settings(args, _PROBE_KEYS)
     # Every sample puts one digit at each level; a std needs two.
-    n = _integer(cfg.get("n", 50), "n", 2)
-    seed, out, params, canvas = _probe_setup(cfg, "calib")
+    n = integer(cfg.get("n", 50), "n", 2)
+    params, canvas = _probe_setup(cfg)
     x, _, factors = calibration_arrays(canvas, n)
     out_heads, pred = predict_batch(params, x)
     # gmlr's second head is the log-variance; other methods have no sigma.
@@ -392,13 +351,14 @@ def cmd_calib_exp(args) -> int:
         vals = pred.scores[at]
         mean_sigma = float(np.mean(sigma[at])) if sigma is not None else float("nan")
         rows.append((lv, repr(float(np.mean(vals))), repr(float(np.std(vals, ddof=1))), repr(mean_sigma)))
+    out = _out_dir(cfg)
     _write_csv(
         os.path.join(out, "calibration.csv"),
         ["level", "mean", "std", "mean_pred_sigma"],
         rows,
     )
     resolved = {
-        "checkpoint": cfg["checkpoint"], "out": out, "seed": seed, "n": n,
+        "checkpoint": cfg["checkpoint"], "out": out, "seed": canvas.seed, "n": n,
         "canvas": canvas.to_dict(),
     }
     _write_echo(out, "calib-exp", resolved)
@@ -408,8 +368,8 @@ def cmd_calib_exp(args) -> int:
 
 def cmd_extract_sig(args) -> int:
     cfg = _settings(args, ("out", "checkpoint", "dataset", "class_index", "n_checkpoints"))
-    class_index = _integer(_require(cfg, "class_index"), "class_index")
-    n_checkpoints = _integer(cfg.get("n_checkpoints", 10), "n_checkpoints", 1)
+    class_index = integer(_require(cfg, "class_index"), "class_index")
+    n_checkpoints = integer(cfg.get("n_checkpoints", 10), "n_checkpoints", 1)
     params, x, _ = _load_model_and_data(cfg)
     if class_index >= params.num_classes:
         raise ValueError(f"class index {class_index} out of range for {params.num_classes} classes")

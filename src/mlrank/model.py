@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +44,7 @@ from .baselines import crpc_loss, lsep_class_loss, lsep_rank_loss
 from .buckets import MODES, checked_ranks
 from .gmlr import gmlr_objective
 from .predict import Prediction, decide
+from .settings import integer, number
 
 METHODS = ("gmlr", "lsep", "crpc")
 # Rows per forward pass at inference.  Small enough that a chunk of
@@ -98,9 +97,9 @@ class FrontEnd:
     image_shape: tuple[int, int, int]
 
     def __post_init__(self):
-        shape = tuple(int(v) for v in self.image_shape)
-        if len(shape) != 3 or min(shape) < 1:
-            raise ValueError("image_shape must be (height, width, channels) of positive sizes")
+        if not isinstance(self.image_shape, (tuple, list)) or len(self.image_shape) != 3:
+            raise ValueError(f"'image_shape' must be (height, width, channels), got {self.image_shape!r}")
+        shape = tuple(integer(v, "image_shape", 1) for v in self.image_shape)
         object.__setattr__(self, "image_shape", shape)
         side = self.min_side
         if min(shape[:2]) < side:
@@ -196,27 +195,17 @@ class TrainConfig:
                 raise ValueError(f"'{name}' must be one of {choices}, got {getattr(self, name)!r}")
         for name, minimum in (("seed", 0), ("epochs", 0), ("batch_size", 1), ("stage2_epochs", 0)):
             if name != "stage2_epochs" or self.stage2_epochs is not None:
-                setattr(self, name, _count(getattr(self, name), name, minimum))
+                setattr(self, name, integer(getattr(self, name), name, minimum))
         if not isinstance(self.hidden, (tuple, list)):
             raise ValueError(f"'hidden' must be a list of layer widths, got {self.hidden!r}")
-        self.hidden = tuple(_count(width, "hidden", 1) for width in self.hidden)
+        self.hidden = tuple(integer(width, "hidden", 1) for width in self.hidden)
         for name, ok, rule in (
             ("learning_rate", lambda v: v > 0, "> 0"),
             ("weight_decay", lambda v: v >= 0, ">= 0"),
             ("lr_decay_per_epoch", lambda v: 0 < v <= 1, "in (0, 1]"),
         ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and ok(value)):
-                raise ValueError(f"'{name}' must be a finite number {rule}, got {value!r}")
-
-
-def _count(value, name: str, minimum: int) -> int:
-    """``value`` as an int when it is an integer (NumPy's too, not a bool) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"'{name}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"'{name}' must be at least {minimum}, got {value}")
-    return int(value)
+            if not ok(number(getattr(self, name), name)):
+                raise ValueError(f"'{name}' must be a finite number {rule}, got {getattr(self, name)!r}")
 
 
 def init_model(
@@ -368,9 +357,9 @@ def backward(params: ModelParams, head_grads, cache):
     return grads
 
 
-def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, work: dict | None = None):
-    """Mean per-instance loss over the batch plus parameter gradients;
-    ``work`` as in ``_forward_batch``."""
+def batch_objective(params: ModelParams, x, ranks_matrix, mode, work: dict | None = None):
+    """Mean per-instance loss of the head's method (``params.head``) over
+    the batch plus parameter gradients; ``work`` as in ``_forward_batch``."""
     x = np.asarray(x, dtype=float)
     out, cache = _forward_batch(params, x, work)
     if not np.all(np.isfinite(out)):
@@ -381,9 +370,8 @@ def batch_objective(params: ModelParams, x, ranks_matrix, method, mode, work: di
             sigma = np.exp(0.5 * out[:, params.num_classes :])
         if not np.all(np.isfinite(sigma)) or not np.all(sigma > 0):
             raise FloatingPointError("variance head overflow")
-    if method == "gmlr":
         losses, head_grads = gmlr_objective(out, ranks_matrix, mode)
-    elif method == "crpc":
+    elif params.head == "crpc":
         losses, head_grads = crpc_loss(out, ranks_matrix, mode)
     else:
         losses, head_grads = lsep_rank_loss(out, ranks_matrix, mode)
@@ -483,7 +471,7 @@ def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None):
     ranks_matrix = checked_ranks(ranks)
     if x.ndim != 2 or ranks_matrix.ndim != 2 or len(x) != len(ranks_matrix) or not len(x):
         raise ValueError("dataset must be non-empty (n, d) features with (n, K) ranks")
-    front_end = None if image_shape is None else FrontEnd(tuple(image_shape))
+    front_end = None if image_shape is None else FrontEnd(image_shape)
     num_classes = ranks_matrix.shape[1]
     params = init_model(x.shape[1], num_classes, cfg.method, cfg.hidden, cfg.seed, front_end)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
@@ -493,7 +481,7 @@ def train_arrays(x, ranks, cfg: TrainConfig, image_shape=None):
     work: dict = {}
 
     def ranking(idx):
-        loss, grads = batch_objective(params, x[idx], ranks_matrix[idx], cfg.method, cfg.mode, work)
+        loss, grads = batch_objective(params, x[idx], ranks_matrix[idx], cfg.mode, work)
         return loss, [np.concatenate([g.ravel() for dw_db in grads for g in dw_db])]
 
     _run_stage(params, [flat], ranking, len(x), cfg, 1, cfg.epochs, rng, log, 0)
@@ -586,7 +574,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         # As in the dataset header: only positive JSON integers count.
         if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)):
             raise ValueError(f"checkpoint 'image_shape' must be 3 positive JSON integers, got {shape!r}")
-        front_end = FrontEnd(tuple(shape))
+        front_end = FrontEnd(shape)
         want = front_end.to_dict()["convs"]
         if fe.get("convs") != want:
             raise ValueError(

@@ -37,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buckets import dense_ranks
+from .buckets import checked_ranks, dense_ranks
 from .dataio import _PNM, write_pnm
 from .glyphs import GlyphBank, builtin_bank, hsv_to_rgb, load_idx_glyphs
+from .settings import integer, number, pair
 
 SETUPS = ("S", "B", "S-mix", "B-mix")
 CALIBRATION_SCALES = (1.0, 1.5, 2.0, 2.5)
@@ -49,6 +50,14 @@ BRIGHTNESS_FLOOR = 0.05
 
 @dataclass(frozen=True)
 class CanvasConfig:
+    """A canvas dataset's generator settings, one field per key of a
+    config file's ``canvas`` object (``seed`` is the command's own key).
+    Construction refuses, naming the key (``'canvas.glyph_size'``), a
+    size, count or seed that is no integer, a range that is not two
+    finite numbers (``settings``; a list is taken as the pair), an
+    unknown setup, colour mode or glyph source, and settings no canvas
+    can be painted with."""
+
     canvas_size: int = 64
     num_classes: int = 10
     digit_count_range: tuple[int, int] = (1, 10)
@@ -63,35 +72,41 @@ class CanvasConfig:
     idx_labels: str | None = None
 
     def __post_init__(self):
-        if self.setup not in SETUPS:
-            raise ValueError(f"setup must be one of {SETUPS}")
-        if self.color_mode not in ("gray", "color"):
-            raise ValueError("color_mode must be 'gray' or 'color'")
-        if self.glyph_source not in ("builtin", "idx-file"):
-            raise ValueError("glyph_source must be 'builtin' or 'idx-file'")
-        if not 1 <= self.num_classes <= 10:
-            raise ValueError("num_classes must be within 1..10")
+        # Frozen: each checked setting is stored back as its plain value.
+        for name, minimum in (("seed", 0), ("canvas_size", 1), ("num_classes", 1), ("glyph_size", 4)):
+            key = name if name == "seed" else f"canvas.{name}"
+            object.__setattr__(self, name, integer(getattr(self, name), key, minimum))
+        for name, rule in (("digit_count_range", integer), ("scale_range", number), ("brightness_range", number)):
+            object.__setattr__(self, name, pair(getattr(self, name), f"canvas.{name}", rule))
+        for name, choices in (
+            ("setup", SETUPS), ("color_mode", ("gray", "color")), ("glyph_source", ("builtin", "idx-file"))
+        ):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"'canvas.{name}' must be one of {choices}, got {getattr(self, name)!r}")
+        for name in ("idx_images", "idx_labels"):
+            if getattr(self, name) is not None and not isinstance(getattr(self, name), str):
+                raise ValueError(f"'canvas.{name}' must be a string, got {getattr(self, name)!r}")
+        if self.num_classes > 10:
+            raise ValueError(f"'canvas.num_classes' must be within 1..10, got {self.num_classes}")
         lo, hi = self.digit_count_range
         if not 1 <= lo <= hi <= self.num_classes:
-            raise ValueError("digit_count_range must satisfy 1 <= lo <= hi <= num_classes")
+            raise ValueError(f"'canvas.digit_count_range' must satisfy 1 <= lo <= hi <= num_classes, got {[lo, hi]}")
         if self.scale_range[0] < 1.0 or self.scale_range[0] > self.scale_range[1]:
-            raise ValueError("scale_range must satisfy 1 <= lo <= hi")
+            raise ValueError(f"'canvas.scale_range' must satisfy 1 <= lo <= hi, got {list(self.scale_range)}")
         blo, bhi = self.brightness_range
         if not (0.0 <= blo <= bhi <= 1.0):
-            raise ValueError("brightness_range must lie within [0, 1]")
+            raise ValueError(f"'canvas.brightness_range' must lie within [0, 1], got {[blo, bhi]}")
         if self.uses_brightness and bhi < BRIGHTNESS_FLOOR:
-            raise ValueError(f"brightness_range must reach the brightness floor {BRIGHTNESS_FLOOR}")
+            raise ValueError(f"'canvas.brightness_range' must reach the brightness floor {BRIGHTNESS_FLOOR}")
         flo, fhi = self.scale_range if self.ranked_factor == "scale" else self.brightness_bounds
         if flo == fhi and self.digit_count_range[1] > 1:
             raise ValueError(
-                f"{self.ranked_factor} range [{flo}, {fhi}] is degenerate: digits would tie in rank"
+                f"'canvas.{self.ranked_factor}_range' [{flo}, {fhi}] is degenerate: digits would tie in rank"
             )
-        if self.glyph_size < 4:
-            raise ValueError("glyph_size must be at least 4")
         max_scale = self.scale_range[1] if self.uses_scale else 1.0
         if _glyph_px(self, max_scale) > self.canvas_size:
             raise ValueError(
-                "placement infeasible: glyph_size * max scale exceeds canvas_size"
+                "placement infeasible: 'canvas.glyph_size' * max scale exceeds 'canvas.canvas_size'"
             )
 
     @property
@@ -160,11 +175,9 @@ class RankedInstance:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        ranks = np.asarray(self.ranks, dtype=int)
+        ranks = checked_ranks(self.ranks)
         if ranks.ndim != 1 or ranks.size == 0:
             raise ValueError("ranks must be a non-empty 1-d vector")
-        if np.any(ranks < 0):
-            raise ValueError("ranks must be non-negative")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
         object.__setattr__(self, "features", feats)
@@ -261,6 +274,7 @@ def _paint_canvases(cfg: CanvasConfig, n: int, draw):
     factor, and the digits are painted (the rng picks stored glyphs)
     straight into row i of one zeroed block, which is then rounded in
     place.  The ranks follow from the factors (``dense_ranks``)."""
+    n = integer(n, "n", 1)
     bank = _glyph_bank(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     x = np.zeros((n, cfg.feature_length))
@@ -352,11 +366,9 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     whose glyph sizes and brightnesses are those of the step before it
     shares its row.  Stored glyph banks pick each canvas's glyphs from a
     fresh ``default_rng(0)``, so every step picks the same glyphs.  Each
-    sweep is built only when it is asked for."""
-    if n_sequences < 1:
-        raise ValueError("n_sequences must be at least 1")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    sweep is built only when it is asked for; the settings and the canvas
+    are refused at the call."""
+    n_sequences, steps = integer(n_sequences, "n_sequences", 1), integer(steps, "steps", 2)
     _check_probe_canvas(cfg, "adjust")
     bank = _glyph_bank(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -373,7 +385,8 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     index = np.cumsum(fresh) - 1
     index.flags.writeable = False
     painted = [step_looks for step_looks, new in zip(looks, fresh) if new]
-    for _ in range(n_sequences):
+
+    def sweep():
         digits = tuple(int(d) for d in rng.choice(cfg.num_classes, size=3, replace=False))
         # Each role is placed to fit its largest sweep extent.
         roles = tuple(
@@ -386,7 +399,9 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
             glyph_rng = None if bank.glyphs is None else np.random.default_rng(0)
             for r, (scale, brightness) in zip(roles, step_looks):
                 _paint(cfg, bank, canvas, glyph_rng, r.digit, scale, brightness, r.top, r.left, r.hue, r.saturation)
-        yield digits, roles, factors, np.round(block, 3, out=block), index
+        return digits, roles, factors, np.round(block, 3, out=block), index
+
+    return (sweep() for _ in range(n_sequences))
 
 
 def generate_adjust_sequences(
@@ -429,14 +444,20 @@ def feature_arrays(
     noise, ranked by factor (``dense_ranks``).
 
     Class presence is a uniform random subset, redrawn when empty so
-    every instance has at least one positive.
+    every instance has at least one positive.  Refused, naming the config
+    key (``'feature.noise'``, ``'n'``): counts and a seed that are no
+    integers (``settings``), ``n`` or ``num_classes`` below 1, ``dim``
+    below ``num_classes``, and a ``factor_range`` or ``noise`` that is
+    not finite or breaks 0 < lo < hi or noise >= 0.
     """
-    if num_classes < 1:
-        raise ValueError(f"num_classes must be at least 1, got {num_classes}")
-    if dim < num_classes:
-        raise ValueError("dim must be at least num_classes")
-    if factor_range[0] <= 0 or factor_range[0] >= factor_range[1]:
-        raise ValueError("factor_range must satisfy 0 < lo < hi")
+    num_classes = integer(num_classes, "feature.num_classes", 1)
+    dim = integer(dim, "feature.dim", num_classes)
+    n, seed = integer(n, "n", 1), integer(seed, "seed")
+    lo, hi = pair(factor_range, "feature.factor_range", number)
+    if not 0 < lo < hi:
+        raise ValueError(f"'feature.factor_range' must satisfy 0 < lo < hi, got {[lo, hi]!r}")
+    if number(noise, "feature.noise") < 0:
+        raise ValueError(f"'feature.noise' must be at least 0, got {noise!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     directions = rng.standard_normal((num_classes, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -446,7 +467,7 @@ def feature_arrays(
         mask = rng.integers(0, 2, size=num_classes).astype(bool)
         while not mask.any():
             mask = rng.integers(0, 2, size=num_classes).astype(bool)
-        row_factors[:] = drawn = rng.uniform(factor_range[0], factor_range[1], size=num_classes) * mask
+        row_factors[:] = drawn = rng.uniform(lo, hi, size=num_classes) * mask
         features[:] = drawn @ directions
         if noise:
             features += noise * rng.standard_normal(dim)

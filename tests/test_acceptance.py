@@ -9,6 +9,7 @@ and frozen.  They take minutes and are marked ``slow``, so
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_criterion_02_gradient_exactness():
                 params = init_model(d, k, method, hidden=(6,), seed=int(rng.integers(1 << 30)))
                 x = rng.normal(size=(2, d))
                 ranks = rng.integers(0, 3, size=(2, k))
-                _, grads = batch_objective(params, x, ranks, method, mode)
+                _, grads = batch_objective(params, x, ranks, mode)
                 flat_grads = np.concatenate(
                     [g.reshape(-1) for dwdb in grads for g in dwdb]
                 )
@@ -170,7 +171,7 @@ def test_criterion_02_gradient_exactness():
                     for arr in values:
                         arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
                         pos += arr.size
-                    return batch_objective(params, x, ranks, method, mode)[0]
+                    return batch_objective(params, x, ranks, mode)[0]
 
                 base = np.concatenate([a.reshape(-1) for a in values])
                 fd = fd_gradient(loss_at, base.copy())
@@ -321,7 +322,7 @@ def test_criterion_09_cli_determinism(tmp_path):
         for root, _, files in os.walk(d):
             for name in files:
                 p = os.path.join(root, name)
-                out[os.path.relpath(p, d)] = open(p, "rb").read()
+                out[os.path.relpath(p, d)] = Path(p).read_bytes()
         return out
 
     def rerun_identical(*argv):

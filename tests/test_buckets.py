@@ -106,7 +106,7 @@ RANKED = {
     "lsep_rank_loss": lambda r: lsep_rank_loss(np.zeros((1, 4)), r, "strong"),
     "lsep_class_loss": lambda r: lsep_class_loss(np.zeros((1, 4)), r),
     "batch_objective": lambda r: batch_objective(
-        init_model(3, 2, "gmlr", hidden=(), seed=0), np.ones((1, 3)), r, "gmlr", "strong"),
+        init_model(3, 2, "gmlr", hidden=(), seed=0), np.ones((1, 3)), r, "strong"),
     "bucket_likelihood": lambda r: bucket_likelihood(np.zeros((1, 2)), np.ones((1, 2)), r),
 }
 

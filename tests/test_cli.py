@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def snapshot(directory):
     for root, _, files in os.walk(directory):
         for name in files:
             p = os.path.join(root, name)
-            out[os.path.relpath(p, directory)] = open(p, "rb").read()
+            out[os.path.relpath(p, directory)] = Path(p).read_bytes()
     return out
 
 
@@ -509,7 +510,7 @@ class TestExperiments:
         # average over zero sweeps.
         params, _ = load_checkpoint(self._canvas_checkpoint(tmp_path))
         canvas = CanvasConfig(seed=11, canvas_size=32, glyph_size=8, setup="S")
-        with pytest.raises(ValueError, match="n_sequences must be at least 1"):
+        with pytest.raises(ValueError, match="'n_sequences' must be at least 1"):
             mlrank.cli.adjust_means(params, canvas, 0, 5)
 
     def test_adjust_exp_forwards_each_distinct_sweep_canvas_once(self, tmp_path, monkeypatch):

@@ -136,11 +136,11 @@ class TestBackward:
             params = init_model(5, 3, method, hidden=(6,), seed=11)
             x = rng.normal(size=(3, 5))
             ranks = rng.integers(0, 3, size=(3, 3))
-            _, grads = batch_objective(params, x, ranks, method, mode)
+            _, grads = batch_objective(params, x, ranks, mode)
 
             def loss_at(flat):
                 set_values(params, flat)
-                value = batch_objective(params, x, ranks, method, mode)[0]
+                value = batch_objective(params, x, ranks, mode)[0]
                 return value
 
             base = get_values(params)
@@ -611,12 +611,12 @@ class TestFrontEnd:
         params = init_model(fe.input_dim, 3, method, hidden=(5,), seed=12, front_end=fe)
         x = rng.uniform(size=(2, fe.input_dim))
         ranks = np.array([[2, 1, 0], [0, 1, 1]])
-        _, grads = batch_objective(params, x, ranks, method, "strong")
+        _, grads = batch_objective(params, x, ranks, "strong")
         assert all(dw.any() and db.any() for dw, db in grads[: params.n_convs])
 
         def loss_at(flat):
             set_values(params, flat)
-            return batch_objective(params, x, ranks, method, "strong")[0]
+            return batch_objective(params, x, ranks, "strong")[0]
 
         base = get_values(params)
         fd = fd_gradient(loss_at, base.copy())
@@ -633,13 +633,13 @@ class TestFrontEnd:
         for n in (5, 3, 5):
             x = rng.uniform(size=(n, fe.input_dim))
             ranks = rng.integers(0, 3, size=(n, 3))
-            loss, grads = batch_objective(params, x, ranks, "gmlr", "strong", work)
-            want_loss, want = batch_objective(params, x, ranks, "gmlr", "strong")
+            loss, grads = batch_objective(params, x, ranks, "strong", work)
+            want_loss, want = batch_objective(params, x, ranks, "strong")
             assert loss == want_loss
             assert flatten(grads).tobytes() == flatten(want).tobytes()
             assert [work[j].shape[0] for j in range(params.n_convs)] == [n] * params.n_convs
         kept = [work[j] for j in range(params.n_convs)]
-        batch_objective(params, x, ranks, "gmlr", "strong", work)
+        batch_objective(params, x, ranks, "strong", work)
         assert all(work[j] is kept[j] for j in range(params.n_convs))
 
     def test_layout(self):
@@ -659,7 +659,7 @@ class TestFrontEnd:
         fe = FrontEnd((32, 32, 1))
         params = init_model(1024, 3, "gmlr", hidden=(4,), seed=1, front_end=fe)
         x = np.random.default_rng(0).uniform(size=(3, 1024))
-        out, _ = batch_objective(params, x, np.array([[1, 0, 0]] * 3), "gmlr", "strong")
+        out, _ = batch_objective(params, x, np.array([[1, 0, 0]] * 3), "strong")
         assert np.isfinite(out)
         single, _ = predict_batch(params, x[1:2])
         assert single.shape == (1, 6)

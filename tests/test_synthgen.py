@@ -21,6 +21,7 @@ from mlrank.buckets import dense_ranks
 from mlrank.dataio import read_dataset_jsonl, write_dataset_jsonl, write_pnm
 from mlrank.glyphs import bilinear_resize, load_idx_glyphs, rasterize_digit
 from mlrank.metrics import spearman_rho
+from mlrank.model import FrontEnd
 from mlrank.synthgen import (
     BRIGHTNESS_FLOOR,
     CALIBRATION_SCALES,
@@ -147,6 +148,32 @@ class TestCanvasConfig:
         with pytest.raises(ValueError, match="brightness floor"):
             CanvasConfig(setup=setup, brightness_range=(0.0, 0.01))
         CanvasConfig(setup="S", brightness_range=(0.0, 0.01))
+
+
+class TestSettingRules:
+    """A direct library call is refused as the command is: a ValueError
+    that names the key as a config file spells it.  Each call used to be
+    accepted (and coerced or run on), or to raise a TypeError or an
+    OverflowError."""
+
+    @pytest.mark.parametrize("call, key", [
+        pytest.param(lambda: CanvasConfig(glyph_size=16.5), "canvas.glyph_size", id="float-glyph_size"),
+        pytest.param(lambda: CanvasConfig(num_classes=True, digit_count_range=(1, 1)), "canvas.num_classes",
+                     id="bool-num_classes"),
+        pytest.param(lambda: CanvasConfig(digit_count_range=(1.0, 3)), "canvas.digit_count_range",
+                     id="float-digit_count_range"),
+        pytest.param(lambda: CanvasConfig(scale_range=(1.0, math.inf)), "canvas.scale_range", id="inf-scale_range"),
+        pytest.param(lambda: feature_arrays(3, 4, 5, noise=math.nan), "feature.noise", id="nan-noise"),
+        pytest.param(lambda: feature_arrays(3, 4, 0), "n", id="feature-n-0"),
+        pytest.param(lambda: canvas_arrays(small_cfg(), 0), "n", id="canvas-n-0"),
+        pytest.param(lambda: calibration_arrays(small_cfg(), 1.5), "n", id="float-calibration-n"),
+        pytest.param(lambda: iter_adjust_sweeps(small_cfg(), 2.5, 3), "n_sequences", id="float-n_sequences"),
+        pytest.param(lambda: FrontEnd((32.9, 32, 1)), "image_shape", id="float-image_shape"),
+        pytest.param(lambda: FrontEnd(32), "image_shape", id="int-image_shape"),
+    ])
+    def test_refuses_a_setting_naming_its_key(self, call, key):
+        with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
+            call()
 
 
 class TestCanvasDataset:
@@ -384,7 +411,7 @@ class TestAdjustSequences:
 
     @pytest.mark.parametrize("n_sequences, steps, message", [(0, 5, "n_sequences"), (1, 1, "steps")])
     def test_refuses_an_empty_sweep(self, n_sequences, steps, message):
-        with pytest.raises(ValueError, match=f"{message} must be at least"):
+        with pytest.raises(ValueError, match=f"'{message}' must be at least"):
             next(iter_adjust_sweeps(small_cfg(), n_sequences, steps))
 
     def test_repeated_steps_share_one_row(self):
@@ -484,7 +511,7 @@ class TestFeatureDataset:
     @pytest.mark.parametrize("num_classes", [0, -1])
     def test_refuses_fewer_than_one_class(self, num_classes):
         # With no class to draw, the redraw of an empty class mask never ends.
-        with pytest.raises(ValueError, match="num_classes must be at least 1"):
+        with pytest.raises(ValueError, match="'feature.num_classes' must be at least 1"):
             feature_arrays(num_classes, 4, 10)
 
 
@@ -690,6 +717,12 @@ class TestRankedInstance:
             RankedInstance(features=np.array([np.inf]), ranks=np.array([1]))
         with pytest.raises(ValueError):
             RankedInstance(features=np.zeros(2), ranks=np.array([], dtype=int))
+
+    @pytest.mark.parametrize("ranks", [[1.7, 0.0], [True, False]])
+    def test_refuses_ranks_that_are_not_integers(self, ranks):
+        # Both used to be cast to [1, 0].
+        with pytest.raises(ValueError, match="ranks must be non-negative integers"):
+            RankedInstance(features=np.zeros(2), ranks=ranks)
 
 
 BAD_ROWS = [
