@@ -13,18 +13,22 @@ are trained for classification with the rest of the network frozen.
 
 Slot layout for pairwise logits: pairs (u, v) with u < v over items
 0..K (index K is the virtual label), in the row-major upper-triangle
-order of ``crpc_slots``; the value stored at a slot is the logit of "u
-outranks v".
+order of ``crpc_slots``, built once per class count; the value stored
+at a slot is the logit of "u outranks v".
 
 Every loss takes a batch, the (n, width) head output and the (n, K)
 ranks, which must be non-negative integers (``head_batch``), and
-returns the (n,) losses and the (n, width) head gradient.
-Pairwise terms come from (n, K, K) pair masks (``pair_mask``); a
-pair's gradient reaches its winner through a row sum and its loser
-through a column sum of the pair matrix.
+returns the (n,) losses and the (n, width) head gradient.  CRPC reads
+each slot's supervision as the sign of its two items' augmented-rank
+difference, one (n, slots) array.  LSEP's pairwise terms come from
+(n, K, K) pair masks (``pair_mask``); a pair's gradient reaches its
+winner through a row sum and its loser through a column sum of the pair
+matrix.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.special import expit as _sigmoid
@@ -37,10 +41,15 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
+@functools.lru_cache(maxsize=16)
 def crpc_slots(num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) item index arrays of the (K+1)K/2 logit slots: u < v,
-    lexicographic, with the virtual label as item K."""
-    return np.triu_indices(num_classes + 1, 1)
+    lexicographic, with the virtual label as item K.  Built once per
+    class count; the arrays are read-only."""
+    slots = np.triu_indices(num_classes + 1, 1)
+    for a in slots:
+        a.flags.writeable = False
+    return slots
 
 
 def crpc_loss(logits, ranks, mode: str):
@@ -60,9 +69,9 @@ def crpc_loss(logits, ranks, mode: str):
     logits, ranks = head_batch(logits, ranks, (k + 1) * k // 2)
     levels = ranks if mode == "strong" else (ranks > 0).astype(int)
     augmented = np.concatenate([2 * levels, np.ones((len(levels), 1), dtype=int)], axis=1)
-    order = pair_mask(augmented, "strong")
     u, v = crpc_slots(k)
-    sign = order[:, u, v].astype(float) - order[:, v, u]
+    # +1 where u outranks v, -1 where v outranks u, 0 for tied items.
+    sign = np.sign(augmented[:, u] - augmented[:, v])
     x = sign * logits
     active = sign != 0.0
     loss = np.sum(np.where(active, _softplus(-x), 0.0), axis=1)

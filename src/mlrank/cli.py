@@ -10,6 +10,9 @@ echo next to its outputs; re-running any command with the same
 resolved config and seed reproduces its output files byte for byte.
 ``adjust-exp`` forwards each sweep's block of distinct canvases once
 (``adjust_means``); each step takes the scores of its row of the block.
+One worker thread paints the next sweep while the current one is
+forwarded; it alone advances the sweeps, so the outputs do not depend on
+the scheduling.
 
 Each setting has one rule, kept where the setting is used: ``TrainConfig``,
 ``CanvasConfig``, ``feature_arrays``, the canvas generators and
@@ -31,6 +34,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -297,18 +301,31 @@ def cmd_eval(args) -> int:
 
 def adjust_means(params, canvas: CanvasConfig, n_sequences: int, steps: int) -> np.ndarray:
     """(steps, 3) mean scores of the low, middle and high digits over the
-    ``iter_adjust_sweeps`` of ``canvas``, one sweep in memory at a time.
+    ``iter_adjust_sweeps`` of ``canvas``.
 
-    A sweep's block of distinct canvases forwards as one batch, and each
-    step takes the scores of its row (``index``).  The scores are those
-    of forwarding every step wherever the BLAS gives a row the same bits
-    in a product of either row count, and otherwise differ from them by
-    rounding alone."""
-    sweeps = iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps)
+    One worker thread paints the sweeps, at most one ahead, into two
+    blocks allocated on this thread (``ring``): it paints sweep i+1 while
+    this thread forwards sweep i, whose BLAS products release the GIL.
+    Only the worker advances the sweeps and only this thread adds up
+    their scores, in sweep order, so the result does not depend on the
+    scheduling.  An error in either is raised here once the worker has
+    stopped.  A sweep's block of distinct canvases forwards as one batch,
+    and each step takes the scores of its row (``index``).  The scores are
+    those of forwarding every step wherever the BLAS gives a row the same
+    bits in a product of either row count, and otherwise differ from them
+    by rounding alone."""
+    # The worker paints sweep i+2 only once this thread has added up
+    # sweep i, so two blocks serve every sweep.
+    sweeps = iter_adjust_sweeps(canvas, n_sequences=n_sequences, steps=steps, ring=2)
     sums = np.zeros((steps, 3))
-    for digits, _, _, block, index in sweeps:
-        _, pred = predict_batch(params, block)
-        sums += pred.scores[index][:, list(digits)]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(next, sweeps)
+        for i in range(n_sequences):
+            digits, _, _, block, index = ahead.result()
+            if i + 1 < n_sequences:
+                ahead = worker.submit(next, sweeps)
+            _, pred = predict_batch(params, block)
+            sums += pred.scores[index][:, list(digits)]
     return sums / n_sequences
 
 
@@ -372,10 +389,12 @@ def cmd_extract_sig(args) -> int:
     n_checkpoints = integer(cfg.get("n_checkpoints", 10), "n_checkpoints", 1)
     params, x, _ = _load_model_and_data(cfg)
     if class_index >= params.num_classes:
-        raise ValueError(f"class index {class_index} out of range for {params.num_classes} classes")
+        raise ValueError(
+            f"'class_index' must be below the checkpoint's {params.num_classes} classes, got {class_index}"
+        )
     n = len(x)
     if n_checkpoints > n:
-        raise ValueError("n_checkpoints must lie in 1..n_instances")
+        raise ValueError(f"'n_checkpoints' must be at most the dataset's {n} instances, got {n_checkpoints}")
     out = _out_dir(cfg)
     _, pred = predict_batch(params, x)
     scores = pred.scores[:, class_index]

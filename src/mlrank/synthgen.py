@@ -350,7 +350,7 @@ def generate_calibration_set(cfg: CanvasConfig, n: int = 50) -> list[GeneratedSa
     return _samples(cfg, n, _calibration_placements)
 
 
-def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50):
+def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50, ring: int | None = None):
     """Yields the adjusting experiment's sweeps: 3 digits at fixed
     positions whose named factors sweep linearly, the low digit from the
     range minimum to its maximum, the high digit the opposite way, the
@@ -367,7 +367,12 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     shares its row.  Stored glyph banks pick each canvas's glyphs from a
     fresh ``default_rng(0)``, so every step picks the same glyphs.  Each
     sweep is built only when it is asked for; the settings and the canvas
-    are refused at the call."""
+    are refused at the call.
+
+    With ``ring``, the sweeps are painted in turn into ``ring`` blocks
+    allocated at the call, in place of a fresh block each: sweep i's block
+    is painted over by sweep i + ``ring``, so a caller must be done with
+    it by then.  The sweeps' bits are the same either way."""
     n_sequences, steps = integer(n_sequences, "n_sequences", 1), integer(steps, "steps", 2)
     _check_probe_canvas(cfg, "adjust")
     bank = _glyph_bank(cfg)
@@ -385,15 +390,21 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
     index = np.cumsum(fresh) - 1
     index.flags.writeable = False
     painted = [step_looks for step_looks, new in zip(looks, fresh) if new]
+    shape = (len(painted), cfg.feature_length)
+    kept = None if ring is None else [np.zeros(shape) for _ in range(integer(ring, "ring", 1))]
 
-    def sweep():
+    def sweep(i):
         digits = tuple(int(d) for d in rng.choice(cfg.num_classes, size=3, replace=False))
         # Each role is placed to fit its largest sweep extent.
         roles = tuple(
             _digit(cfg, rng, digit, extent if by_scale else 1.0, 1.0)
             for digit, extent in zip(digits, (hi, mid, hi))
         )
-        block = np.zeros((len(painted), cfg.feature_length))
+        if kept is None:
+            block = np.zeros(shape)
+        else:
+            block = kept[i % len(kept)]
+            block[...] = 0.0
         for row, step_looks in zip(block, painted):
             canvas = row.reshape(cfg.image_shape)
             glyph_rng = None if bank.glyphs is None else np.random.default_rng(0)
@@ -401,7 +412,7 @@ def iter_adjust_sweeps(cfg: CanvasConfig, n_sequences: int = 50, steps: int = 50
                 _paint(cfg, bank, canvas, glyph_rng, r.digit, scale, brightness, r.top, r.left, r.hue, r.saturation)
         return digits, roles, factors, np.round(block, 3, out=block), index
 
-    return (sweep() for _ in range(n_sequences))
+    return (sweep(i) for i in range(n_sequences))
 
 
 def generate_adjust_sequences(

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -603,6 +605,118 @@ class TestExperiments:
         assert "warning" in capsys.readouterr().err
 
 
+@pytest.fixture
+def fast_switching():
+    """Thread switches as often as the interpreter allows, so the
+    adjust-exp worker and the main thread interleave at every chance."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)
+
+
+def assert_no_thread_outlives(before, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.usefixtures("fast_switching")
+class TestAdjustWorker:
+    """``adjust_means`` paints the sweeps on one worker thread, one sweep
+    ahead of the forward passes on the calling thread."""
+
+    @staticmethod
+    def _advances(monkeypatch):
+        """(thread id, sweeps forwarded so far) at each advance of the
+        sweeps.  Each forward pass first sleeps, so a worker free to run
+        further ahead would."""
+        log, forwarded, real_sweeps, real_predict = [], [], mlrank.cli.iter_adjust_sweeps, mlrank.cli.predict_batch
+
+        def sweeps(*args, **kwargs):
+            for sweep in real_sweeps(*args, **kwargs):
+                log.append((threading.get_ident(), len(forwarded)))
+                yield sweep
+
+        def predict(params, x):
+            forwarded.append(len(x))
+            time.sleep(0.01)
+            return real_predict(params, x)
+
+        monkeypatch.setattr(mlrank.cli, "iter_adjust_sweeps", sweeps)
+        monkeypatch.setattr(mlrank.cli, "predict_batch", predict)
+        return log
+
+    @pytest.mark.parametrize("canvas", [
+        {**SMALL_CANVAS, "setup": "S"},
+        {**SMALL_CANVAS, "setup": "B"},
+        {**SMALL_CANVAS, "setup": "B-mix", "color_mode": "color"},
+    ], ids=["S", "B", "colour"])
+    def test_equals_the_sequential_sum(self, monkeypatch, canvas):
+        cfg = CanvasConfig(seed=21, **canvas)
+        params = init_model(cfg.feature_length, 10, "gmlr", hidden=(8,), seed=0)
+        sums = np.zeros((9, 3))
+        for digits, _, _, block, index in iter_adjust_sweeps(cfg, 6, 9):
+            sums += predict_batch(params, block)[1].scores[index][:, list(digits)]
+        log = self._advances(monkeypatch)
+        before = set(threading.enumerate())
+        assert mlrank.cli.adjust_means(params, cfg, 6, 9).tobytes() == (sums / 6).tobytes()
+        # One thread, not this one, advanced every sweep, never two ahead
+        # of the forward passes.
+        assert len({ident for ident, _ in log}) == 1 and log[0][0] != threading.get_ident()
+        assert len(log) == 6 and all(i - 1 <= done <= i for i, (_, done) in enumerate(log))
+        assert_no_thread_outlives(before)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_an_error_while_painting_propagates(self, monkeypatch, k):
+        cfg = CanvasConfig(seed=21, **SMALL_CANVAS)
+        params = init_model(cfg.feature_length, 10, "gmlr", hidden=(4,), seed=0)
+        log = self._advances(monkeypatch)
+        placed, real_digit = [], mlrank.synthgen._digit
+        error = RuntimeError(f"sweep {k} cannot be painted")
+
+        def digit(*args, **kwargs):
+            # Each sweep places its three digits before it paints.
+            placed.append(None)
+            if len(placed) > 3 * k:
+                raise error
+            return real_digit(*args, **kwargs)
+
+        monkeypatch.setattr(mlrank.synthgen, "_digit", digit)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError) as caught:
+            mlrank.cli.adjust_means(params, cfg, 5, 4)
+        assert caught.value is error
+        assert len(log) == k
+        assert_no_thread_outlives(before)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_an_error_while_forwarding_propagates(self, monkeypatch, k):
+        cfg = CanvasConfig(seed=21, **SMALL_CANVAS)
+        params = init_model(cfg.feature_length, 10, "gmlr", hidden=(4,), seed=0)
+        log = self._advances(monkeypatch)
+        calls, counted = [], mlrank.cli.predict_batch
+        error = FloatingPointError(f"sweep {k} cannot be forwarded")
+
+        def predict(params, x):
+            calls.append(None)
+            if len(calls) > k:
+                raise error
+            return counted(params, x)
+
+        monkeypatch.setattr(mlrank.cli, "predict_batch", predict)
+        before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError) as caught:
+            mlrank.cli.adjust_means(params, cfg, 5, 4)
+        assert caught.value is error
+        # Sweep k and at most the one after it were painted.
+        assert k + 1 <= len(log) <= min(k + 2, 5)
+        assert_no_thread_outlives(before)
+
+
 class TestExtractSig:
     def test_equidistant_positions(self, tmp_path):
         ds = tmp_path / "d.jsonl"
@@ -744,7 +858,18 @@ class TestExitCodes:
         make_affine_gmlr_checkpoint(ckpt, k=6)
         assert run("extract-sig", "--checkpoint", str(ckpt), "--dataset", str(ds),
                    "--class-index", "6", "--out", str(tmp_path / "s")) == 2
-        assert "class index 6" in capsys.readouterr().err
+        assert "'class_index' must be below the checkpoint's 6 classes, got 6" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_more_checkpoints_than_instances_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "d.jsonl"
+        make_identity_dataset(ds, n=40)
+        ckpt = tmp_path / "ckpt.json"
+        make_affine_gmlr_checkpoint(ckpt)
+        assert run("extract-sig", "--checkpoint", str(ckpt), "--dataset", str(ds), "--class-index", "0",
+                   "--n-checkpoints", "41", "--out", str(tmp_path / "s")) == 2
+        assert "'n_checkpoints' must be at most the dataset's 40 instances, got 41" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_canvas_size_other_than_checkpoint_is_data_error(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt.json"

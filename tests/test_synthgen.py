@@ -168,6 +168,7 @@ class TestSettingRules:
         pytest.param(lambda: canvas_arrays(small_cfg(), 0), "n", id="canvas-n-0"),
         pytest.param(lambda: calibration_arrays(small_cfg(), 1.5), "n", id="float-calibration-n"),
         pytest.param(lambda: iter_adjust_sweeps(small_cfg(), 2.5, 3), "n_sequences", id="float-n_sequences"),
+        pytest.param(lambda: iter_adjust_sweeps(small_cfg(), 2, 3, ring=0), "ring", id="ring-0"),
         pytest.param(lambda: FrontEnd((32.9, 32, 1)), "image_shape", id="float-image_shape"),
         pytest.param(lambda: FrontEnd(32), "image_shape", id="int-image_shape"),
     ])
@@ -340,6 +341,22 @@ class TestAdjustSequences:
         for (digits_a, roles_a, _, *arrays_a), (digits_b, roles_b, _, *arrays_b) in zip(a, b, strict=True):
             assert digits_a == digits_b and roles_a == roles_b
             assert [x.tobytes() for x in arrays_a] == [x.tobytes() for x in arrays_b]
+
+    @pytest.mark.parametrize("ring", [1, 2, 3])
+    @pytest.mark.parametrize("setup", ["S", "B"])
+    def test_a_ring_of_blocks_gives_the_fresh_sweeps(self, sweep_cfg, setup, ring):
+        cfg = sweep_cfg(setup=setup)
+        fresh = iter_adjust_sweeps(cfg, n_sequences=5, steps=6)
+        painted = []
+        for i, (want, got) in enumerate(zip(fresh, iter_adjust_sweeps(cfg, n_sequences=5, steps=6, ring=ring),
+                                            strict=True)):
+            assert want[:3] == got[:3] and want[4].tobytes() == got[4].tobytes()
+            # Read before the ring comes round to this block again.
+            assert got[3].tobytes() == want[3].tobytes()
+            painted.append(got[3])
+            if i >= ring:
+                assert painted[i] is painted[i - ring]
+        assert len({id(block) for block in painted}) == min(ring, 5)
 
     @pytest.mark.parametrize("setup", ["S", "B"])
     def test_records_are_the_sweep_blocks(self, sweep_cfg, setup):
