@@ -34,6 +34,7 @@ import numpy as np
 from scipy.special import expit as _sigmoid
 
 from .buckets import MODES, head_batch, pair_mask
+from .settings import choice
 
 
 def _softplus(x):
@@ -63,8 +64,7 @@ def crpc_loss(logits, ranks, mode: str):
     it.  Each slot whose two items are ordered adds -log sigmoid
     (winner-over-loser logit); a slot of tied items adds nothing.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    choice(mode, "mode", MODES)
     k = np.shape(ranks)[-1]
     logits, ranks = head_batch(logits, ranks, (k + 1) * k // 2)
     levels = ranks if mode == "strong" else (ranks > 0).astype(int)

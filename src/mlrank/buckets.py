@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .settings import choice
+
 MODES = ("weak", "strong")
 _INT64_MAX = np.uint64(np.iinfo(np.int64).max)
 
@@ -69,10 +71,8 @@ def pair_mask(ranks, mode: str) -> np.ndarray:
     ordering among positives is discarded.  The ranks are compared as
     given, never cast.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     ranks = np.asarray(ranks)
-    levels = ranks if mode == "strong" else ranks > 0
+    levels = ranks if choice(mode, "mode", MODES) == "strong" else ranks > 0
     return levels[..., :, None] > levels[..., None, :]
 
 

@@ -18,9 +18,11 @@ Each setting has one rule, kept where the setting is used: ``TrainConfig``,
 ``CanvasConfig``, ``feature_arrays``, the canvas generators and
 ``iter_adjust_sweeps`` refuse what they cannot use, naming the config
 key.  A command checks, with the same rules (``settings``), only what no
-library call does: calib-exp's ``n`` of at least 2, ``class_index`` and
-``n_checkpoints``.  ``generate``, ``adjust-exp`` and ``calib-exp`` draw
-their arrays before they create ``--out``, so a refusal leaves none.
+library call does: ``raw`` and ``dump_images``, the ``canvas`` and
+``feature`` sections, a probe checkpoint's ``meta.trained_on``,
+calib-exp's ``n`` of at least 2, ``class_index`` and ``n_checkpoints``.
+``generate``, ``adjust-exp`` and ``calib-exp`` draw their arrays before
+they create ``--out``, so a refusal leaves none.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.
 """
@@ -59,7 +61,7 @@ from .synthgen import (
     iter_adjust_sweeps,
     small_variance_config,
 )
-from .settings import integer
+from .settings import flag, integer, json_object
 
 
 class UsageError(Exception):
@@ -128,21 +130,6 @@ def _settings(args, known) -> dict:
     return cfg
 
 
-def _flag(value, key: str) -> bool:
-    """``value`` when it is a JSON boolean; a string such as "false" is not."""
-    if type(value) is not bool:
-        raise ValueError(f"'{key}' must be true or false, got {value!r}")
-    return value
-
-
-def _section(cfg: dict, key: str) -> dict:
-    """The nested settings object ``cfg[key]``, empty when absent."""
-    d = cfg.get(key, {})
-    if not isinstance(d, dict):
-        raise ValueError(f"'{key}' must be a JSON object, got {d!r}")
-    return d
-
-
 def _canvas_config(d: dict, seed) -> CanvasConfig:
     # The seed is the command's own setting, not a canvas key.
     _refuse_unknown(d, (f.name for f in dataclasses.fields(CanvasConfig) if f.name != "seed"), "canvas")
@@ -177,14 +164,13 @@ def _probe_setup(cfg: dict):
     of its classes and feature length; warns when the checkpoint was
     trained on another setup.  The probe set's generator refuses a
     canvas it cannot be drawn on; a missing ``out`` is refused before."""
-    canvas = _canvas_config(_section(cfg, "canvas"), _require(cfg, "seed"))
+    canvas = _canvas_config(json_object(cfg.get("canvas", {}), "canvas"), _require(cfg, "seed"))
     params, section = load_checkpoint(_require(cfg, "checkpoint"))
     # The setup of meta.trained_on.canvas, when the checkpoint records one.
     key = "meta"
     for part in ("trained_on", "canvas"):
-        section, key = section.get(part, {}), f"{key}.{part}"
-        if not isinstance(section, dict):
-            raise ValueError(f"checkpoint '{key}' must be a JSON object, got {section!r}")
+        key = f"{key}.{part}"
+        section = json_object(section.get(part, {}), key)
     setup = section.get("setup")
     if setup is not None and setup != canvas.setup:
         print(
@@ -211,17 +197,17 @@ def cmd_generate(args) -> int:
     cfg = _settings(args, ("seed", "out", "n", "kind", "dump_images", "canvas", "feature"))
     seed, n, out = _require(cfg, "seed"), _require(cfg, "n"), _require(cfg, "out")
     kind = cfg.get("kind", "canvas")
-    dump_images = _flag(cfg.get("dump_images", False), "dump_images")
+    dump_images = flag(cfg.get("dump_images", False), "dump_images")
     # No ``out`` in the header's echo: the bytes must not depend on it.
     resolved: dict = {"kind": kind, "n": n, "seed": seed}
     image_shape = None
     if kind == "feature":
-        feature = _feature_config(_section(cfg, "feature"))
+        feature = _feature_config(json_object(cfg.get("feature", {}), "feature"))
         x, ranks, _ = feature_arrays(n=n, seed=seed, **feature)
         # Built once the settings are accepted, so float() sees no bad noise.
         resolved["feature"] = {**feature, "noise": float(feature["noise"])}
     elif kind in ("canvas", "small-variance"):
-        canvas = _canvas_config(_section(cfg, "canvas"), seed)
+        canvas = _canvas_config(json_object(cfg.get("canvas", {}), "canvas"), seed)
         resolved["canvas"] = canvas.to_dict()
         if dump_images:
             resolved["dump_images"] = True
@@ -268,7 +254,7 @@ _METRIC_COLUMNS = ("tau_b", "s_rho", "gamma", "hl", "m1", "f1")
 
 def cmd_eval(args) -> int:
     cfg = _settings(args, ("out", "checkpoint", "dataset", "raw"))
-    raw = _flag(cfg.get("raw", False), "raw")
+    raw = flag(cfg.get("raw", False), "raw")
     params, x, ranks = _load_model_and_data(cfg)
     out = _out_dir(cfg)
     _, preds = predict_batch(params, x)

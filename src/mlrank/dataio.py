@@ -57,21 +57,16 @@ import os
 import numpy as np
 
 from .buckets import checked_ranks
+from .settings import image_shape, integer, json_object
+
 
 def _checked_header(header) -> tuple[int, int]:
-    """(k, d) of a dataset header that keeps the layout's rules (above)."""
-    if not isinstance(header, dict):
-        raise ValueError(f"header must be a JSON object, got {header!r}")
-    # bool is an int subclass; only true JSON integers count here.
-    for key in ("k", "d"):
-        if type(header.get(key)) is not int or header[key] < 1:
-            raise ValueError(f"header '{key}' must be a positive JSON integer, got {header.get(key)!r}")
-    k, d, shape = header["k"], header["d"], header.get("image_shape")
-    if "image_shape" in header and not (
-        isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)
-        and shape[0] * shape[1] * shape[2] == d
-    ):
-        raise ValueError(f"image_shape must be 3 positive JSON integers of product d={d}, got {shape!r}")
+    """(k, d) of a dataset header that keeps the layout's rules (above),
+    each field by its rule in ``settings``, naming the key."""
+    header = json_object(header, "header")
+    k, d = integer(header.get("k"), "k", 1), integer(header.get("d"), "d", 1)
+    if "image_shape" in header and math.prod(image_shape(header["image_shape"], "image_shape")) != d:
+        raise ValueError(f"'image_shape' must multiply to d={d}, got {header['image_shape']!r}")
     return k, d
 
 
@@ -248,6 +243,8 @@ def _parse_block(lines: list[str], x: np.ndarray, ranks: np.ndarray) -> bool:
     # A ragged block is a ValueError from NumPy 1.24 on.
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return False
+    # Checked as arrays, once a block: ``settings``' rules take one value
+    # at a time, which would cost a Python call per rank of the file.
     if (
         block_x.shape != x.shape or block_ranks.shape != ranks.shape
         or block_ranks.dtype.kind != "i" or np.any(block_ranks < 0)
@@ -337,10 +334,11 @@ def _read_row(line: str, x: np.ndarray, ranks: np.ndarray, i: int) -> None:
     """Row ``i`` of ``x`` and ``ranks`` from its line, with every check of
     the loader contract (module docstring); a TypeError or ValueError
     says what the line breaks.  The line walk of ``read_dataset_jsonl``."""
-    row = _json_line(line)
-    if not isinstance(row, dict):
-        raise ValueError(f"an instance must be a JSON object, got {type(row).__name__}")
+    row = json_object(_json_line(line), "instance")
     row_ranks = row.get("ranks")
+    # One test per rank of every walked line, written out: through
+    # ``settings.integer`` it would cost a call per value.  As there, a
+    # bool or a float such as 1.0 is no integer.
     if not isinstance(row_ranks, list) or not all(type(r) is int and r >= 0 for r in row_ranks):
         raise ValueError(f"ranks must be a list of non-negative JSON integers, got {row_ranks!r}")
     values = row.get("features")

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .settings import choice
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
@@ -57,8 +59,7 @@ def rasterize_digit(digit: int, size: int) -> np.ndarray:
     (digit, size) alone, so it is rendered once and shared: copy it
     before writing to it.
     """
-    if digit not in _DIGIT_STROKES:
-        raise ValueError(f"unknown digit {digit}")
+    choice(digit, "digit", tuple(_DIGIT_STROKES))
     if size < 4:
         raise ValueError("glyph size must be at least 4 pixels")
     # Pixel centers in unit coordinates.

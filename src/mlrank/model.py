@@ -44,7 +44,7 @@ from .baselines import crpc_loss, lsep_class_loss, lsep_rank_loss
 from .buckets import MODES, checked_ranks
 from .gmlr import gmlr_objective
 from .predict import Prediction, decide
-from .settings import integer, number
+from .settings import choice, image_shape, integer, json_object, number
 
 METHODS = ("gmlr", "lsep", "crpc")
 # Rows per forward pass at inference.  Small enough that a chunk of
@@ -75,11 +75,9 @@ class TrainingDiverged(RuntimeError):
 
 
 def head_width(method: str, num_classes: int) -> int:
-    if method in ("gmlr", "lsep"):
-        return 2 * num_classes
-    if method == "crpc":
+    if choice(method, "method", METHODS) == "crpc":
         return (num_classes + 1) * num_classes // 2
-    raise ValueError(f"method must be one of {METHODS}")
+    return 2 * num_classes
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,7 @@ class FrontEnd:
     image_shape: tuple[int, int, int]
 
     def __post_init__(self):
-        if not isinstance(self.image_shape, (tuple, list)) or len(self.image_shape) != 3:
-            raise ValueError(f"'image_shape' must be (height, width, channels), got {self.image_shape!r}")
-        shape = tuple(integer(v, "image_shape", 1) for v in self.image_shape)
+        shape = image_shape(self.image_shape, "image_shape")
         object.__setattr__(self, "image_shape", shape)
         side = self.min_side
         if min(shape[:2]) < side:
@@ -191,8 +187,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, choices in (("method", METHODS), ("mode", MODES)):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"'{name}' must be one of {choices}, got {getattr(self, name)!r}")
+            choice(getattr(self, name), name, choices)
         for name, minimum in (("seed", 0), ("epochs", 0), ("batch_size", 1), ("stage2_epochs", 0)):
             if name != "stage2_epochs" or self.stage2_epochs is not None:
                 setattr(self, name, integer(getattr(self, name), name, minimum))
@@ -552,58 +547,45 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """(params, meta) of a ``save_checkpoint`` file.  A file that is not
     JSON, or nests it too deeply, is a ValueError naming the file; a
-    checkpoint that breaks the layout is one naming the key, or the
-    layer (``_check_layers``).  Its ``hidden`` must list the widths of
-    the affine layers before the head, as JSON integers."""
+    checkpoint that breaks the layout is one that begins "checkpoint" and
+    names the key (each field by its rule in ``settings``), or the layer
+    (``_check_layers``).  Its ``hidden`` must list the widths of the
+    affine layers before the head, as JSON integers."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"checkpoint {path} is not readable JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"checkpoint {path} must hold a JSON object, got {type(doc).__name__}")
-    version = doc.get("version")
-    if type(version) is not int or version not in (MLP_CHECKPOINT_VERSION, FRONT_END_CHECKPOINT_VERSION):
-        raise ValueError(f"unsupported checkpoint version {version!r}")
-    front_end = None
-    if version == FRONT_END_CHECKPOINT_VERSION:
-        fe = doc.get("front_end")
-        if not isinstance(fe, dict):
-            raise ValueError(f"checkpoint 'front_end' must be a JSON object, got {type(fe).__name__}")
-        shape = fe.get("image_shape")
-        # As in the dataset header: only positive JSON integers count.
-        if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int and v > 0 for v in shape)):
-            raise ValueError(f"checkpoint 'image_shape' must be 3 positive JSON integers, got {shape!r}")
-        front_end = FrontEnd(shape)
-        want = front_end.to_dict()["convs"]
-        if fe.get("convs") != want:
-            raise ValueError(
-                f"checkpoint front end convolutions {fe.get('convs')!r} are not the "
-                f"canvas front end's {want!r}"
-            )
-    num_classes = doc.get("num_classes")
-    # Only a true JSON integer counts, as for every other count.
-    if type(num_classes) is not int or num_classes < 1:
-        raise ValueError(f"checkpoint 'num_classes' must be a positive JSON integer, got {num_classes!r}")
-    if doc.get("head") not in METHODS:
-        raise ValueError(f"checkpoint 'head' must be one of {METHODS}, got {doc.get('head')!r}")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError(f"checkpoint 'meta' must be a JSON object, got {type(meta).__name__}")
-    n_convs = 0 if front_end is None else len(front_end.convs)
-    params = ModelParams(
-        weights=_checkpoint_arrays(doc, "weights", n_convs),
-        biases=_checkpoint_arrays(doc, "biases", n_convs),
-        head=doc["head"],
-        num_classes=num_classes,
-        front_end=front_end,
-    )
-    _check_layers(params, doc.get("input_dim"))
-    hidden = doc.get("hidden")
-    if not (isinstance(hidden, list) and all(type(v) is int for v in hidden) and hidden == list(params.hidden)):
-        raise ValueError(
-            f"checkpoint 'hidden' must list its hidden affine layers' widths {list(params.hidden)}, got {hidden!r}"
+    try:
+        doc = json_object(doc, str(path))
+        versions = (MLP_CHECKPOINT_VERSION, FRONT_END_CHECKPOINT_VERSION)
+        version = choice(integer(doc.get("version"), "version"), "version", versions)
+        front_end = None
+        if version == FRONT_END_CHECKPOINT_VERSION:
+            fe = json_object(doc.get("front_end"), "front_end")
+            front_end = FrontEnd(fe.get("image_shape"))
+            want = front_end.to_dict()["convs"]
+            if fe.get("convs") != want:
+                raise ValueError(
+                    f"front end convolutions {fe.get('convs')!r} are not the canvas front end's {want!r}"
+                )
+        num_classes = integer(doc.get("num_classes"), "num_classes", 1)
+        head = choice(doc.get("head"), "head", METHODS)
+        meta = json_object(doc.get("meta", {}), "meta")
+        n_convs = 0 if front_end is None else len(front_end.convs)
+        params = ModelParams(
+            weights=_checkpoint_arrays(doc, "weights", n_convs),
+            biases=_checkpoint_arrays(doc, "biases", n_convs),
+            head=head,
+            num_classes=num_classes,
+            front_end=front_end,
         )
+        _check_layers(params, doc.get("input_dim"))
+        # 4.0 == 4, so the choice alone would take a float width.
+        for width in choice(doc.get("hidden"), "hidden", (list(params.hidden),)):
+            integer(width, "hidden")
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {exc}") from None
     return params, meta
 
 
@@ -624,7 +606,7 @@ def _checkpoint_arrays(doc: dict, key: str, n_convs: int) -> list[np.ndarray]:
             raise TypeError
         arrays = [np.asarray(v, dtype=float) for v in values]
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"checkpoint '{key}' must be a list of numeric arrays") from None
+        raise ValueError(f"'{key}' must be a list of numeric arrays") from None
     for i, (value, array) in enumerate(zip(values, arrays)):
         # The array is regular, so its leaves sit ndim lists deep.
         leaves = value if array.ndim else [value]
@@ -633,7 +615,7 @@ def _checkpoint_arrays(doc: dict, key: str, n_convs: int) -> list[np.ndarray]:
         if not set(map(type, leaves)) <= {int, float}:
             bad = next(v for v in leaves if type(v) not in (int, float))
             raise ValueError(
-                f"checkpoint '{key}' of {_layer_name(i, n_convs)} must hold JSON numbers, got {json.dumps(bad)}"
+                f"'{key}' of {_layer_name(i, n_convs)} must hold JSON numbers, got {json.dumps(bad)}"
             )
     return arrays
 
@@ -644,31 +626,32 @@ def _check_layers(params: ModelParams, input_dim) -> None:
     end's kernels in its shapes, each affine layer taking the width
     before it (the checkpoint's ``input_dim``, or the front end's pooled
     width, for the first), the last one the method's head width, and
-    every value finite."""
+    every value finite.  Behind a front end, ``input_dim`` must be its
+    flat pixel count, naming the key."""
     n_convs, front_end = params.n_convs, params.front_end
     if len(params.weights) != len(params.biases):
-        raise ValueError(
-            f"checkpoint holds {len(params.weights)} weight matrices but {len(params.biases)} biases"
-        )
+        raise ValueError(f"holds {len(params.weights)} weight matrices but {len(params.biases)} biases")
     if len(params.weights) <= n_convs:
-        raise ValueError("checkpoint has no affine layer")
+        raise ValueError("has no affine layer")
+    input_dim = integer(input_dim, "input_dim", 1)
     kernels, width, before = [], input_dim, "its input_dim"
     if front_end is not None:
         kernels, width, before = front_end.kernel_shapes(), front_end.out_dim, "the front end's out_dim"
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         layer = _layer_name(i, n_convs)
         if w.ndim != 2:
-            raise ValueError(f"checkpoint {layer} weight has shape {w.shape}, not a matrix's")
+            raise ValueError(f"{layer} weight has shape {w.shape}, not a matrix's")
         if i < n_convs and w.shape != kernels[i]:
-            raise ValueError(f"checkpoint {layer} has kernels of shape {w.shape}, not its front end's {kernels[i]}")
+            raise ValueError(f"{layer} has kernels of shape {w.shape}, not its front end's {kernels[i]}")
         if i >= n_convs:
-            # The input_dim counts only as a JSON integer, as in the dataset header.
-            if type(width) is not int or w.shape[0] != width:
-                raise ValueError(f"checkpoint {layer} takes {w.shape[0]} inputs, not {before} {width!r}")
+            if w.shape[0] != width:
+                raise ValueError(f"{layer} takes {w.shape[0]} inputs, not {before} {width}")
             width, before = w.shape[1], f"{layer}'s width"
         if b.shape != (w.shape[1],):
-            raise ValueError(f"checkpoint {layer} bias has shape {b.shape}, not its width ({w.shape[1]},)")
+            raise ValueError(f"{layer} bias has shape {b.shape}, not its width ({w.shape[1]},)")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError(f"checkpoint {layer} holds a non-finite weight or bias")
+            raise ValueError(f"{layer} holds a non-finite weight or bias")
     if width != head_width(params.head, params.num_classes):
-        raise ValueError(f"checkpoint head width {width} does not match its method {params.head!r}")
+        raise ValueError(f"head width {width} does not match its method {params.head!r}")
+    if front_end is not None:
+        choice(input_dim, "input_dim", (front_end.input_dim,))

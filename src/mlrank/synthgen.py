@@ -40,7 +40,7 @@ import numpy as np
 from .buckets import checked_ranks, dense_ranks
 from .dataio import _PNM, write_pnm
 from .glyphs import GlyphBank, builtin_bank, hsv_to_rgb, load_idx_glyphs
-from .settings import integer, number, pair
+from .settings import choice, integer, number, pair
 
 SETUPS = ("S", "B", "S-mix", "B-mix")
 CALIBRATION_SCALES = (1.0, 1.5, 2.0, 2.5)
@@ -81,8 +81,7 @@ class CanvasConfig:
         for name, choices in (
             ("setup", SETUPS), ("color_mode", ("gray", "color")), ("glyph_source", ("builtin", "idx-file"))
         ):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"'canvas.{name}' must be one of {choices}, got {getattr(self, name)!r}")
+            choice(getattr(self, name), f"canvas.{name}", choices)
         for name in ("idx_images", "idx_labels"):
             if getattr(self, name) is not None and not isinstance(getattr(self, name), str):
                 raise ValueError(f"'canvas.{name}' must be a string, got {getattr(self, name)!r}")

@@ -913,7 +913,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run(command, "--config", str(cfgp), "--checkpoint", str(ckpt), "--seed", "1",
                    "--out", str(out)) == 2
-        assert f"checkpoint '{key}' must be a JSON object" in capsys.readouterr().err
+        assert f"'{key}' must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "adjust-exp", "calib-exp"])
@@ -1175,7 +1175,7 @@ class TestSettingTypes:
         ckpt.write_text(json.dumps(doc))
         out = tmp_path / "e"
         assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
-        assert "checkpoint 'num_classes' must be a positive JSON integer" in capsys.readouterr().err
+        assert "checkpoint 'num_classes' must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, where, value, message", [
@@ -1214,13 +1214,18 @@ class TestSettingTypes:
         ckpt.write_text(json.dumps(doc))
         out = tmp_path / "e"
         assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == 2
-        assert "checkpoint 'hidden' must list its hidden affine layers' widths [4]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if hidden == [4.0]:
+            # 4.0 == 4: the width list matches, and the width's rule refuses it.
+            assert "checkpoint 'hidden' must be an integer, got 4.0" in err
+        else:
+            assert f"checkpoint 'hidden' must be one of ([4],), got {None if hidden == 'absent' else hidden!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("fault, message", [
-        ("a list", "must hold a JSON object, got list"),
+        ("a list", "ckpt.json' must be a JSON object, got list"),
         ("front_end a number", "checkpoint 'front_end' must be a JSON object, got int"),
-        ("image_shape null", "checkpoint 'image_shape' must be 3 positive JSON integers, got None"),
+        ("image_shape null", "checkpoint 'image_shape' must be (height, width, channels), got None"),
         ("nested too deeply", "is not readable JSON"),
     ])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, fault, message):
@@ -1244,6 +1249,24 @@ class TestSettingTypes:
         assert message in err
         assert fault != "nested too deeply" or str(ckpt) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("input_dim, code", [(1024, 0), (999, 2)])
+    def test_front_end_checkpoint_input_dim_must_be_its_pixel_count(self, tmp_path, capsys, input_dim, code):
+        # A version-2 checkpoint's input_dim was never read, so 999 loaded
+        # and eval ran on 32x32 images.
+        ds = tmp_path / "d.jsonl"
+        write_dataset_jsonl(ds, np.full((2, 32 * 32), 0.5), [[1, 0], [0, 1]], image_shape=(32, 32, 1))
+        ckpt = tmp_path / "ckpt.json"
+        fe = FrontEnd((32, 32, 1))
+        save_checkpoint(ckpt, init_model(fe.input_dim, 2, "gmlr", hidden=(3,), seed=1, front_end=fe))
+        doc = json.loads(ckpt.read_text())
+        doc["input_dim"] = input_dim
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "e"
+        assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds), "--out", str(out)) == code
+        if code:
+            assert "checkpoint 'input_dim' must be one of (1024,), got 999" in capsys.readouterr().err
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("command", ["eval", "extract-sig", "adjust-exp", "calib-exp"])
     @pytest.mark.parametrize("fault, message", [

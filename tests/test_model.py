@@ -413,16 +413,22 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["num_classes"] = num_classes
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="checkpoint 'num_classes' must be a positive JSON integer"):
+        with pytest.raises(ValueError, match="checkpoint 'num_classes' must be (an integer|at least 1), got "):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("fault, message", [
-        ("a list", "must hold a JSON object, got list"),
+        ("a list", "ckpt.json' must be a JSON object, got list"),
         ("nested too deeply", "is not readable JSON"),
-        ("version true", "unsupported checkpoint version True"),
+        ("version true", "checkpoint 'version' must be an integer, got True"),
         ("front_end a list", "checkpoint 'front_end' must be a JSON object, got list"),
-        ("image_shape null", "checkpoint 'image_shape' must be 3 positive JSON integers, got None"),
-        ("image_shape floats", r"checkpoint 'image_shape' must be 3 positive JSON integers, got \[32.0, 32, 1\]"),
+        ("image_shape null", r"checkpoint 'image_shape' must be \(height, width, channels\), got None"),
+        ("image_shape floats", "checkpoint 'image_shape' must be an integer, got 32.0"),
+        # Behind a front end the key must be its flat pixel count, 32 * 32.
+        ("input_dim 999", r"checkpoint 'input_dim' must be one of \(1024,\), got 999"),
+        ('input_dim "x"', "checkpoint 'input_dim' must be an integer, got 'x'"),
+        ("input_dim null", "checkpoint 'input_dim' must be an integer, got None"),
+        ("input_dim true", "checkpoint 'input_dim' must be an integer, got True"),
+        ("input_dim 1024.0", "checkpoint 'input_dim' must be an integer, got 1024.0"),
         ("weights null", "checkpoint 'weights' must be a list of numeric arrays"),
         ("a bias object", "checkpoint 'biases' must be a list of numeric arrays"),
         ("head", "checkpoint 'head' must be one of"),
@@ -446,6 +452,8 @@ class TestCheckpoint:
             doc["front_end"]["image_shape"] = [32.0, 32, 1]
         elif fault == "weights null":
             doc["weights"] = None
+        elif fault.startswith("input_dim "):
+            doc["input_dim"] = json.loads(fault.split(" ", 1)[1])
         elif fault == "a bias object":
             doc["biases"][1] = {"b": 1}
         elif fault == "head":
@@ -464,7 +472,7 @@ class TestCheckpoint:
         ("missing bias", "checkpoint holds 2 weight matrices but 1 biases"),
         ("no layers", "checkpoint has no affine layer"),
         ("input_dim", "checkpoint affine layer 1 takes 3 inputs, not its input_dim 7"),
-        ("float input_dim", "checkpoint affine layer 1 takes 3 inputs, not its input_dim 3.0"),
+        ("float input_dim", "checkpoint 'input_dim' must be an integer, got 3.0"),
         ("head width", "checkpoint head width 4 does not match its method 'gmlr'"),
     ])
     def test_refuses_layers_that_do_not_chain(self, tmp_path, fault, message):
@@ -567,7 +575,7 @@ class TestCheckpoint:
             doc["hidden"] = hidden
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="checkpoint 'hidden' must list"):
+        with pytest.raises(ValueError, match=r"checkpoint 'hidden' must be one of \(\[64, 64\],\)"):
             load_checkpoint(path)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -755,25 +763,60 @@ for method in ("gmlr", "crpc", "lsep"):
 """
 
 
+# Colour canvases, where a gray canvas model's claim does not hold: 40
+# B-mix canvases of 48x48, one epoch of each method.
+COLOUR_DETERMINISM_SCRIPT = """
+import hashlib
+from mlrank.model import TrainConfig, train_arrays
+from mlrank.synthgen import CanvasConfig, canvas_arrays
+
+cfg = CanvasConfig(seed=3, setup="B-mix", color_mode="color", canvas_size=48)
+x, ranks, _ = canvas_arrays(cfg, 40)
+for method in ("gmlr", "crpc", "lsep"):
+    params, _ = train_arrays(x, ranks, TrainConfig(method=method, epochs=1, seed=4), cfg.image_shape)
+    print(hashlib.sha256(b"".join(a.tobytes() for a in params.value_list())).hexdigest())
+"""
+
+
+def digests_at_1_and_2_blas_threads(script):
+    """The lines ``script`` prints at 1 and at 2 OpenBLAS threads.
+    OpenBLAS reads its thread count when it loads, so each count runs in
+    its own process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlrank.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        digests.append(done.stdout.split())
+    return digests
+
+
 class TestDeterminism:
     def test_training_bit_identical_at_1_and_2_blas_threads(self):
         """The determinism contract (README, Determinism): on one machine
-        gmlr, crpc and lsep each train a feature MLP and a canvas model
-        (96 canvases of 64x64) to the same parameter bytes at 1 and 2
-        OpenBLAS threads.  It claims nothing across machines, whose BLAS
-        kernels may differ.  OpenBLAS reads its thread count when it
-        loads, so each count trains in its own process."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(mlrank.__file__)))
-        digests = []
-        for threads in ("1", "2"):
-            path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            done = subprocess.run(
-                [sys.executable, "-c", DETERMINISM_SCRIPT], env=env, capture_output=True,
-                text=True, timeout=600, check=True,
-            )
-            digests.append(done.stdout.split())
+        gmlr, crpc and lsep each train a feature MLP and a gray canvas
+        model (96 canvases of 64x64) to the same parameter bytes at 1 and
+        2 OpenBLAS threads.  It claims nothing across machines, whose BLAS
+        kernels may differ."""
+        digests = digests_at_1_and_2_blas_threads(DETERMINISM_SCRIPT)
         assert len(digests[0]) == 6
+        assert digests[0] == digests[1]
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="colour canvas models differ in their last bits at 1 and 2 BLAS threads",
+    )
+    def test_colour_canvas_training_is_not_covered_by_the_contract(self):
+        """The contract leaves out colour canvas models: on the x86-64 box
+        the README names, all three differ at 1 and 2 threads.  Should
+        they agree, this test fails, and the README's Determinism section
+        can claim them too."""
+        digests = digests_at_1_and_2_blas_threads(COLOUR_DETERMINISM_SCRIPT)
+        if len(digests[0]) != 3:
+            pytest.fail(f"the script printed {digests[0]}")
         assert digests[0] == digests[1]
 
 
